@@ -74,11 +74,8 @@ def _load_fields(spec_n: int, lam_arg: str | None) -> tuple[Fields, dict]:
         if not math.isfinite(const) or const <= 0.0:
             raise ValidationError("constant weight must be positive and finite")
         return Fields.constant(spec_n, const), {"lambda": const}
-    try:
-        with open(lam_arg, "r", encoding="utf-8") as f:
-            raw = [ln.strip() for ln in f if ln.strip()]
-    except OSError:
-        raise
+    with open(lam_arg, "r", encoding="utf-8") as f:
+        raw = [ln.strip() for ln in f if ln.strip()]
     vals = []
     for ln_no, text in enumerate(raw, start=1):
         try:
@@ -128,9 +125,6 @@ def _write_manifest(path: str, manifest: dict) -> None:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.num_samples < 1:
         raise ValidationError("--num-samples must be >= 1")
-    if args.jobs < 1:
-        raise ValidationError("--jobs must be >= 1")
-
     inputs: dict = {}
     q = args.q
     if args.model == "random-cluster":
@@ -173,12 +167,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if args.model == "random-cluster":
         samples, stats = sample_random_cluster(
-            spec, fields, q, cfg, args.num_samples,
-            jobs=args.jobs, method=args.method)
+            spec, fields, q, cfg, args.num_samples, method=args.method)
     else:
         samples, stats = sample_independent_sets(
-            spec, fields, cfg, args.num_samples,
-            jobs=args.jobs, method=args.method)
+            spec, fields, cfg, args.num_samples, method=args.method)
     wall = time.perf_counter() - t0
 
     if complement_of is not None:
@@ -206,7 +198,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 "steps_per_sample": cfg.steps(spec.n),
                 "q": q,
                 "num_samples": args.num_samples,
-                "jobs": args.jobs,
                 "method": args.method,
                 "method_used": _pick_method(args.method, spec.n),
             },
@@ -228,12 +219,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValidationError("--jobs must be >= 1")
     inst = parse_graph_file(args.graph)
     t0 = time.perf_counter()
     est = rel_estimate(inst, args.eps, args.delta, seed=args.seed,
-                       c0=args.c0, method=args.method, jobs=args.jobs)
+                       c0=args.c0, method=args.method)
     wall = time.perf_counter() - t0
     payload = est.as_json_dict()
     payload["graph"] = args.graph
@@ -417,8 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="multiplier in the n*log(n/eps) step rule")
     sp.add_argument("--steps", type=int, default=None,
                     help="override the per-sample transition count")
-    sp.add_argument("--jobs", type=int, default=1,
-                    help="worker threads for sequential chains")
     sp.add_argument("--method", choices=("auto", "sequential", "vectorized"),
                     default="auto")
     sp.add_argument("--out", help="NDJSON output path (default: stdout)")
@@ -433,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--seed", type=int, default=0)
     ep.add_argument("--c0", type=float, default=8.0,
                     help="sample-count multiplier per conditioning level")
-    ep.add_argument("--jobs", type=int, default=1)
     ep.add_argument("--method", choices=("auto", "sequential", "vectorized"),
                     default="auto")
     ep.add_argument("--out", help="JSON output path (default: stdout)")

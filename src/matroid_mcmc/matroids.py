@@ -227,8 +227,6 @@ def _edges_connected(vertices: int, edges) -> bool:
 # ---------------------------------------------------------------------------
 
 class _BaseOracle:
-    kind = "rank-capable"
-
     def __init__(self, n: int):
         self.n = n
         self.current: set[int] = set()
@@ -242,15 +240,6 @@ class _BaseOracle:
     def _check_present(self, i: int) -> None:
         if i not in self.current:
             raise ContractError(f"element {i} is not in the oracle's set")
-
-    # rank-capable default: derive the drop test from two rank calls
-    def rank_drops_on_delete(self, i: int) -> bool:
-        self._check_present(i)
-        before = self.rank()
-        self.delete(i)
-        after = self.rank()
-        self.insert(i)
-        return after == before - 1
 
     def rank(self) -> int:  # pragma: no cover - overridden
         raise UnsupportedOperationError("rank not implemented")
@@ -275,8 +264,7 @@ class ExplicitOracle(_BaseOracle):
     def is_independent(self) -> bool:
         return self._mask in self._family
 
-    def rank(self) -> int:
-        mask = self._mask
+    def _rank_of(self, mask: int) -> int:
         best = 0
         for f in self._family:
             if f & ~mask == 0:
@@ -284,6 +272,13 @@ class ExplicitOracle(_BaseOracle):
                 if c > best:
                     best = c
         return best
+
+    def rank(self) -> int:
+        return self._rank_of(self._mask)
+
+    def rank_drops_on_delete(self, i: int) -> bool:
+        self._check_present(i)
+        return self._rank_of(self._mask ^ (1 << i)) < self._rank_of(self._mask)
 
 
 class UniformOracle(_BaseOracle):
@@ -398,8 +393,6 @@ class CographicOracle(_BaseOracle):
     The dynamic graph holds the complement E \\ S, so oracle insert = edge
     deletion and oracle delete = edge re-insertion.
     """
-
-    kind = "independence-only"
 
     def __init__(self, spec: MatroidSpec, dyncon_backend: str = "auto"):
         super().__init__(spec.n)

@@ -1,12 +1,14 @@
 """Down-up walk on the lifted independent-set distribution.
 
-State is (A, y_count): A the independent set on the real ground elements,
-y_count the number of occupied auxiliary slots, |A| + y_count = n between
-transitions.  One transition drops a uniform element of the combined state,
-then re-adds by rejection sampling: auxiliary slots carry aggregate proposal
-mass n - |T∩X| and are always accepted; element i carries mass λ_i and is
-accepted iff it keeps A independent.  The stationary law of A is the target
-weighted independent-set distribution.
+State is (S, y_count): S a set of real ground elements, y_count the number
+of occupied auxiliary slots, |S| + y_count = n between transitions.  One
+transition drops a uniform element of the combined state, then re-adds by
+rejection sampling: auxiliary slots carry aggregate proposal mass
+n - |S| and are always accepted; element i outside S carries mass
+weight[i] and is accepted per `_accepts`.  For PolarizedChain S = A, the
+weights are λ, and a proposal is accepted iff it keeps A independent; the
+stationary law of A is the target weighted independent-set distribution.
+RandomClusterChain runs the same walk on the complement of its cluster set.
 """
 from __future__ import annotations
 
@@ -20,6 +22,15 @@ from .weighted_index import WeightedIndex
 class PolarizedChain:
     def __init__(self, spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
                  dyncon_backend: str = "auto"):
+        self._setup(spec, fields, cfg)
+        self.oracle = build_oracle(spec, "independence", dyncon_backend)
+        self.weight = fields.lam
+        self.S: list[int] = []
+        self.y_count = spec.n
+        # every element outside S stays proposable at its weight, loops included
+        self.widx = WeightedIndex(fields.lam)
+
+    def _setup(self, spec: MatroidSpec, fields: Fields, cfg: ChainConfig) -> None:
         if len(fields) != spec.n:
             raise ValidationError(
                 f"fields length {len(fields)} != ground set size {spec.n}")
@@ -27,15 +38,26 @@ class PolarizedChain:
         self.fields = fields
         self.cfg = cfg
         self.n = spec.n
-        self.oracle = build_oracle(spec, "independence", dyncon_backend)
-        self.A: list[int] = []
-        self.in_A = [False] * spec.n
-        self.y_count = spec.n
-        # every element outside A stays proposable at weight λ_i, loops included
-        self.widx = WeightedIndex(fields.lam)
         self.rng = SeedStream(cfg.seed)
         self.stats = StepStats()
         self._debug = debug_asserts_enabled()
+
+    @property
+    def A(self) -> list[int]:
+        """The independent set, in slot order."""
+        return self.S
+
+    def _accepts(self, i: int) -> bool:
+        """Add i to the oracle's set if that keeps it independent."""
+        oracle = self.oracle
+        oracle.insert(i)
+        if oracle.is_independent():
+            return True
+        oracle.delete(i)
+        return False
+
+    def _dropped(self, i: int) -> None:
+        self.oracle.delete(i)
 
     def down_step(self) -> str:
         """Drop a uniform element of the lifted state; returns "y" or "x"."""
@@ -44,20 +66,17 @@ class PolarizedChain:
             self.y_count -= 1
             return "y"
         idx = int(t) - self.y_count
-        A = self.A
-        i = A[idx]
-        A[idx] = A[-1]
-        A.pop()
-        self.in_A[i] = False
-        self.oracle.delete(i)
-        self.widx.set(i, self.fields.lam[i])
+        S = self.S
+        i = S[idx]
+        S[idx] = S[-1]
+        S.pop()
+        self._dropped(i)
+        self.widx.set(i, self.weight[i])
         return "x"
 
     def up_step(self) -> None:
         """Re-add one element by rejection sampling until acceptance."""
-        k = len(self.A)
-        y_mass = float(self.n - k)
-        oracle = self.oracle
+        y_mass = float(self.n - len(self.S))
         widx = self.widx
         rng = self.rng
         stats = self.stats
@@ -69,13 +88,10 @@ class PolarizedChain:
                 self.y_count += 1
                 return
             i = widx.sample(u - y_mass)
-            oracle.insert(i)
-            if oracle.is_independent():
-                self.A.append(i)
-                self.in_A[i] = True
+            if self._accepts(i):
+                self.S.append(i)
                 widx.set(i, 0.0)
                 return
-            oracle.delete(i)
             stats.rejections += 1
 
     def step(self) -> None:
@@ -83,7 +99,7 @@ class PolarizedChain:
         self.up_step()
         self.stats.steps += 1
         if self._debug:
-            assert len(self.A) + self.y_count == self.n
+            assert len(self.S) + self.y_count == self.n
             assert self.oracle.is_independent()
 
     def run(self) -> list[int]:

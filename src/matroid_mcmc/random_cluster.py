@@ -1,136 +1,82 @@
 """Up-down walk for random cluster laws with 0 <= q <= 1.
 
-State is (A, y_count) with |A| + y_count = n between transitions.  The up
-step adds one uniform element of the complement (free auxiliary slots count
-|A|, so the state always has both sides nonempty mid-transition).  The down
-step removes per the weighted law: auxiliary slots carry aggregate mass
-|T∩X|, element j carries mass 1/λ_j, and a removal that would drop the rank
-of A is accepted only with probability q.  The stationary law of A is
-∝ q^{-rk(A)} Π_{j∈A} λ_j; at q = 0 the support is the maximum-rank subsets.
+The walk on the cluster set A with weights λ is, step for step, the
+polarized down-up walk on the complement S = E \\ A with weights 1/λ.  The
+up step adds one uniform element of the complement of A (free auxiliary
+slots count |A|): that is the down-up walk's uniform drop from S.  The down
+step removes per the weighted law (auxiliary slots carry aggregate mass
+|A|, element j ∈ A carries mass 1/λ_j): that is the walk's weighted re-add
+to S, accepted unless the removal would drop the rank of A, and then only
+with probability q.  The stationary law of A is ∝ q^{-rk(A)} Π_{j∈A} λ_j;
+at q = 0 the support is the maximum-rank subsets.
 """
 from __future__ import annotations
 
-from .config import ChainConfig, StepStats, debug_asserts_enabled
+from .config import ChainConfig
 from .errors import ValidationError
 from .matroids import Fields, MatroidSpec, build_oracle
-from .rng import SeedStream
+from .polarized import PolarizedChain
 from .weighted_index import WeightedIndex
 
 
-class RandomClusterChain:
+class RandomClusterChain(PolarizedChain):
+    up_step = PolarizedChain.down_step
+    down_step = PolarizedChain.up_step
+
     def __init__(self, spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
                  dyncon_backend: str = "auto"):
-        if len(fields) != spec.n:
-            raise ValidationError(
-                f"fields length {len(fields)} != ground set size {spec.n}")
+        self._setup(spec, fields, cfg)
         if not 0.0 <= q <= 1.0:
             raise ValidationError(f"q must lie in [0, 1], got {q}")
-        self.spec = spec
-        self.fields = fields
         self.q = float(q)
-        self.cfg = cfg
-        self.n = spec.n
-        self.oracle = build_oracle(spec, "rank", dyncon_backend)
-        self.A: list[int] = []
-        self.in_A = [False] * spec.n
-        self.free_x = list(range(spec.n))
-        self._pos = list(range(spec.n))   # position of each free element in free_x
-        self._apos = [-1] * spec.n        # position of each member in A
-        self.inv_widx = WeightedIndex([0.0] * spec.n)  # 1/λ_j for j ∈ A
-        self.rng = SeedStream(cfg.seed)
-        self.stats = StepStats()
-        self._debug = debug_asserts_enabled()
+        self.oracle = build_oracle(spec, "rank", dyncon_backend)  # holds A
+        self.weight = [1.0 / x for x in fields.lam]
+        self.widx = WeightedIndex([0.0] * spec.n)  # 1/λ_j for j ∈ A
+        S = list(range(spec.n))
         if q == 0.0:
-            # start from a maximal-rank set: greedy insertion in element order
+            # start from a maximal-rank A: greedy insertion in element order,
+            # each pick swap-removed from S as the walk's drop would
+            pos = list(range(spec.n))
             r = 0
             for i in range(spec.n):
                 self.oracle.insert(i)
                 nr = self.oracle.rank()
                 if nr > r:
                     r = nr
-                    self._add_to_A(i)
+                    last = S.pop()
+                    if last != i:
+                        S[pos[i]] = last
+                        pos[last] = pos[i]
+                    self.widx.set(i, self.weight[i])
                 else:
                     self.oracle.delete(i)
             self._max_rank = r
-        self.y_count = spec.n - len(self.A)
+        self.S = S
+        self.y_count = spec.n - len(S)
 
-    def _add_to_A(self, i: int) -> None:
-        self._apos[i] = len(self.A)
-        self.A.append(i)
-        self.in_A[i] = True
-        # swap-remove i from the free list
-        p = self._pos[i]
-        last = self.free_x[-1]
-        self.free_x[p] = last
-        self._pos[last] = p
-        self.free_x.pop()
-        self.inv_widx.set(i, 1.0 / self.fields.lam[i])
+    @property
+    def A(self) -> list[int]:
+        """The cluster set, ascending."""
+        in_s = set(self.S)
+        return [i for i in range(self.n) if i not in in_s]
 
-    def _remove_from_A(self, i: int) -> None:
-        A = self.A
-        idx = self._apos[i]
-        last = A[-1]
-        A[idx] = last
-        self._apos[last] = idx
-        A.pop()
-        self._apos[i] = -1
-        self.in_A[i] = False
-        self._pos[i] = len(self.free_x)
-        self.free_x.append(i)
-        self.inv_widx.set(i, 0.0)
-
-    def up_step(self) -> None:
-        """Add one uniform element of the complement (slot or free element)."""
-        a = len(self.A)
-        t = self.rng.u() * self.n
-        if t < a:  # one of the a free auxiliary slots
-            self.y_count += 1
-            return
-        i = self.free_x[int(t) - a]
-        self.oracle.insert(i)
-        self._add_to_A(i)
-
-    def down_step(self) -> None:
-        """Remove one element per the weighted law with rank-drop rejection."""
-        y_mass = float(len(self.A))
+    def _accepts(self, j: int) -> bool:
+        """Remove j from A unless rk(A) drops; if it does, with probability q."""
         oracle = self.oracle
-        widx = self.inv_widx
-        rng = self.rng
-        stats = self.stats
         q = self.q
-        while True:
-            stats.proposals += 1
-            total = y_mass + widx.total
-            u = (1.0 - rng.u()) * total  # in (0, total]
-            if u <= y_mass:
-                self.y_count -= 1
-                return
-            j = widx.sample(u - y_mass)
-            if oracle.rank_drops_on_delete(j):
-                if q == 0.0 or (q < 1.0 and rng.u() >= q):
-                    stats.rejections += 1
-                    continue
-            oracle.delete(j)
-            self._remove_from_A(j)
-            return
+        if oracle.rank_drops_on_delete(j) and (q == 0.0 or (q < 1.0 and self.rng.u() >= q)):
+            return False
+        oracle.delete(j)
+        return True
+
+    def _dropped(self, i: int) -> None:
+        self.oracle.insert(i)
 
     def step(self) -> None:
         self.up_step()
         self.down_step()
         self.stats.steps += 1
         if self._debug:
-            assert len(self.A) + self.y_count == self.n
+            assert len(self.S) + self.y_count == self.n
             if self.q == 0.0:
                 assert self.oracle.rank() == self._max_rank
-
-    def run(self) -> list[int]:
-        """Execute the configured number of (up, down) transitions."""
-        for _ in range(self.cfg.steps(self.n)):
-            self.step()
-        return sorted(self.A)
-
-    def state_mask(self) -> int:
-        m = 0
-        for i in self.A:
-            m |= 1 << i
-        return m

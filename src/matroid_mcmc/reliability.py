@@ -175,8 +175,7 @@ def rel_exact(inst: NetworkInstance) -> float:
 
 
 def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
-                 c0: float = DEFAULT_C0, method: str = "auto",
-                 jobs: int = 1) -> ReliabilityEstimate:
+                 c0: float = DEFAULT_C0, method: str = "auto") -> ReliabilityEstimate:
     """Estimate reliability within relative error eps at confidence 1 - delta.
 
     Processes edges in input order.  Each level estimates the failure
@@ -233,7 +232,7 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
                               seed=(seed + (level + 1) * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
         samples, _ = sample_independent_sets(
             cographic_spec(lvl_inst), failure_fields(lvl_inst), lvl_cfg,
-            n_samples, method=method, jobs=jobs)
+            n_samples, method=method)
         used += n_samples
         # the edge under study sits at position 0 of the level's edge list
         q_hat = sum(1 for s in samples if s and s[0] == 0) / n_samples

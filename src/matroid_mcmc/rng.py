@@ -39,13 +39,3 @@ class SeedStream:
             # reversed so pop() from the tail replays in draw order
             buf.extend(self._gen.random(_BUFFER)[::-1])
         return buf.pop()
-
-    def generator(self) -> np.random.Generator:
-        """The underlying numpy generator (for vectorized draws).
-
-        Mixing generator() draws with u() is fine for correctness — both
-        consume the same stream — but u() buffering means interleaved calls
-        are not draw-for-draw identical to pure u() usage, so code paths
-        stick to one style per stream.
-        """
-        return self._gen

@@ -1,13 +1,12 @@
 """Batch sampling front end: picks the execution path and merges results.
 
 Small ground sets (n <= 16) run as one vectorized lockstep batch; larger
-instances run one sequential chain per sample, chain i keyed seed ^ i, with
-an optional worker pool.  Either way the output is ordered by chain index
-and is a deterministic function of (inputs, seed).
+instances run one sequential chain per sample, chain i keyed seed ^ i.
+Either way the output is ordered by chain index and is a deterministic
+function of (inputs, seed).
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .config import ChainConfig, StepStats
@@ -38,31 +37,19 @@ def _pick_method(method: str, n: int) -> str:
     return method
 
 
-def _run_sequential(make_chain, count: int, jobs: int):
-    """One fresh chain per sample; results merged in chain-index order."""
-
-    def one(i: int):
-        chain = make_chain(i)
-        sample = chain.run()
-        return sample, chain.stats
-
+def _run_sequential(make_chain, count: int):
+    """One fresh chain per sample; results in chain-index order."""
     stats = StepStats()
-    samples: list[list[int]] = [None] * count  # type: ignore[list-item]
-    if jobs <= 1:
-        results = map(one, range(count))
-    else:
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        results = pool.map(one, range(count))
-    for i, (sample, st) in enumerate(results):
-        samples[i] = sample
-        stats.merge(st)
-    if jobs > 1:
-        pool.shutdown()
+    samples: list[list[int]] = []
+    for i in range(count):
+        chain = make_chain(i)
+        samples.append(chain.run())
+        stats.merge(chain.stats)
     return samples, stats
 
 
 def sample_independent_sets(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
-                            count: int, jobs: int = 1, method: str = "auto",
+                            count: int, method: str = "auto",
                             dyncon_backend: str = "auto"):
     """Draw `count` approximate samples from the weighted independent-set law.
 
@@ -79,12 +66,12 @@ def sample_independent_sets(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
         c = replace(cfg, seed=derive_seed(cfg.seed, i))
         return PolarizedChain(spec, fields, c, dyncon_backend=dyncon_backend)
 
-    return _run_sequential(make_chain, count, jobs)
+    return _run_sequential(make_chain, count)
 
 
 def sample_random_cluster(spec: MatroidSpec, fields: Fields, q: float,
-                          cfg: ChainConfig, count: int, jobs: int = 1,
-                          method: str = "auto", dyncon_backend: str = "auto"):
+                          cfg: ChainConfig, count: int, method: str = "auto",
+                          dyncon_backend: str = "auto"):
     """Draw `count` approximate samples from the random cluster law."""
     if count < 1:
         raise ValidationError("count must be >= 1")
@@ -97,4 +84,4 @@ def sample_random_cluster(spec: MatroidSpec, fields: Fields, q: float,
         c = replace(cfg, seed=derive_seed(cfg.seed, i))
         return RandomClusterChain(spec, fields, q, c, dyncon_backend=dyncon_backend)
 
-    return _run_sequential(make_chain, count, jobs)
+    return _run_sequential(make_chain, count)

@@ -7,7 +7,10 @@ chains then advances as numpy array operations: one array op per proposal
 round instead of one Python call per chain step.  The transition law per
 chain is identical to the sequential implementations — the rejection loop
 just runs masked over the chains still pending — and is validated against
-the exact kernels and the sequential chains by the test suite.
+the exact kernels and the sequential chains by the test suite.  One loop
+serves both laws: the random-cluster walk runs as the down-up walk on the
+complements of its cluster sets, with weights 1/λ and a rank-drop test in
+place of the independence test.
 
 The whole batch consumes a single counter-based stream keyed by cfg.seed, so
 batch output is a deterministic function of (spec, fields, cfg, count).
@@ -56,41 +59,35 @@ class SmallTables:
             self.indep = np.fromiter(
                 (brute.is_independent(int(m)) for m in range(size)),
                 dtype=bool, count=size)
-            # csum[m, i] = sum of λ_j over j <= i with j outside m
-            csum = np.zeros((size, n), dtype=float)
-            run = np.zeros(size, dtype=float)
-            for i in range(n):
-                run = run + lam[i] * (((masks >> i) & 1) == 0)
-                csum[:, i] = run
-            self.csum = csum
-            self.x_mass = csum[:, n - 1].copy()
-        else:  # random-cluster
+            w = lam
+        else:  # random-cluster: the walk runs on complements, weights 1/λ
             self.rank = np.fromiter(
                 (brute.rank(int(m)) for m in range(size)),
                 dtype=np.int64, count=size)
-            # icsum[m, i] = sum of 1/λ_j over j <= i with j inside m
-            icsum = np.zeros((size, n), dtype=float)
-            run = np.zeros(size, dtype=float)
-            inv = 1.0 / lam
-            for i in range(n):
-                run = run + inv[i] * (((masks >> i) & 1) == 1)
-                icsum[:, i] = run
-            self.icsum = icsum
-            self.inv_mass = icsum[:, n - 1].copy()
+            w = 1.0 / lam
+        # csum[m, i] = sum of w_j over j <= i with j outside m
+        csum = np.zeros((size, n), dtype=float)
+        run = np.zeros(size, dtype=float)
+        for i in range(n):
+            run = run + w[i] * (((masks >> i) & 1) == 0)
+            csum[:, i] = run
+        self.csum = csum
+        self.mass = csum[:, n - 1].copy()
 
 
-def run_polarized_batch(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
-                        count: int, steps: int | None = None,
-                        initial_mask: int = 0):
-    """Advance `count` down-up chains in lockstep; returns (masks, stats)."""
-    tb = SmallTables(spec, fields, need="polarized")
+def _run_lockstep(tb: SmallTables, cfg: ChainConfig, count: int, steps: int | None,
+                  start: int, accepts):
+    """Advance `count` down-up chains from mask `start`; returns (masks, stats).
+
+    Each step drops a uniform element of the lifted state, then re-adds by
+    rejection rounds over the chains still pending; accepts(gen, cur, cand)
+    says which proposed masks cand are taken.
+    """
     n = tb.n
     if steps is None:
         steps = cfg.steps(n)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed & ((1 << 64) - 1)))
-    mask = np.full(count, int(initial_mask), dtype=np.int64)
-    if not tb.indep[int(initial_mask)]:
-        raise ValidationError("initial state must be independent")
+    mask = np.full(count, int(start), dtype=np.int64)
     stats = StepStats()
     ones = np.int64(1)
 
@@ -109,7 +106,7 @@ def run_polarized_batch(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
             rows = mask[pending]
             k = tb.popcnt[rows]
             y_mass = (n - k).astype(float)
-            total = y_mass + tb.x_mass[rows]
+            total = y_mass + tb.mass[rows]
             u = (1.0 - gen.random(pending.size)) * total
             is_y = u <= y_mass
             xs = pending[~is_y]
@@ -117,10 +114,10 @@ def run_polarized_batch(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
             if xs.size:
                 rowm = mask[xs]
                 v = u[~is_y] - y_mass[~is_y]
-                np.minimum(v, tb.x_mass[rowm], out=v)
+                np.minimum(v, tb.mass[rowm], out=v)
                 pick = (tb.csum[rowm] >= v[:, None]).argmax(axis=1)
                 cand = rowm | (ones << pick)
-                ok = tb.indep[cand]
+                ok = accepts(gen, rowm, cand)
                 mask[xs[ok]] = cand[ok]
                 stats.rejections += int((~ok).sum())
                 pending = xs[~ok]
@@ -128,61 +125,41 @@ def run_polarized_batch(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
                 pending = xs
         stats.steps += count
     return mask, stats
+
+
+def run_polarized_batch(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
+                        count: int, steps: int | None = None,
+                        initial_mask: int = 0):
+    """Advance `count` down-up chains in lockstep; returns (masks, stats)."""
+    tb = SmallTables(spec, fields, need="polarized")
+    if not tb.indep[int(initial_mask)]:
+        raise ValidationError("initial state must be independent")
+    return _run_lockstep(tb, cfg, count, steps, initial_mask,
+                         lambda gen, cur, cand: tb.indep[cand])
 
 
 def run_rc_batch(spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
                  count: int, steps: int | None = None,
                  initial_mask: int | None = None):
-    """Advance `count` up-down random-cluster chains in lockstep."""
+    """Advance `count` up-down random-cluster chains in lockstep.
+
+    Runs the down-up walk on the complements of the cluster sets.
+    """
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"q must lie in [0, 1], got {q}")
     tb = SmallTables(spec, fields, need="rc")
-    n = tb.n
-    if steps is None:
-        steps = cfg.steps(n)
-    gen = np.random.Generator(np.random.Philox(key=cfg.seed & ((1 << 64) - 1)))
     if initial_mask is None:
         initial_mask = greedy_basis_mask(tb) if q == 0.0 else 0
-    mask = np.full(count, int(initial_mask), dtype=np.int64)
-    stats = StepStats()
-    ones = np.int64(1)
-    full = np.int64((1 << n) - 1)
+    full = (1 << tb.n) - 1
+    rank_c = tb.rank[::-1]  # rank_c[m] = rank of the complement of m
 
-    for _ in range(steps):
-        # up: one uniform element of the complement (|A| slots + free elements)
-        acnt = tb.popcnt[mask]
-        t = gen.random(count) * n
-        add_x = t >= acnt
-        if add_x.any():
-            rows = mask[add_x]
-            j = t[add_x].astype(np.int64) - acnt[add_x]
-            mask[add_x] = rows | (ones << tb.select[full ^ rows, j])
-        # down: weighted removal with rank-drop rejection
-        pending = np.arange(count, dtype=np.int64)
-        while pending.size:
-            rows = mask[pending]
-            y_mass = tb.popcnt[rows].astype(float)
-            total = y_mass + tb.inv_mass[rows]
-            u = (1.0 - gen.random(pending.size)) * total
-            is_y = u <= y_mass
-            xs = pending[~is_y]
-            stats.proposals += pending.size
-            if xs.size:
-                rowm = mask[xs]
-                v = u[~is_y] - y_mass[~is_y]
-                np.minimum(v, tb.inv_mass[rowm], out=v)
-                pick = (tb.icsum[rowm] >= v[:, None]).argmax(axis=1)
-                cand = rowm ^ (ones << pick)
-                drops = tb.rank[cand] < tb.rank[rowm]
-                coin = gen.random(xs.size)
-                ok = ~drops | (coin < q)
-                mask[xs[ok]] = cand[ok]
-                stats.rejections += int((~ok).sum())
-                pending = xs[~ok]
-            else:
-                pending = xs
-        stats.steps += count
-    return mask, stats
+    def accepts(gen, cur, cand):
+        # removing the element from A: taken unless rk(A) drops, then with prob. q
+        coin = gen.random(cand.size)
+        return (rank_c[cand] >= rank_c[cur]) | (coin < q)
+
+    masks, stats = _run_lockstep(tb, cfg, count, steps, full ^ int(initial_mask), accepts)
+    return full ^ masks, stats
 
 
 def greedy_basis_mask(tb: SmallTables) -> int:

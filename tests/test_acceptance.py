@@ -42,7 +42,7 @@ from matroid_mcmc.exact import (
 )
 
 from conftest import (
-    K4_EDGES, PATH4_EDGES, REPO_ROOT, TRIANGLE_EDGES, cli_env, masks_of, ones,
+    K4_EDGES, PATH4_EDGES, TRIANGLE_EDGES, cli_env, masks_of, ones,
 )
 
 def _edges(pairs):
@@ -408,8 +408,8 @@ def test_criterion_7_oracle_equivalence():
 # 8. scaling evidence CSV (timings recorded, not gated)
 
 
-def test_criterion_8_scaling_artifact():
-    out = REPO_ROOT / "bench_scaling.csv"
+def test_criterion_8_scaling_artifact(tmp_path):
+    out = tmp_path / "bench_scaling.csv"
     with criterion(8, "non-gating scaling CSV: naive vs dyncon per-step cost "
                       "on paths/grids at m in {1e3,1e4,1e5}") as note:
         rows = []

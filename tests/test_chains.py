@@ -55,17 +55,15 @@ def test_down_step_class_frequencies():
     trials, from_a = 100_000, 0
     for _ in range(trials):
         # rebuild the fixed state {0,1,2}
-        while chain.A:
-            i = chain.A[0]
+        while chain.S:
+            i = chain.S[0]
             chain.oracle.delete(i)
-            chain.in_A[i] = False
-            chain.A.pop(0)
+            chain.S.pop(0)
             chain.widx.set(i, 1.0)
         chain.y_count = 6
         for i in (0, 1, 2):
             chain.oracle.insert(i)
-            chain.A.append(i)
-            chain.in_A[i] = True
+            chain.S.append(i)
             chain.widx.set(i, 0.0)
             chain.y_count -= 1
         if chain.down_step() == "x":
@@ -104,7 +102,9 @@ def test_rc_q1_product_marginals():
 def test_rc_q0_initial_state_is_basis(triangle_graphic):
     chain = RandomClusterChain(triangle_graphic, ones(3), 0.0, ChainConfig(seed=1))
     assert len(chain.A) == 2  # greedy spanning tree of the triangle
-    assert chain.y_count == 1
+    # the walk runs on the complement: one element, |A| free auxiliary slots
+    assert len(chain.S) == 1
+    assert chain.y_count == 2
 
 
 def test_rc_q0_all_loops_starts_empty():

@@ -1,6 +1,6 @@
-"""Batch sampling API: determinism, worker-count independence, method dispatch."""
+"""Batch sampling API: determinism and method dispatch."""
 
-from matroid_mcmc import ChainConfig, Fields
+from matroid_mcmc import ChainConfig
 from matroid_mcmc.sampling import _pick_method, sample_independent_sets, sample_random_cluster
 
 from conftest import ones, spec_of
@@ -11,17 +11,6 @@ def test_method_dispatch():
     assert _pick_method("auto", 17) == "sequential"
     assert _pick_method("sequential", 4) == "sequential"
     assert _pick_method("vectorized", 4) == "vectorized"
-
-
-def test_sequential_jobs_do_not_change_output(uniform42):
-    cfg = ChainConfig(seed=55, step_override=30)
-    f = Fields([1, 2, 3, 4])
-    one, s1 = sample_independent_sets(uniform42, f, cfg, 200, jobs=1,
-                                      method="sequential")
-    four, s4 = sample_independent_sets(uniform42, f, cfg, 200, jobs=4,
-                                       method="sequential")
-    assert one == four
-    assert (s1.proposals, s1.rejections, s1.steps) == (s4.proposals, s4.rejections, s4.steps)
 
 
 def test_sequential_replay_identical(uniform42):
@@ -41,9 +30,9 @@ def test_vectorized_replay_identical(uniform42):
 def test_rc_sampling_jobs_deterministic(triangle_graphic):
     cfg = ChainConfig(seed=3, step_override=30)
     a, _ = sample_random_cluster(triangle_graphic, ones(3), 0.5, cfg, 120,
-                                 jobs=1, method="sequential")
+                                 method="sequential")
     b, _ = sample_random_cluster(triangle_graphic, ones(3), 0.5, cfg, 120,
-                                 jobs=3, method="sequential")
+                                 method="sequential")
     assert a == b
 
 

@@ -39,11 +39,12 @@ def test_tables_match_brute():
         assert bool(tp.indep[m]) == ref.is_independent(m)
         assert int(tr.rank[m]) == ref.rank(m)
         assert tp.popcnt[m] == bin(m).count("1")
-        # x_mass = total weight of elements outside the mask
+        # mass = total weight of elements outside the mask
         want = sum(f.lam[i] for i in range(6) if not m >> i & 1)
-        assert tp.x_mass[m] == pytest.approx(want, rel=1e-12)
+        assert tp.mass[m] == pytest.approx(want, rel=1e-12)
+        # rc tables are indexed by the complement of the cluster set m
         want_inv = sum(1 / f.lam[i] for i in range(6) if m >> i & 1)
-        assert tr.inv_mass[m] == pytest.approx(want_inv, rel=1e-12)
+        assert tr.mass[m ^ 0b111111] == pytest.approx(want_inv, rel=1e-12)
 
 
 def test_select_table_bit_positions():
