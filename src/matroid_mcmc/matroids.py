@@ -156,7 +156,7 @@ def matroid_from_dict(d: dict) -> MatroidSpec:
     if variant in ("graphic", "cographic"):
         edges = _as_edge_list(d.get("edges"), variant)
         vertices = max(max(e) for e in edges) + 1
-        if variant == "cographic" and not _edges_connected(vertices, edges):
+        if variant == "cographic" and not edges_connected(vertices, edges):
             raise ValidationError(
                 "cographic spec requires a connected ambient graph "
                 "(connected-spanning-subgraph law is undefined otherwise)")
@@ -202,7 +202,8 @@ def _bits(mask: int):
         mask ^= bit
 
 
-def _edges_connected(vertices: int, edges) -> bool:
+def edges_connected(vertices: int, edges) -> bool:
+    """Whether the edges (self-loops allowed) span all of 0..vertices-1."""
     adj = [[] for _ in range(vertices)]
     for u, v in edges:
         if u != v:

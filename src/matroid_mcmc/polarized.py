@@ -1,14 +1,17 @@
 """Down-up walk on the lifted independent-set distribution.
 
-State is (S, y_count): S a set of real ground elements, y_count the number
-of occupied auxiliary slots, |S| + y_count = n between transitions.  One
-transition drops a uniform element of the combined state, then re-adds by
-rejection sampling: auxiliary slots carry aggregate proposal mass
-n - |S| and are always accepted; element i outside S carries mass
-weight[i] and is accepted per `_accepts`.  For PolarizedChain S = A, the
-weights are λ, and a proposal is accepted iff it keeps A independent; the
-stationary law of A is the target weighted independent-set distribution.
-RandomClusterChain runs the same walk on the complement of its cluster set.
+The lifted state is a set S of real ground elements plus n - |S| auxiliary
+slots, and the walk's WeightedIndex is that state: i ∈ S iff its weight is 0,
+every element outside S carries its proposal weight, and n - |S| is the
+index's active_count.  One transition drops a uniform element index
+i ∈ [0, n): i leaves S if it is in S, otherwise an auxiliary slot drops
+(probability (n - |S|)/n).  It then re-adds by rejection sampling: auxiliary
+slots carry aggregate proposal mass n - |S| and are always accepted; element
+i outside S carries mass weight[i] and is accepted per `_accepts`.  For
+PolarizedChain S = A, the weights are λ, and a proposal is accepted iff it
+keeps A independent; the stationary law of A is the target weighted
+independent-set distribution.  RandomClusterChain runs the same walk on the
+complement of its cluster set.
 """
 from __future__ import annotations
 
@@ -25,9 +28,7 @@ class PolarizedChain:
         self._setup(spec, fields, cfg)
         self.oracle = build_oracle(spec, "independence", dyncon_backend)
         self.weight = fields.lam
-        self.S: list[int] = []
-        self.y_count = spec.n
-        # every element outside S stays proposable at its weight, loops included
+        # S starts empty: every element is proposable at its weight, loops included
         self.widx = WeightedIndex(fields.lam)
 
     def _setup(self, spec: MatroidSpec, fields: Fields, cfg: ChainConfig) -> None:
@@ -44,8 +45,9 @@ class PolarizedChain:
 
     @property
     def A(self) -> list[int]:
-        """The independent set, in slot order."""
-        return self.S
+        """The independent set, ascending."""
+        w = self.widx.weight
+        return [i for i in range(self.n) if w[i] == 0.0]
 
     def _accepts(self, i: int) -> bool:
         """Add i to the oracle's set if that keeps it independent."""
@@ -60,24 +62,19 @@ class PolarizedChain:
         self.oracle.delete(i)
 
     def down_step(self) -> str:
-        """Drop a uniform element of the lifted state; returns "y" or "x"."""
-        t = self.rng.u() * self.n
-        if t < self.y_count:
-            self.y_count -= 1
+        """Drop a uniform element index; returns "x" if it was in S, else "y"."""
+        i = int(self.rng.u() * self.n)
+        widx = self.widx
+        if widx.weight[i] != 0.0:
             return "y"
-        idx = int(t) - self.y_count
-        S = self.S
-        i = S[idx]
-        S[idx] = S[-1]
-        S.pop()
         self._dropped(i)
-        self.widx.set(i, self.weight[i])
+        widx.set(i, self.weight[i])
         return "x"
 
     def up_step(self) -> None:
         """Re-add one element by rejection sampling until acceptance."""
-        y_mass = float(self.n - len(self.S))
         widx = self.widx
+        y_mass = float(widx.active_count)
         rng = self.rng
         stats = self.stats
         while True:
@@ -85,28 +82,30 @@ class PolarizedChain:
             total = y_mass + widx.total
             u = (1.0 - rng.u()) * total  # in (0, total]
             if u <= y_mass:
-                self.y_count += 1
                 return
             i = widx.sample(u - y_mass)
             if self._accepts(i):
-                self.S.append(i)
                 widx.set(i, 0.0)
                 return
             stats.rejections += 1
+
+    def _check_state(self) -> None:
+        # the oracle holds A, and A is read off the weights in widx
+        assert set(self.A) == self.oracle.current
 
     def step(self) -> None:
         self.down_step()
         self.up_step()
         self.stats.steps += 1
         if self._debug:
-            assert len(self.S) + self.y_count == self.n
+            self._check_state()
             assert self.oracle.is_independent()
 
     def run(self) -> list[int]:
         """Execute the configured number of transitions; returns sorted A."""
         for _ in range(self.cfg.steps(self.n)):
             self.step()
-        return sorted(self.A)
+        return self.A
 
     def state_mask(self) -> int:
         m = 0

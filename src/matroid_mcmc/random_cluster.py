@@ -2,12 +2,12 @@
 
 The walk on the cluster set A with weights λ is, step for step, the
 polarized down-up walk on the complement S = E \\ A with weights 1/λ.  The
-up step adds one uniform element of the complement of A (free auxiliary
-slots count |A|): that is the down-up walk's uniform drop from S.  The down
-step removes per the weighted law (auxiliary slots carry aggregate mass
-|A|, element j ∈ A carries mass 1/λ_j): that is the walk's weighted re-add
-to S, accepted unless the removal would drop the rank of A, and then only
-with probability q.  The stationary law of A is ∝ q^{-rk(A)} Π_{j∈A} λ_j;
+up step draws a uniform element index: if it lies outside A it joins A,
+otherwise A stays (probability |A|/n): that is the down-up walk's uniform
+drop from S.  The down step removes per the weighted law (auxiliary slots
+carry aggregate mass |A|, element j ∈ A carries mass 1/λ_j): that is the
+walk's weighted re-add to S, accepted unless the removal would drop the rank
+of A, and then only with probability q.  The stationary law of A is ∝ q^{-rk(A)} Π_{j∈A} λ_j;
 at q = 0 the support is the maximum-rank subsets.
 """
 from __future__ import annotations
@@ -31,34 +31,25 @@ class RandomClusterChain(PolarizedChain):
         self.q = float(q)
         self.oracle = build_oracle(spec, "rank", dyncon_backend)  # holds A
         self.weight = [1.0 / x for x in fields.lam]
-        self.widx = WeightedIndex([0.0] * spec.n)  # 1/λ_j for j ∈ A
-        S = list(range(spec.n))
+        self.widx = WeightedIndex([0.0] * spec.n)  # 1/λ_j for j ∈ A, 0 on S = E \ A
         if q == 0.0:
-            # start from a maximal-rank A: greedy insertion in element order,
-            # each pick swap-removed from S as the walk's drop would
-            pos = list(range(spec.n))
+            # start from a maximal-rank A: greedy insertion in element order
             r = 0
             for i in range(spec.n):
                 self.oracle.insert(i)
                 nr = self.oracle.rank()
                 if nr > r:
                     r = nr
-                    last = S.pop()
-                    if last != i:
-                        S[pos[i]] = last
-                        pos[last] = pos[i]
                     self.widx.set(i, self.weight[i])
                 else:
                     self.oracle.delete(i)
             self._max_rank = r
-        self.S = S
-        self.y_count = spec.n - len(S)
 
     @property
     def A(self) -> list[int]:
         """The cluster set, ascending."""
-        in_s = set(self.S)
-        return [i for i in range(self.n) if i not in in_s]
+        w = self.widx.weight
+        return [i for i in range(self.n) if w[i] != 0.0]
 
     def _accepts(self, j: int) -> bool:
         """Remove j from A unless rk(A) drops; if it does, with probability q."""
@@ -77,6 +68,6 @@ class RandomClusterChain(PolarizedChain):
         self.down_step()
         self.stats.steps += 1
         if self._debug:
-            assert len(self.S) + self.y_count == self.n
+            self._check_state()
             if self.q == 0.0:
                 assert self.oracle.rank() == self._max_rank

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from .config import ChainConfig, debug_asserts_enabled
 from .errors import SizeLimitError, ValidationError
-from .matroids import Fields, MatroidSpec, matroid_from_dict
+from .matroids import Fields, MatroidSpec, edges_connected, matroid_from_dict
+from .rng import derive_seed
 from .sampling import sample_independent_sets
 
 REL_EXACT_MAX_EDGES = 24
@@ -47,23 +48,9 @@ class NetworkInstance:
         return len(self.edges)
 
     def is_connected(self, failed_mask: int = 0) -> bool:
-        adj = [[] for _ in range(self.vertices)]
-        for i, (u, v) in enumerate(self.edges):
-            if not (failed_mask >> i & 1) and u != v:
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = [False] * self.vertices
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == self.vertices
+        """Whether the edges outside failed_mask span all the vertices."""
+        return edges_connected(self.vertices, [e for i, e in enumerate(self.edges)
+                                               if not failed_mask >> i & 1])
 
 
 @dataclass
@@ -129,10 +116,13 @@ def failure_fields(inst: NetworkInstance) -> Fields:
 
 
 def cographic_spec(inst: NetworkInstance) -> MatroidSpec:
-    if not inst.is_connected():
-        raise ValidationError("graph must be connected (reliability law undefined otherwise)")
-    return matroid_from_dict({"variant": "cographic",
+    # matroid_from_dict checks that the edges connect 0..max endpoint; a
+    # vertex above that touches no edge and disconnects the graph
+    spec = matroid_from_dict({"variant": "cographic",
                               "edges": [list(e) for e in inst.edges]})
+    if spec.vertices != inst.vertices:
+        raise ValidationError("graph must be connected (reliability law undefined otherwise)")
+    return spec
 
 
 def rel_sample(inst: NetworkInstance, eps: float, seed: int,
@@ -228,8 +218,7 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
             lvl_edges.append((label[find(eu)], label[find(ev)]))
             lvl_p.append(ep)
         lvl_inst = NetworkInstance(len(roots), lvl_edges, lvl_p)
-        lvl_cfg = ChainConfig(epsilon=sampler_eps,
-                              seed=(seed + (level + 1) * 0x9E3779B97F4A7C15) & ((1 << 64) - 1))
+        lvl_cfg = ChainConfig(epsilon=sampler_eps, seed=derive_seed(seed, level))
         samples, _ = sample_independent_sets(
             cographic_spec(lvl_inst), failure_fields(lvl_inst), lvl_cfg,
             n_samples, method=method)

@@ -1,8 +1,9 @@
 """Deterministic random streams on top of numpy's counter-based Philox generator.
 
 Every chain owns a SeedStream.  Streams for batch chain number ``i`` are keyed
-``seed ^ i`` so a batch can be replayed chain-by-chain regardless of how the
-chains were scheduled.
+``derive_seed(seed, i)``, a 64-bit mix of the pair, so a batch can be replayed
+chain-by-chain regardless of how the chains were scheduled, and nearby seeds
+do not share streams.
 """
 from __future__ import annotations
 
@@ -12,9 +13,19 @@ _BUFFER = 4096
 _MASK64 = (1 << 64) - 1
 
 
+def _mix64(z: int) -> int:
+    """SplitMix64 finalizer: a bijection of 64-bit integers."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def derive_seed(seed: int, index: int) -> int:
-    """Key for the index-th stream of a batch run."""
-    return (int(seed) ^ int(index)) & _MASK64
+    """Key for the index-th stream of a batch run.
+
+    For a fixed seed the map index -> key is a bijection of 64-bit integers.
+    """
+    return _mix64((_mix64(int(seed) & _MASK64) + int(index)) & _MASK64)
 
 
 class SeedStream:

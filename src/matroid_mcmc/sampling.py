@@ -1,9 +1,9 @@
 """Batch sampling front end: picks the execution path and merges results.
 
 Small ground sets (n <= 16) run as one vectorized lockstep batch; larger
-instances run one sequential chain per sample, chain i keyed seed ^ i.
-Either way the output is ordered by chain index and is a deterministic
-function of (inputs, seed).
+instances run one sequential chain per sample, chain i keyed
+derive_seed(seed, i).  Either way the output is ordered by chain index and is
+a deterministic function of (inputs, seed).
 """
 from __future__ import annotations
 
@@ -49,8 +49,7 @@ def _run_sequential(make_chain, count: int):
 
 
 def sample_independent_sets(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
-                            count: int, method: str = "auto",
-                            dyncon_backend: str = "auto"):
+                            count: int, method: str = "auto"):
     """Draw `count` approximate samples from the weighted independent-set law.
 
     Returns (samples, stats): samples is a list of sorted index lists.
@@ -64,14 +63,13 @@ def sample_independent_sets(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
 
     def make_chain(i: int) -> PolarizedChain:
         c = replace(cfg, seed=derive_seed(cfg.seed, i))
-        return PolarizedChain(spec, fields, c, dyncon_backend=dyncon_backend)
+        return PolarizedChain(spec, fields, c)
 
     return _run_sequential(make_chain, count)
 
 
 def sample_random_cluster(spec: MatroidSpec, fields: Fields, q: float,
-                          cfg: ChainConfig, count: int, method: str = "auto",
-                          dyncon_backend: str = "auto"):
+                          cfg: ChainConfig, count: int, method: str = "auto"):
     """Draw `count` approximate samples from the random cluster law."""
     if count < 1:
         raise ValidationError("count must be >= 1")
@@ -82,6 +80,6 @@ def sample_random_cluster(spec: MatroidSpec, fields: Fields, q: float,
 
     def make_chain(i: int) -> RandomClusterChain:
         c = replace(cfg, seed=derive_seed(cfg.seed, i))
-        return RandomClusterChain(spec, fields, q, c, dyncon_backend=dyncon_backend)
+        return RandomClusterChain(spec, fields, q, c)
 
     return _run_sequential(make_chain, count)

@@ -1,8 +1,8 @@
 """Lockstep batch execution of many chains on small ground sets (n <= 16).
 
 Both walks touch only bitmask state, so for small n every query the oracles
-answer can be precomputed into dense tables over all 2^n subsets
-(independence, rank, per-mask cumulative proposal weights).  A batch of
+answer can be precomputed into dense tables over all 2^n subsets (popcount,
+independence or rank, per-mask cumulative proposal weights).  A batch of
 chains then advances as numpy array operations: one array op per proposal
 round instead of one Python call per chain step.  The transition law per
 chain is identical to the sequential implementations — the rejection loop
@@ -45,14 +45,6 @@ class SmallTables:
             pc += (masks >> b) & 1
         self.popcnt = pc
 
-        # select[m, j] = position of the j-th set bit of m (ascending)
-        sel = np.zeros((size, n), dtype=np.int64)
-        for b in range(n):
-            has = ((masks >> b) & 1).astype(bool)
-            below = self.popcnt[masks & ((1 << b) - 1)]
-            sel[masks[has], below[has]] = b
-        self.select = sel
-
         brute = BruteMatroid(spec)
         lam = np.asarray(fields.lam, dtype=float)
         if need == "polarized":
@@ -79,9 +71,10 @@ def _run_lockstep(tb: SmallTables, cfg: ChainConfig, count: int, steps: int | No
                   start: int, accepts):
     """Advance `count` down-up chains from mask `start`; returns (masks, stats).
 
-    Each step drops a uniform element of the lifted state, then re-adds by
-    rejection rounds over the chains still pending; accepts(gen, cur, cand)
-    says which proposed masks cand are taken.
+    Each step drops a uniform element index (a set bit leaves the mask, an
+    unset one is an auxiliary slot), then re-adds by rejection rounds over the
+    chains still pending; accepts(gen, cur, cand) says which proposed masks
+    cand are taken.
     """
     n = tb.n
     if steps is None:
@@ -92,14 +85,7 @@ def _run_lockstep(tb: SmallTables, cfg: ChainConfig, count: int, steps: int | No
     ones = np.int64(1)
 
     for _ in range(steps):
-        acnt = tb.popcnt[mask]
-        y = n - acnt
-        t = gen.random(count) * n
-        drop_x = t >= y
-        if drop_x.any():
-            rows = mask[drop_x]
-            j = t[drop_x].astype(np.int64) - y[drop_x]
-            mask[drop_x] = rows ^ (ones << tb.select[rows, j])
+        mask &= ~(ones << (gen.random(count) * n).astype(np.int64))
         # rejection-sampled re-add
         pending = np.arange(count, dtype=np.int64)
         while pending.size:

@@ -39,12 +39,30 @@ def test_steps_counter_matches_run(uniform42):
 def test_initial_state_is_empty(uniform42):
     chain = PolarizedChain(uniform42, ones(4), ChainConfig(seed=0))
     assert chain.state_mask() == 0
-    assert chain.y_count == 4
+    assert chain.widx.active_count == 4
 
 
 def test_fields_length_checked(uniform42):
     with pytest.raises(ValidationError):
         PolarizedChain(uniform42, ones(3), ChainConfig(seed=0))
+
+
+def _set_polarized_state(chain, amask):
+    """Make A = amask: the oracle holds A; widx has 0 on A and λ_i elsewhere."""
+    for i in range(chain.n):
+        want = bool(amask >> i & 1)
+        if want != (i in chain.oracle.current):
+            (chain.oracle.insert if want else chain.oracle.delete)(i)
+            chain.widx.set(i, 0.0 if want else chain.weight[i])
+
+
+def _set_rc_state(chain, amask):
+    """Make the cluster set A = amask: the oracle holds A; widx has 1/λ_j on A."""
+    for i in range(chain.n):
+        want = bool(amask >> i & 1)
+        if want != (i in chain.oracle.current):
+            (chain.oracle.insert if want else chain.oracle.delete)(i)
+            chain.widx.set(i, chain.weight[i] if want else 0.0)
 
 
 def test_down_step_class_frequencies():
@@ -54,18 +72,7 @@ def test_down_step_class_frequencies():
     chain = PolarizedChain(spec, ones(6), cfg)
     trials, from_a = 100_000, 0
     for _ in range(trials):
-        # rebuild the fixed state {0,1,2}
-        while chain.S:
-            i = chain.S[0]
-            chain.oracle.delete(i)
-            chain.S.pop(0)
-            chain.widx.set(i, 1.0)
-        chain.y_count = 6
-        for i in (0, 1, 2):
-            chain.oracle.insert(i)
-            chain.S.append(i)
-            chain.widx.set(i, 0.0)
-            chain.y_count -= 1
+        _set_polarized_state(chain, 0b000111)  # rebuild the fixed state {0,1,2}
         if chain.down_step() == "x":
             from_a += 1
         chain.up_step()
@@ -102,9 +109,8 @@ def test_rc_q1_product_marginals():
 def test_rc_q0_initial_state_is_basis(triangle_graphic):
     chain = RandomClusterChain(triangle_graphic, ones(3), 0.0, ChainConfig(seed=1))
     assert len(chain.A) == 2  # greedy spanning tree of the triangle
-    # the walk runs on the complement: one element, |A| free auxiliary slots
-    assert len(chain.S) == 1
-    assert chain.y_count == 2
+    # the walk runs on the complement: |A| free auxiliary slots
+    assert chain.widx.active_count == 2
 
 
 def test_rc_q0_all_loops_starts_empty():
@@ -139,6 +145,20 @@ def test_debug_asserts_smoke(monkeypatch, triangle_graphic, triangle_cographic):
     PolarizedChain(triangle_cographic, ones(3), cfg).run()
     RandomClusterChain(triangle_graphic, ones(3), 0.5, cfg).run()
     RandomClusterChain(triangle_graphic, ones(3), 0.0, cfg).run()
+
+
+def test_state_check_catches_desync(triangle_graphic, triangle_cographic):
+    """The debug invariant: widx's zero weights are A (polarized) or E \\ A (rc)."""
+    chain = PolarizedChain(triangle_cographic, ones(3), ChainConfig(seed=6))
+    chain._check_state()
+    chain.widx.set(0, 0.0)  # widx says 0 ∈ A, the oracle does not
+    with pytest.raises(AssertionError):
+        chain._check_state()
+    rc = RandomClusterChain(triangle_graphic, ones(3), 0.0, ChainConfig(seed=6))
+    rc._check_state()
+    rc.widx.set(rc.A[0], 0.0)  # widx says the first cluster edge left A
+    with pytest.raises(AssertionError):
+        rc._check_state()
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +199,36 @@ def test_rc_simulated_kernel_rows():
         tv = _simulated_row_tv("random-cluster", spec, f, q, start,
                                P[si], states, trials=1_000_000)
         assert tv <= 0.01, (start, tv)
+
+
+def _sequential_rows_tv(chain, set_state, states, P, trials):
+    """Largest TV distance of one sequential step from its kernel row, over starts."""
+    idx = {m: k for k, m in enumerate(states)}
+    worst = 0.0
+    for si, start in enumerate(states):
+        counts = np.zeros(len(states))
+        for _ in range(trials):
+            set_state(chain, start)
+            chain.step()
+            counts[idx[chain.state_mask()]] += 1
+        worst = max(worst, 0.5 * np.abs(counts / trials - P[si]).sum())
+    return worst
+
+
+def test_polarized_sequential_kernel_rows():
+    spec = spec_of({"variant": "uniform", "n": 4, "k": 2})
+    f = Fields([1.0, 2.0, 3.0, 4.0])
+    states, P = exact_kernel("polarized", spec, f)
+    chain = PolarizedChain(spec, f, ChainConfig(seed=31))
+    assert _sequential_rows_tv(chain, _set_polarized_state, states, P, 40_000) <= 0.02
+
+
+def test_rc_sequential_kernel_rows():
+    spec = spec_of({"variant": "graphic", "edges": [list(e) for e in TRIANGLE_EDGES]})
+    f = Fields([1.0, 0.5, 2.0])
+    states, P = exact_kernel("random-cluster", spec, f, q=0.5)
+    chain = RandomClusterChain(spec, f, 0.5, ChainConfig(seed=32))
+    assert _sequential_rows_tv(chain, _set_rc_state, states, P, 40_000) <= 0.02
 
 
 def test_sequential_chain_matches_kernel_row():

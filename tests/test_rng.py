@@ -36,5 +36,10 @@ def test_derive_seed_distinct_and_stable():
     seen = {derive_seed(base, i) for i in range(1000)}
     assert len(seen) == 1000
     assert derive_seed(base, 3) == derive_seed(base, 3)
-    assert derive_seed(base, 0) == base
+    assert derive_seed(1, 0) != derive_seed(0, 1)  # a xor of the pair would tie
     assert 0 <= derive_seed(2**63, 2**62) < 2**64
+
+
+def test_derive_seed_keys_distinct_across_seeds():
+    keys = {derive_seed(s, i) for s in range(64) for i in range(64)}
+    assert len(keys) == 64 * 64

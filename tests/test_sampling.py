@@ -51,3 +51,11 @@ def test_distinct_seeds_distinct_output(uniform42):
     a, _ = sample_independent_sets(uniform42, ones(4), c1, 400)
     b, _ = sample_independent_sets(uniform42, ones(4), c2, 400)
     assert a != b
+
+
+def test_nearby_seeds_share_no_sample():
+    """Sequential chains of seed 0 and seed 1 run on unrelated streams."""
+    spec = spec_of({"variant": "uniform", "n": 20, "k": 5})
+    a, _ = sample_independent_sets(spec, ones(20), ChainConfig(seed=0), 8)
+    b, _ = sample_independent_sets(spec, ones(20), ChainConfig(seed=1), 8)
+    assert not {tuple(s) for s in a} & {tuple(s) for s in b}

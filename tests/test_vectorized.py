@@ -47,15 +47,6 @@ def test_tables_match_brute():
         assert tr.mass[m ^ 0b111111] == pytest.approx(want_inv, rel=1e-12)
 
 
-def test_select_table_bit_positions():
-    spec = spec_of({"variant": "uniform", "n": 5, "k": 5})
-    tb = SmallTables(spec, ones(5), need="polarized")
-    for m in range(1 << 5):
-        bits = [i for i in range(5) if m >> i & 1]
-        for j, b in enumerate(bits):
-            assert tb.select[m, j] == b
-
-
 def test_greedy_basis_is_max_rank():
     spec = spec_of({"variant": "graphic", "edges": [list(e) for e in K4_EDGES]})
     tb = SmallTables(spec, ones(6), need="rc")
