@@ -5,7 +5,9 @@ Two interchangeable backends behind `dyn_graph`:
 * ``hdt`` — the Holm–de Lichtenberg–Thorup level scheme: every edge carries a
   level, F_i is a spanning forest of the edges with level >= i (F_0 is the
   forest answering queries), and each forest is stored as Euler tours in
-  splay trees with parent pointers.  Deleting a tree edge searches the
+  splay trees with parent pointers.  A splay node packs its own flags into
+  one int and ORs them over its subtree next to a vertex count; a splay step
+  refreshes only the nodes it moves down.  Deleting a tree edge searches the
   smaller half for a replacement, promoting inspected edges one level up so
   each edge is inspected O(log n) times; insert/delete/query are O(log^2 n)
   amortized.
@@ -17,6 +19,7 @@ Both accept multigraphs; self-loops are stored but never affect connectivity.
 """
 from __future__ import annotations
 
+from .config import debug_asserts_enabled
 from .errors import ContractError, ValidationError
 
 
@@ -24,83 +27,140 @@ from .errors import ContractError, ValidationError
 # Splay-tree Euler tour machinery (hdt backend internals)
 # ---------------------------------------------------------------------------
 
+NT = 1    # vertex node: the vertex has non-tree edges at this forest's level
+TREE = 2  # arc node: its tree edge's level equals this forest's level
+
+
 class _Node:
     """One Euler-tour position: a vertex occurrence or a tree-edge arc.
 
-    cnt_v counts vertex nodes in the subtree; agg_nt / agg_tree OR together
-    the per-node flags (vertex has level non-tree edges / arc belongs to a
-    tree edge whose level equals this forest's level).
+    `flags` packs the node's own bits (NT, TREE) into one int and `agg` ORs
+    them over the subtree; `own` is the node's own vertex count (1 for a
+    vertex occurrence, 0 for an arc) and `cnt_v` sums it over the subtree.
     """
 
     __slots__ = ("parent", "left", "right", "vertex", "edge",
-                 "cnt_v", "flag_nt", "agg_nt", "flag_tree", "agg_tree")
+                 "own", "cnt_v", "flags", "agg")
 
-    def __init__(self, vertex: int = -1, edge: int = -1, flag_tree: bool = False):
+    def __init__(self, vertex: int = -1, edge: int = -1, flags: int = 0):
         self.parent = None
         self.left = None
         self.right = None
         self.vertex = vertex
         self.edge = edge
-        self.cnt_v = 1 if vertex >= 0 else 0
-        self.flag_nt = False
-        self.agg_nt = False
-        self.flag_tree = flag_tree
-        self.agg_tree = flag_tree
+        self.own = self.cnt_v = 1 if vertex >= 0 else 0
+        self.flags = self.agg = flags
 
 
 def _update(x: _Node) -> None:
-    c = 1 if x.vertex >= 0 else 0
-    nt = x.flag_nt
-    tr = x.flag_tree
+    c = x.own
+    a = x.flags
     l = x.left
     if l is not None:
         c += l.cnt_v
-        nt = nt or l.agg_nt
-        tr = tr or l.agg_tree
+        a |= l.agg
     r = x.right
     if r is not None:
         c += r.cnt_v
-        nt = nt or r.agg_nt
-        tr = tr or r.agg_tree
+        a |= r.agg
     x.cnt_v = c
-    x.agg_nt = nt
-    x.agg_tree = tr
-
-
-def _rotate(x: _Node) -> None:
-    p = x.parent
-    g = p.parent
-    if p.left is x:
-        p.left = x.right
-        if x.right is not None:
-            x.right.parent = p
-        x.right = p
-    else:
-        p.right = x.left
-        if x.left is not None:
-            x.left.parent = p
-        x.left = p
-    p.parent = x
-    x.parent = g
-    if g is not None:
-        if g.left is p:
-            g.left = x
-        else:
-            g.right = x
-    _update(p)
-    _update(x)
+    x.agg = a
 
 
 def _splay(x: _Node) -> _Node:
-    while x.parent is not None:
-        p = x.parent
+    """Move x to the root of its splay tree (Sleator & Tarjan).
+
+    Each zig, zig-zig or zig-zag step is relinked in place and refreshes the
+    aggregates of only the nodes it moved down (g then p, or p).  x needs no
+    refresh: at the end it spans what the old root spanned, so it takes the
+    old root's totals before that node is refreshed.
+    """
+    p = x.parent
+    while p is not None:
         g = p.parent
-        if g is not None:
-            if (g.left is p) == (p.left is x):
-                _rotate(p)  # zig-zig
+        if g is None:  # zig
+            if p.left is x:
+                b = x.right
+                p.left = b
+                x.right = p
             else:
-                _rotate(x)  # zig-zag
-        _rotate(x)
+                b = x.left
+                p.right = b
+                x.left = p
+            if b is not None:
+                b.parent = p
+            p.parent = x
+            x.parent = None
+            x.cnt_v = p.cnt_v  # x now spans what p spanned as the root
+            x.agg = p.agg
+            _update(p)
+            return x
+        gg = g.parent
+        if g.left is p:
+            if p.left is x:  # zig-zig: x(A, p(B, g(C, D)))
+                c = p.right
+                g.left = c
+                if c is not None:
+                    c.parent = g
+                b = x.right
+                p.left = b
+                if b is not None:
+                    b.parent = p
+                p.right = g
+                g.parent = p
+                x.right = p
+                p.parent = x
+            else:  # zig-zag: x(p(A, B), g(C, D))
+                b = x.left
+                c = x.right
+                p.right = b
+                if b is not None:
+                    b.parent = p
+                g.left = c
+                if c is not None:
+                    c.parent = g
+                x.left = p
+                p.parent = x
+                x.right = g
+                g.parent = x
+        else:
+            if p.right is x:  # zig-zig, mirrored
+                c = p.left
+                g.right = c
+                if c is not None:
+                    c.parent = g
+                b = x.left
+                p.right = b
+                if b is not None:
+                    b.parent = p
+                p.left = g
+                g.parent = p
+                x.left = p
+                p.parent = x
+            else:  # zig-zag, mirrored
+                b = x.right
+                c = x.left
+                p.left = b
+                if b is not None:
+                    b.parent = p
+                g.right = c
+                if c is not None:
+                    c.parent = g
+                x.right = p
+                p.parent = x
+                x.left = g
+                g.parent = x
+        x.parent = gg
+        if gg is None:
+            x.cnt_v = g.cnt_v  # x now spans what g spanned as the root
+            x.agg = g.agg
+        elif gg.left is g:
+            gg.left = x
+        else:
+            gg.right = x
+        _update(g)
+        _update(p)
+        p = gg
     return x
 
 
@@ -163,7 +223,15 @@ def _ett_link(nu: _Node, nv: _Node, arc_a: _Node, arc_b: _Node) -> None:
     """Join the tours of nu and nv as  tour(u) + a + tour(v) + b."""
     tu = _reroot(nu)
     tv = _reroot(nv)
-    _join(_join(_join(tu, arc_a), tv), arc_b)
+    # a over both tours, b above a: the order is already right, no splay needed
+    arc_a.left = tu
+    tu.parent = arc_a
+    arc_a.right = tv
+    tv.parent = arc_a
+    _update(arc_a)
+    arc_b.left = arc_a
+    arc_a.parent = arc_b
+    _update(arc_b)
 
 
 def _ett_cut(arc_a: _Node, arc_b: _Node) -> None:
@@ -174,7 +242,11 @@ def _ett_cut(arc_a: _Node, arc_b: _Node) -> None:
     contains at least one endpoint's vertex node.
     """
     left, _ = _split_before(arc_a)
-    if left is None or not _same_tree(arc_b, left):
+    # is b before a?  Walk up instead of splaying: b is splayed next anyway
+    r = arc_b
+    while r.parent is not None:
+        r = r.parent
+    if r is not left:
         # order: [left] a [mid] b [tail]
         _, rest = _split_after(arc_a)
         mid, _ = _split_before(arc_b)
@@ -188,13 +260,13 @@ def _ett_cut(arc_a: _Node, arc_b: _Node) -> None:
         _join(l1, tail)
 
 
-def _find_flagged(x: _Node, want_tree: bool) -> _Node:
-    """Descend from root x to some node carrying the requested flag."""
+def _find_flagged(x: _Node, flag: int) -> _Node:
+    """Descend from root x to some node carrying `flag` (NT or TREE)."""
     while True:
-        if (x.flag_tree if want_tree else x.flag_nt):
+        if x.flags & flag:
             return x
         l = x.left
-        if l is not None and (l.agg_tree if want_tree else l.agg_nt):
+        if l is not None and l.agg & flag:
             x = l
             continue
         x = x.right
@@ -221,6 +293,7 @@ class _HdtBackend:
         self._next = 0
         self._vnodes: list[dict[int, _Node]] = [{}]
         self._adj: list[dict[int, set[int]]] = [{}]
+        self._debug = debug_asserts_enabled()
 
     # -- plumbing ----------------------------------------------------------
 
@@ -240,7 +313,7 @@ class _HdtBackend:
     def _set_nt_flag(self, v: int, i: int, present: bool) -> None:
         nd = self._vnode(v, i)
         _splay(nd)
-        nd.flag_nt = present
+        nd.flags = nd.flags | NT if present else nd.flags & ~NT
         _update(nd)
 
     def _adj_add(self, h: int, e: _Edge, i: int) -> None:
@@ -262,7 +335,7 @@ class _HdtBackend:
         """Create arcs for e in forests 0..levels and link its endpoints."""
         for j in range(levels + 1):
             self._ensure_level(j)
-            a = _Node(edge=h, flag_tree=(j == e.level))
+            a = _Node(edge=h, flags=TREE if j == e.level else 0)
             b = _Node(edge=h)
             e.arcs[j] = (a, b)
             _ett_link(self._vnode(e.u, j), self._vnode(e.v, j), a, b)
@@ -276,15 +349,17 @@ class _HdtBackend:
         self._next += 1
         if u == v:
             self._edges[h] = None
-            return h
-        e = _Edge(u, v)
-        self._edges[h] = e
-        if _same_tree(self._vnode(u, 0), self._vnode(v, 0)):
-            self._adj_add(h, e, 0)
         else:
-            e.tree = True
-            self._link_tree_edge(h, e, 0)
-            self._components -= 1
+            e = _Edge(u, v)
+            self._edges[h] = e
+            if _same_tree(self._vnode(u, 0), self._vnode(v, 0)):
+                self._adj_add(h, e, 0)
+            else:
+                e.tree = True
+                self._link_tree_edge(h, e, 0)
+                self._components -= 1
+        if self._debug:
+            self._check_invariants()
         return h
 
     def delete_edge(self, h: int) -> None:
@@ -292,11 +367,16 @@ class _HdtBackend:
             e = self._edges.pop(h)
         except KeyError:
             raise ContractError(f"edge handle {h} is not live") from None
-        if e is None:  # self-loop
-            return
-        if not e.tree:
-            self._adj_remove(h, e, e.level)
-            return
+        if e is not None:  # None is a self-loop: nothing to unlink
+            if e.tree:
+                self._cut_tree_edge(e)
+            else:
+                self._adj_remove(h, e, e.level)
+        if self._debug:
+            self._check_invariants()
+
+    def _cut_tree_edge(self, e: _Edge) -> None:
+        """Cut e from forests e.level..0, then search for a replacement top-down."""
         for i in range(e.level, -1, -1):
             a, b = e.arcs[i]
             _ett_cut(a, b)
@@ -338,26 +418,26 @@ class _HdtBackend:
 
         while True:
             _splay(anchor)
-            if not anchor.agg_tree:
+            if not anchor.agg & TREE:
                 break
-            nd = _find_flagged(anchor, want_tree=True)
+            nd = _find_flagged(anchor, TREE)
             h2 = nd.edge
             e2 = self._edges[h2]
             _splay(nd)
-            nd.flag_tree = False
+            nd.flags &= ~TREE
             _update(nd)
             e2.level = i + 1
             self._ensure_level(i + 1)
-            a2 = _Node(edge=h2, flag_tree=True)
+            a2 = _Node(edge=h2, flags=TREE)
             b2 = _Node(edge=h2)
             e2.arcs[i + 1] = (a2, b2)
             _ett_link(self._vnode(e2.u, i + 1), self._vnode(e2.v, i + 1), a2, b2)
 
         while True:
             _splay(anchor)
-            if not anchor.agg_nt:
+            if not anchor.agg & NT:
                 return False
-            nd = _find_flagged(anchor, want_tree=False)
+            nd = _find_flagged(anchor, NT)
             x = nd.vertex
             while True:
                 s = adj_i.get(x)
@@ -378,6 +458,72 @@ class _HdtBackend:
                     e2.tree = True
                     self._link_tree_edge(h2, e2, i)
                     return True
+
+    # -- debug invariants (MATROID_MCMC_DEBUG_ASSERTS=1) ---------------------
+
+    def _check_invariants(self) -> None:
+        """Assert the HDT invariants; O(splay nodes), run after each mutation.
+
+        Every splay node's aggregates match its children; a level-i tree has
+        at most n/2^i vertices; F_{i+1} ⊆ F_i (a level-l tree edge has arcs in
+        forests 0..l, in its endpoints' trees, and only the level-l arc is
+        flagged TREE); NT flags match the non-tree adjacency.
+        """
+        n = self.vertex_count
+        tree_edges = [e for e in self._edges.values() if e is not None and e.tree]
+        assert self._components == n - len(tree_edges)
+        for i, vnodes in enumerate(self._vnodes):
+            adj = self._adj[i]
+            roots = {}
+            for v, nd in vnodes.items():
+                assert nd.vertex == v and nd.flags == (NT if adj.get(v) else 0), (i, v)
+                r = _root(nd)
+                roots[id(r)] = r
+            nodes = 0
+            for r in roots.values():
+                assert r.cnt_v << i <= n, (i, r.cnt_v, n)
+                nodes += _check_subtree(r)
+            arcs = sum(2 for e in tree_edges if e.level >= i)
+            assert nodes == len(vnodes) + arcs, (i, nodes, len(vnodes), arcs)
+        for h, e in self._edges.items():
+            if e is None:
+                continue
+            if not e.tree:
+                assert not e.arcs and h in self._adj[e.level][e.u] \
+                    and h in self._adj[e.level][e.v], h
+                continue
+            assert sorted(e.arcs) == list(range(e.level + 1)), (h, e.level)
+            for j, (a, b) in e.arcs.items():
+                assert a.flags == (TREE if j == e.level else 0) and b.flags == 0, (h, j)
+                r = _root(a)
+                assert r is _root(b) is _root(self._vnodes[j][e.u]) \
+                    is _root(self._vnodes[j][e.v]), (h, j)
+
+
+def _root(x: _Node) -> _Node:
+    while x.parent is not None:
+        x = x.parent
+    return x
+
+
+def _check_subtree(root: _Node) -> int:
+    """Assert child links and aggregates under `root`; returns its node count."""
+    count = 0
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        count += 1
+        c = 1 if x.vertex >= 0 else 0
+        assert x.own == c and (x.vertex >= 0) != (x.edge >= 0)
+        a = x.flags
+        for ch in (x.left, x.right):
+            if ch is not None:
+                assert ch.parent is x
+                c += ch.cnt_v
+                a |= ch.agg
+                stack.append(ch)
+        assert x.cnt_v == c and x.agg == a, (x.vertex, x.edge, x.cnt_v, c, x.agg, a)
+    return count
 
 
 class _NaiveBackend:

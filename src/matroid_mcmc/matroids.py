@@ -40,6 +40,21 @@ class Fields:
     def __len__(self):
         return len(self.lam)
 
+    def proposal_weights(self, inverse: bool = False) -> list[float]:
+        """A walk's proposal weights: λ, or 1/λ with inverse=True.
+
+        Every walk draws its proposals against the running total of these
+        weights, so a total that overflows a float would give a wrong law or
+        no proposal at all: that raises ValidationError before the first step.
+        """
+        w = [1.0 / x for x in self.lam] if inverse else self.lam
+        if not math.isfinite(sum(w)):
+            what = "1/lambda" if inverse else "lambda"
+            raise ValidationError(
+                f"the sum of {what} overflows a float; "
+                "the walk cannot draw proposals in proportion to it")
+        return w
+
     @classmethod
     def constant(cls, n: int, value: float = 1.0) -> "Fields":
         return cls([value] * n)

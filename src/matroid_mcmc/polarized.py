@@ -27,7 +27,7 @@ class PolarizedChain:
                  dyncon_backend: str = "auto"):
         self._setup(spec, fields, cfg)
         self.oracle = build_oracle(spec, "independence", dyncon_backend)
-        self.weight = fields.lam
+        self.weight = fields.proposal_weights()
         # S starts empty: every element is proposable at its weight, loops included
         self.widx = WeightedIndex(fields.lam)
 

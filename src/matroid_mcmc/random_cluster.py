@@ -30,7 +30,7 @@ class RandomClusterChain(PolarizedChain):
             raise ValidationError(f"q must lie in [0, 1], got {q}")
         self.q = float(q)
         self.oracle = build_oracle(spec, "rank", dyncon_backend)  # holds A
-        self.weight = [1.0 / x for x in fields.lam]
+        self.weight = fields.proposal_weights(inverse=True)
         self.widx = WeightedIndex([0.0] * spec.n)  # 1/λ_j for j ∈ A, 0 on S = E \ A
         if q == 0.0:
             # start from a maximal-rank A: greedy insertion in element order

@@ -45,18 +45,17 @@ class SmallTables:
             pc += (masks >> b) & 1
         self.popcnt = pc
 
+        # random-cluster: the walk runs on complements, weights 1/λ
+        w = np.asarray(fields.proposal_weights(inverse=need == "rc"), dtype=float)
         brute = BruteMatroid(spec)
-        lam = np.asarray(fields.lam, dtype=float)
         if need == "polarized":
             self.indep = np.fromiter(
                 (brute.is_independent(int(m)) for m in range(size)),
                 dtype=bool, count=size)
-            w = lam
-        else:  # random-cluster: the walk runs on complements, weights 1/λ
+        else:
             self.rank = np.fromiter(
                 (brute.rank(int(m)) for m in range(size)),
                 dtype=np.int64, count=size)
-            w = 1.0 / lam
         # csum[m, i] = sum of w_j over j <= i with j outside m
         csum = np.zeros((size, n), dtype=float)
         run = np.zeros(size, dtype=float)

@@ -271,3 +271,24 @@ def test_rc_sequential_matches_exact_law():
     tv = 0.5 * sum(abs(counts.get(m, 0) / keep - rcd.prob_of(m))
                    for m in range(1 << 3))
     assert tv <= 0.02
+
+
+def test_polarized_cographic_grid_hdt_matches_naive():
+    """Oracle answers are exact, so both backends give one trajectory."""
+    edges = []
+    for r in range(12):
+        for c in range(12):
+            v = 12 * r + c
+            if c + 1 < 12:
+                edges.append([v, v + 1])
+            if r + 1 < 12:
+                edges.append([v, v + 12])
+    spec = matroid_from_dict({"variant": "cographic", "edges": edges})
+    fields = Fields([0.5 + (i % 7) / 4 for i in range(spec.n)])
+    cfg = ChainConfig(seed=21, step_override=4000)
+    chains = [PolarizedChain(spec, fields, cfg, dyncon_backend=b) for b in ("hdt", "naive")]
+    hdt, naive = chains
+    assert type(hdt.oracle._g).__name__ != type(naive.oracle._g).__name__
+    assert hdt.run() == naive.run()
+    assert hdt.stats == naive.stats
+    assert hdt.stats.rejections > 0

@@ -212,3 +212,14 @@ def test_bench_dyncon_checksums_agree(tmp_path):
     rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
     assert len(rows) == 2
     assert rows[0][5] == rows[1][5]  # same query answers on both backends
+
+
+def test_exit_2_on_overflowing_lambda_sum(tmp_path):
+    spec = tmp_path / "u3.json"
+    spec.write_text(json.dumps({"variant": "uniform", "n": 3, "k": 1}))
+    lam = tmp_path / "lam.txt"
+    lam.write_text("1e308\n1e308\n1\n")
+    r = run_cli("sample", "--model", "independent", "--matroid", str(spec),
+                "--lambda", str(lam), "--num-samples", "4", "--method", "sequential")
+    assert r.returncode == 2
+    assert "overflows" in r.stderr

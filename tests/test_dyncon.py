@@ -147,3 +147,70 @@ def test_hdt_amortized_growth_bound():
     for nv in sizes[1:]:
         allowed = 4.0 * (math.log2(nv) / math.log2(sizes[0])) ** 2
         assert per_op[nv] / per_op[100] <= allowed, (per_op, nv, allowed)
+
+
+def _grid_edges(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    return edges
+
+
+def test_differential_hdt_vs_naive_deep_levels(monkeypatch):
+    """Delete-heavy churn on a 16x16 grid with parallel edges and self-loops.
+
+    Tearing the grid down splits its trees again and again, promoting edges
+    to level 3 and beyond; HDT (with its invariant checker on after every
+    mutation) must answer exactly as the naive backend.
+    """
+    monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
+    nv = 256
+    rng = np.random.default_rng(5)
+    base = _grid_edges(16, 16)
+    hdt = dyn_graph(nv, backend="hdt")
+    naive = dyn_graph(nv, backend="naive")
+    assert hdt._debug
+    for rnd in range(2):
+        edges = [base[k] for k in rng.permutation(len(base))]
+        edges += [base[k] for k in rng.integers(len(base), size=24)]  # parallel
+        edges += [(v, v) for v in rng.integers(nv, size=6)]  # self-loops
+        live = [(hdt.insert_edge(u, v), naive.insert_edge(u, v), (u, v)) for u, v in edges]
+        while live:
+            if rng.random() < 0.8:  # delete
+                h1, h2, _ = live.pop(int(rng.integers(len(live))))
+                hdt.delete_edge(h1)
+                naive.delete_edge(h2)
+            else:  # re-insert a grid edge, possibly parallel to a live one
+                u, v = base[int(rng.integers(len(base)))]
+                live.append((hdt.insert_edge(u, v), naive.insert_edge(u, v), (u, v)))
+            a, b = int(rng.integers(nv)), int(rng.integers(nv))
+            assert hdt.connected(a, b) == naive.connected(a, b), (rnd, a, b)
+            assert hdt.component_count() == naive.component_count(), rnd
+    # a forest exists at level i only once some edge was promoted to level i
+    assert len(hdt._vnodes) - 1 >= 3
+
+
+def test_invariant_checker_catches_corrupt_aggregate(monkeypatch):
+    """A wrong aggregate in a tree the next mutation never touches still fires."""
+    monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
+    g = dyn_graph(40, backend="hdt")
+    for u, v in [(0, 1), (1, 2), (2, 0), (10, 11), (11, 12)]:
+        g.insert_edge(u, v)
+    g._vnodes[0][11].agg ^= 1
+    with pytest.raises(AssertionError):
+        g.insert_edge(0, 3)
+
+    # the flag is read at construction: with it off, the same damage goes unseen
+    monkeypatch.delenv("MATROID_MCMC_DEBUG_ASSERTS")
+    g = dyn_graph(40, backend="hdt")
+    for u, v in [(0, 1), (1, 2), (2, 0), (10, 11), (11, 12)]:
+        g.insert_edge(u, v)
+    g._vnodes[0][11].agg ^= 1
+    g.insert_edge(0, 3)
+    with pytest.raises(AssertionError):
+        g._check_invariants()

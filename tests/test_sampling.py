@@ -1,6 +1,8 @@
 """Batch sampling API: determinism and method dispatch."""
 
-from matroid_mcmc import ChainConfig
+import pytest
+
+from matroid_mcmc import ChainConfig, Fields, ValidationError
 from matroid_mcmc.sampling import _pick_method, sample_independent_sets, sample_random_cluster
 
 from conftest import ones, spec_of
@@ -59,3 +61,20 @@ def test_nearby_seeds_share_no_sample():
     a, _ = sample_independent_sets(spec, ones(20), ChainConfig(seed=0), 8)
     b, _ = sample_independent_sets(spec, ones(20), ChainConfig(seed=1), 8)
     assert not {tuple(s) for s in a} & {tuple(s) for s in b}
+
+
+@pytest.mark.parametrize("method", ["sequential", "vectorized"])
+@pytest.mark.parametrize("model, lam", [
+    ("independent", [1e308, 1e308, 1.0]),   # the sum of λ overflows
+    ("random-cluster", [1e-310, 1.0, 1.0]),  # 1/λ_0 overflows
+    ("random-cluster", [1e-308, 1e-308, 1.0]),  # each 1/λ is finite, their sum is not
+])
+def test_overflowing_proposal_total_rejected(triangle_graphic, model, lam, method):
+    cfg = ChainConfig(seed=1, step_override=20)
+    with pytest.raises(ValidationError, match="overflows"):
+        if model == "independent":
+            sample_independent_sets(spec_of({"variant": "uniform", "n": 3, "k": 1}),
+                                    Fields(lam), cfg, 10, method=method)
+        else:
+            sample_random_cluster(triangle_graphic, Fields(lam), 0.5, cfg, 10,
+                                  method=method)
