@@ -41,6 +41,7 @@ from .reliability import (
     ReliabilityEstimate,
     cographic_spec,
     failure_fields,
+    log_rel_exact,
     parse_graph_file,
     rel_connected_subgraph,
     rel_estimate,
@@ -81,6 +82,7 @@ __all__ = [
     "exact_rc",
     "failure_fields",
     "load_matroid",
+    "log_rel_exact",
     "matroid_from_dict",
     "parse_graph_file",
     "rel_connected_subgraph",

@@ -37,9 +37,9 @@ from .reliability import (
     NetworkInstance,
     cographic_spec,
     failure_fields,
+    log_rel_exact,
     parse_graph_file,
     rel_estimate,
-    rel_exact,
 )
 from .sampling import _pick_method, sample_independent_sets, sample_random_cluster
 
@@ -248,8 +248,10 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         if args.graph is None:
             raise ValidationError("exact reliability requires --graph")
         inst = parse_graph_file(args.graph)
+        log_z = log_rel_exact(inst)
         _emit_json({
-            "z_rel": rel_exact(inst),
+            "z_rel": math.exp(log_z),
+            "log_z_rel": log_z if log_z > -math.inf else None,  # None: disconnected
             "vertices": inst.vertices,
             "edges": inst.m,
         }, args.out)
@@ -369,8 +371,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 if backend == "naive" and args.naive_steps is not None:
                     steps = args.naive_steps
                 elif backend == "naive":
-                    # the naive backend recomputes connectivity from scratch,
-                    # so cap its work to keep large rows affordable
+                    # the naive backend traverses the whole graph for each
+                    # step's component count, so cap its work to keep large
+                    # rows affordable
                     steps = max(20, min(steps, 2_000_000 // max(1, m_target)))
                 row: BenchRow = bench_sampler(fam, m_target, backend, steps, seed=args.seed)
                 rows.append([row.family, row.backend, row.vertices, row.m, row.steps,

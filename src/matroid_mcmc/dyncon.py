@@ -11,9 +11,12 @@ Two interchangeable backends behind `dyn_graph`:
   smaller half for a replacement, promoting inspected edges one level up so
   each edge is inspected O(log n) times; insert/delete/query are O(log^2 n)
   amortized.
-* ``naive`` — stores the edge multiset and recomputes components by
-  union-find whenever a query follows a mutation.  O(m) per recompute; used
-  as the differential-testing oracle and the scaling baseline.
+* ``naive`` — stores the edge multiset as per-vertex neighbour counts, so a
+  mutation is O(1); `connected` searches level by level from one endpoint
+  and stops as soon as the other is adjacent (O(n + m) at worst, a few
+  levels when the endpoints are close), and `component_count` traverses the
+  whole graph.  Used as the differential-testing oracle and the scaling
+  baseline.
 
 Both accept multigraphs; self-loops are stored but never affect connectivity.
 """
@@ -527,17 +530,19 @@ def _check_subtree(root: _Node) -> int:
 
 
 class _NaiveBackend:
-    """Recompute-by-traversal twin of the hdt backend (same interface)."""
+    """Search-per-query twin of the hdt backend (same interface).
+
+    `_adj[x]` maps each neighbour of x to the number of edges joining them;
+    a self-loop lives only in `_edges`.
+    """
 
     name = "naive"
 
     def __init__(self, vertex_count: int):
         self.vertex_count = vertex_count
         self._edges: dict[int, tuple[int, int]] = {}
+        self._adj: list[dict[int, int]] = [{} for _ in range(vertex_count)]
         self._next = 0
-        self._dirty = True
-        self._labels: list[int] = []
-        self._ncomp = vertex_count
 
     def insert_edge(self, u: int, v: int) -> int:
         _check_vertex(u, self.vertex_count)
@@ -545,47 +550,65 @@ class _NaiveBackend:
         h = self._next
         self._next += 1
         self._edges[h] = (u, v)
-        self._dirty = True
+        if u != v:
+            nu = self._adj[u]
+            nu[v] = nu.get(v, 0) + 1
+            nv = self._adj[v]
+            nv[u] = nv.get(u, 0) + 1
         return h
 
     def delete_edge(self, h: int) -> None:
         try:
-            del self._edges[h]
+            u, v = self._edges.pop(h)
         except KeyError:
             raise ContractError(f"edge handle {h} is not live") from None
-        self._dirty = True
-
-    def _recompute(self) -> None:
-        parent = list(range(self.vertex_count))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in self._edges.values():
-            if u != v:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-        self._labels = [find(a) for a in range(self.vertex_count)]
-        self._ncomp = len(set(self._labels))
-        self._dirty = False
+        if u != v:  # the two counts of an edge are always equal
+            nu = self._adj[u]
+            nv = self._adj[v]
+            if nu[v] == 1:
+                del nu[v]
+                del nv[u]
+            else:
+                nu[v] -= 1
+                nv[u] -= 1
 
     def connected(self, u: int, v: int) -> bool:
         _check_vertex(u, self.vertex_count)
         _check_vertex(v, self.vertex_count)
         if u == v:
             return True
-        if self._dirty:
-            self._recompute()
-        return self._labels[u] == self._labels[v]
+        adj = self._adj
+        seen = {u}
+        level = [u]
+        while level:
+            nxt = []
+            for x in level:
+                nb = adj[x]
+                if v in nb:
+                    return True
+                for y in nb:
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            level = nxt
+        return False
 
     def component_count(self) -> int:
-        if self._dirty:
-            self._recompute()
-        return self._ncomp
+        adj = self._adj
+        seen = [False] * self.vertex_count
+        count = 0
+        for s in range(self.vertex_count):
+            if seen[s]:
+                continue
+            count += 1
+            seen[s] = True
+            stack = [s]
+            while stack:
+                for y in adj[stack.pop()]:
+                    if not seen[y]:
+                        seen[y] = True
+                        stack.append(y)
+        return count
 
 
 _AUTO_NAIVE_MAX_VERTICES = 32

@@ -6,7 +6,8 @@ weighted independent-set law of the graph's co-graphic matroid with
 still span.  Reliability Z (the probability the network stays connected) is
 estimated by deletion/contraction self-reducibility: each level estimates
 the failure marginal of one edge from fresh chain samples and multiplies
-the corresponding telescoping factor.
+the corresponding telescoping factor, in log space so that a Z below
+float range still has a finite log.
 """
 from __future__ import annotations
 
@@ -56,6 +57,7 @@ class NetworkInstance:
 @dataclass
 class ReliabilityEstimate:
     z_hat: float
+    log_z_hat: float  # finite where z_hat underflows to 0.0
     rel_err_target: float
     confidence: float
     samples_used: int
@@ -64,6 +66,7 @@ class ReliabilityEstimate:
     def as_json_dict(self) -> dict:
         return {
             "z_hat": self.z_hat,
+            "log_z_hat": self.log_z_hat,
             "eps": self.rel_err_target,
             "delta": 1.0 - self.confidence,
             "samples_used": self.samples_used,
@@ -149,19 +152,41 @@ def rel_connected_subgraph(inst: NetworkInstance, eps: float, seed: int,
 
 
 def rel_exact(inst: NetworkInstance) -> float:
-    """Exact reliability by enumerating all 2^m failure sets."""
+    """Exact reliability, exp(log_rel_exact); 0.0 below float range."""
+    return math.exp(log_rel_exact(inst))
+
+
+def log_rel_exact(inst: NetworkInstance) -> float:
+    """log of the exact reliability, summed in log space (-inf if disconnected).
+
+    Enumerates the failure sets that keep the graph connected, each once, by
+    extending a set only with edges above its largest one and pruning any
+    extension that disconnects (its supersets disconnect too), so no more
+    than 2^m sets are checked.  A set's log weight is Σ log p_e over its
+    edges plus Σ log(1 - p_e) over the rest; the weights are summed as
+    exp(w - top) against the largest w so far, so nothing underflows.
+    """
     if inst.m > REL_EXACT_MAX_EDGES:
         raise SizeLimitError(f"exact reliability enumerates 2^m subsets; m <= {REL_EXACT_MAX_EDGES}")
     if not inst.is_connected():
-        return 0.0
-    z = 0.0
-    for mask in range(1 << inst.m):
-        wt = 1.0
-        for i, pe in enumerate(inst.p):
-            wt *= pe if mask >> i & 1 else (1.0 - pe)
-        if inst.is_connected(mask):
-            z += wt
-    return z
+        return -math.inf
+    log_keep = [math.log1p(-pe) for pe in inst.p]
+    log_odds = [math.log(pe) - lk for pe, lk in zip(inst.p, log_keep)]
+    top = -math.inf
+    acc = 0.0  # Σ exp(w - top) over the sets so far
+    stack = [(0, 0, math.fsum(log_keep))]  # (failure mask, next edge, log weight)
+    while stack:
+        mask, start, w = stack.pop()
+        if w > top:
+            acc = acc * math.exp(top - w) + 1.0
+            top = w
+        else:
+            acc += math.exp(w - top)
+        for i in range(start, inst.m):
+            sup = mask | 1 << i
+            if inst.is_connected(sup):
+                stack.append((sup, i + 1, w + log_odds[i]))
+    return top + math.log(acc)
 
 
 def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
@@ -183,7 +208,7 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
         raise ValidationError("graph must be connected")
     m0 = inst.m
     if m0 == 0:
-        return ReliabilityEstimate(1.0, eps, 1.0 - delta, 0, [])
+        return ReliabilityEstimate(1.0, 0.0, eps, 1.0 - delta, 0, [])
     n_samples = math.ceil(c0 * m0 * math.log(2 * m0 / delta) / (eps * eps))
     sampler_eps = eps / (8.0 * m0)
 
@@ -197,7 +222,7 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
         return a
 
     remaining = [(i, u, v, inst.p[i]) for i, (u, v) in enumerate(inst.edges)]
-    z = 1.0
+    log_z = 0.0
     trace: list[dict] = []
     used = 0
     level = 0
@@ -226,12 +251,13 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
         # the edge under study sits at position 0 of the level's edge list
         q_hat = sum(1 for s in samples if s and s[0] == 0) / n_samples
         if q_hat >= 0.5:
-            z *= pe / q_hat
+            log_z += math.log(pe / q_hat)
             trace.append({"edge": orig, "branch": "delete", "marginal": q_hat})
         else:
-            z *= (1.0 - pe) / (1.0 - q_hat)
+            log_z += math.log1p(-pe) - math.log1p(-q_hat)
             trace.append({"edge": orig, "branch": "contract", "marginal": q_hat})
             parent[find(u)] = find(v)
         remaining.pop(0)
         level += 1
-    return ReliabilityEstimate(min(z, 1.0), eps, 1.0 - delta, used, trace)
+    log_z = min(log_z, 0.0)
+    return ReliabilityEstimate(math.exp(log_z), log_z, eps, 1.0 - delta, used, trace)

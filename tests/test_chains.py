@@ -273,22 +273,43 @@ def test_rc_sequential_matches_exact_law():
     assert tv <= 0.02
 
 
+def _grid_edges(k):
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            v = k * r + c
+            if c + 1 < k:
+                edges.append([v, v + 1])
+            if r + 1 < k:
+                edges.append([v, v + k])
+    return edges
+
+
 def test_polarized_cographic_grid_hdt_matches_naive():
     """Oracle answers are exact, so both backends give one trajectory."""
-    edges = []
-    for r in range(12):
-        for c in range(12):
-            v = 12 * r + c
-            if c + 1 < 12:
-                edges.append([v, v + 1])
-            if r + 1 < 12:
-                edges.append([v, v + 12])
-    spec = matroid_from_dict({"variant": "cographic", "edges": edges})
+    spec = matroid_from_dict({"variant": "cographic", "edges": _grid_edges(12)})
     fields = Fields([0.5 + (i % 7) / 4 for i in range(spec.n)])
     cfg = ChainConfig(seed=21, step_override=4000)
     chains = [PolarizedChain(spec, fields, cfg, dyncon_backend=b) for b in ("hdt", "naive")]
     hdt, naive = chains
     assert type(hdt.oracle._g).__name__ != type(naive.oracle._g).__name__
+    assert hdt.run() == naive.run()
+    assert hdt.stats == naive.stats
+    assert hdt.stats.rejections > 0
+
+
+@pytest.mark.parametrize("q", [0.5, 0.0])
+def test_rc_graphic_grid_hdt_matches_naive(q):
+    """The random-cluster twin: rank_drops_on_delete (and, at q = 0, the
+    greedy start's rank()) answer alike on both backends."""
+    spec = matroid_from_dict({"variant": "graphic", "edges": _grid_edges(10)})
+    fields = Fields([0.5 + (i % 7) / 4 for i in range(spec.n)])
+    cfg = ChainConfig(seed=22, step_override=4000)
+    chains = [RandomClusterChain(spec, fields, q, cfg, dyncon_backend=b)
+              for b in ("hdt", "naive")]
+    hdt, naive = chains
+    assert type(hdt.oracle._g).__name__ != type(naive.oracle._g).__name__
+    assert hdt.A == naive.A
     assert hdt.run() == naive.run()
     assert hdt.stats == naive.stats
     assert hdt.stats.rejections > 0

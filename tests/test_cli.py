@@ -1,6 +1,7 @@
 """End-to-end CLI runs: output shape, exit codes, manifests, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -123,6 +124,7 @@ def test_estimate_reliability_json(tri_graph, tmp_path):
     assert r.returncode == 0, r.stderr
     payload = json.loads(out.read_text())
     assert 0 < payload["z_hat"] <= 1.0
+    assert payload["log_z_hat"] == pytest.approx(math.log(payload["z_hat"]))
     assert len(payload["trace"]) == 3
     assert payload["samples_used"] > 0
 
@@ -146,7 +148,9 @@ def test_exact_kernel_cli(free2):
 def test_exact_reliability_cli(tri_graph):
     r = run_cli("exact", "reliability", "--graph", tri_graph)
     assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout)["z_rel"] == pytest.approx(0.5)
+    payload = json.loads(r.stdout)
+    assert payload["z_rel"] == pytest.approx(0.5)
+    assert payload["log_z_rel"] == pytest.approx(math.log(0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -221,10 +221,11 @@ def _explicit_from(spec_dict):
     return {"variant": "explicit", "n": base.n, "independent_sets": fam}
 
 
-def _run_differential(spec_dict, ops, seed):
+def _run_differential(spec_dict, ops, seed, dyncon_backend="auto"):
     spec = matroid_from_dict(spec_dict)
     rank_capable = spec.variant != "cographic"
-    oracle = build_oracle(spec, kind="rank" if rank_capable else "independence")
+    oracle = build_oracle(spec, kind="rank" if rank_capable else "independence",
+                          dyncon_backend=dyncon_backend)
     ref = BruteMatroid(spec)
     rng = np.random.default_rng(seed)
     cur = 0
@@ -250,6 +251,16 @@ def _run_differential(spec_dict, ops, seed):
                          ids=[d["variant"] for d in DIFFERENTIAL_SPECS])
 def test_oracle_differential(spec_dict):
     _run_differential(spec_dict, ops=4000, seed=17)
+
+
+GRAPH_SPECS = [d for d in DIFFERENTIAL_SPECS if d["variant"] in ("graphic", "cographic")]
+
+
+@pytest.mark.parametrize("backend", ["naive", "hdt"])
+@pytest.mark.parametrize("spec_dict", GRAPH_SPECS, ids=[d["variant"] for d in GRAPH_SPECS])
+def test_oracle_differential_dyncon_backends(spec_dict, backend):
+    # "auto" picks naive for these small graphs; name each backend explicitly
+    _run_differential(spec_dict, ops=4000, seed=29, dyncon_backend=backend)
 
 
 def test_oracle_differential_explicit_backend():

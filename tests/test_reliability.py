@@ -1,5 +1,7 @@
 """Network reliability: parsing, exact values, sampling laws, estimator mechanics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from matroid_mcmc import (
     cographic_spec,
     exact_mu,
     failure_fields,
+    log_rel_exact,
     parse_graph_file,
     rel_connected_subgraph,
     rel_estimate,
@@ -108,6 +111,18 @@ def test_rel_exact_with_self_loop():
     assert rel_exact(inst) == pytest.approx(0.7)  # the loop never matters
 
 
+def test_rel_exact_log_space_below_float_range():
+    # a path survives only if no edge fails: log Z = Σ log(1 - p_e), here
+    # about -774, so Z itself is below the smallest float
+    p = [1 - 10.0 ** -(15 - i % 3) for i in range(24)]
+    inst = NetworkInstance(25, [(i, i + 1) for i in range(24)], p)
+    want = sum(math.log1p(-pe) for pe in p)
+    assert math.exp(want) == 0.0
+    assert log_rel_exact(inst) == pytest.approx(want, rel=1e-12)
+    assert log_rel_exact(K4) == pytest.approx(math.log(38 / 64), abs=1e-12)
+    assert log_rel_exact(NetworkInstance(3, [(0, 1)], 0.5)) == -math.inf
+
+
 def test_rel_exact_size_guard():
     from matroid_mcmc import SizeLimitError
     edges = [(0, 1)] * 25
@@ -203,6 +218,7 @@ def test_bridges_always_contract():
     assert [t["branch"] for t in est.trace] == ["contract"] * 3
     want = (1 - 0.9) ** 3
     assert est.z_hat == pytest.approx(want, abs=1e-12)
+    assert est.log_z_hat == pytest.approx(math.log(want), abs=1e-12)
 
 
 def test_telescoping_identity_with_exact_marginals():
