@@ -32,7 +32,7 @@ from .bench import SAMPLER_FAMILIES, BenchRow, bench_sampler, build_family, dync
 from .config import ChainConfig
 from .errors import ContractError, SizeLimitError, ValidationError
 from .exact import exact_kernel, exact_mu, exact_pi, exact_rc, stationary_residual
-from .matroids import Fields, load_matroid
+from .matroids import Fields, load_matroid, set_bits
 from .reliability import (
     NetworkInstance,
     cographic_spec,
@@ -41,7 +41,7 @@ from .reliability import (
     parse_graph_file,
     rel_estimate,
 )
-from .sampling import _pick_method, sample_independent_sets, sample_random_cluster
+from .sampling import execution_path, sample_independent_sets, sample_random_cluster
 
 _MODELS = ("independent", "connected-spanning", "random-cluster")
 
@@ -166,11 +166,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                       seed=args.seed, step_override=args.steps)
     t0 = time.perf_counter()
     if args.model == "random-cluster":
-        samples, stats = sample_random_cluster(
-            spec, fields, q, cfg, args.num_samples, method=args.method)
+        samples, stats = sample_random_cluster(spec, fields, q, cfg, args.num_samples)
     else:
-        samples, stats = sample_independent_sets(
-            spec, fields, cfg, args.num_samples, method=args.method)
+        samples, stats = sample_independent_sets(spec, fields, cfg, args.num_samples)
     wall = time.perf_counter() - t0
 
     if complement_of is not None:
@@ -198,8 +196,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 "steps_per_sample": cfg.steps(spec.n),
                 "q": q,
                 "num_samples": args.num_samples,
-                "method": args.method,
-                "method_used": _pick_method(args.method, spec.n),
+                "method_used": execution_path(spec.n),
             },
             "versions": _versions(),
             "wall_clock_sec": wall,
@@ -221,8 +218,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     inst = parse_graph_file(args.graph)
     t0 = time.perf_counter()
-    est = rel_estimate(inst, args.eps, args.delta, seed=args.seed,
-                       c0=args.c0, method=args.method)
+    est = rel_estimate(inst, args.eps, args.delta, seed=args.seed, c0=args.c0)
     wall = time.perf_counter() - t0
     payload = est.as_json_dict()
     payload["graph"] = args.graph
@@ -236,10 +232,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # exact
-
-
-def _mask_to_list(mask: int, n: int) -> list[int]:
-    return [i for i in range(n) if mask >> i & 1]
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
@@ -264,7 +256,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
     if what == "mu":
         dist = exact_mu(spec, fields)
-        atoms = [{"set": _mask_to_list(m, spec.n), "prob": p}
+        atoms = [{"set": set_bits(m), "prob": p}
                  for m, p in zip(dist.support, dist.prob)]
         _emit_json({"atoms": atoms}, args.out)
         return 0
@@ -274,8 +266,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         lo = (1 << spec.n) - 1
         for m, p in zip(dist.support, dist.prob):
             atoms.append({
-                "x": _mask_to_list(m & lo, spec.n),
-                "y": _mask_to_list(m >> spec.n, spec.n),
+                "x": set_bits(m & lo),
+                "y": set_bits(m >> spec.n),
                 "prob": p,
             })
         _emit_json({"atoms": atoms}, args.out)
@@ -284,7 +276,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         if args.q is None:
             raise ValidationError("exact rc requires --q")
         dist = exact_rc(spec, fields, args.q)
-        atoms = [{"set": _mask_to_list(m, spec.n), "prob": p}
+        atoms = [{"set": set_bits(m), "prob": p}
                  for m, p in zip(dist.support, dist.prob)]
         _emit_json({"atoms": atoms, "q": args.q}, args.out)
         return 0
@@ -300,7 +292,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         probs = [target.prob_of(m) for m in states]
         _emit_json({
             "chain": kind,
-            "states": [_mask_to_list(m, spec.n) for m in states],
+            "states": [set_bits(m) for m in states],
             "matrix": [[float(x) for x in row] for row in P],
             "stationary": probs,
             "stationary_residual": stationary_residual(P, probs),
@@ -409,8 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="multiplier in the n*log(n/eps) step rule")
     sp.add_argument("--steps", type=int, default=None,
                     help="override the per-sample transition count")
-    sp.add_argument("--method", choices=("auto", "sequential", "vectorized"),
-                    default="auto")
     sp.add_argument("--out", help="NDJSON output path (default: stdout)")
     sp.add_argument("--stats", help="write a JSON run manifest here")
     sp.set_defaults(func=_cmd_sample)
@@ -423,8 +413,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--seed", type=int, default=0)
     ep.add_argument("--c0", type=float, default=8.0,
                     help="sample-count multiplier per conditioning level")
-    ep.add_argument("--method", choices=("auto", "sequential", "vectorized"),
-                    default="auto")
     ep.add_argument("--out", help="JSON output path (default: stdout)")
     ep.set_defaults(func=_cmd_estimate)
 

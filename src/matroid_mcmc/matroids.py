@@ -125,14 +125,11 @@ def matroid_from_dict(d: dict) -> MatroidSpec:
         if 0 not in masks:
             raise ValidationError("explicit family must contain the empty set")
         for m in masks:
-            mm = m
-            while mm:
-                bit = mm & -mm
-                if (m ^ bit) not in masks:
+            for i in set_bits(m):
+                if (m ^ 1 << i) not in masks:
                     raise ValidationError(
                         "explicit family is not downward closed "
-                        f"(set {sorted(_bits(m))} present, without element {bit.bit_length() - 1} absent)")
-                mm ^= bit
+                        f"(set {set_bits(m)} present, without element {i} absent)")
         return MatroidSpec("explicit", n_elements=n, independent_sets=sorted(masks))
 
     if variant == "uniform":
@@ -210,11 +207,14 @@ def load_matroid(path: str) -> MatroidSpec:
     return matroid_from_dict(d)
 
 
-def _bits(mask: int):
+def set_bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
     while mask:
-        bit = mask & -mask
-        yield bit.bit_length() - 1
-        mask ^= bit
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def edges_connected(vertices: int, edges) -> bool:
@@ -477,6 +477,23 @@ class BinaryLinearOracle(_BaseOracle):
         before = self.rank()
         after = self._rank_of([j for j in self.current if j != i])
         return after == before - 1
+
+
+def greedy_basis(oracle, n: int) -> list[int]:
+    """A basis of the ground set [0, n), found by index-order greedy insertion.
+
+    Takes an empty rank oracle, inserts each element in turn and keeps it iff
+    the rank grows.  Returns the kept elements, ascending, and leaves exactly
+    them in the oracle.
+    """
+    basis = []
+    for i in range(n):
+        oracle.insert(i)
+        if oracle.rank() > len(basis):
+            basis.append(i)
+        else:
+            oracle.delete(i)
+    return basis
 
 
 def build_oracle(spec: MatroidSpec, kind: str = "independence",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .config import ChainConfig
 from .errors import ValidationError
-from .matroids import Fields, MatroidSpec, build_oracle
+from .matroids import Fields, MatroidSpec, build_oracle, greedy_basis
 from .polarized import PolarizedChain
 from .weighted_index import WeightedIndex
 
@@ -33,17 +33,11 @@ class RandomClusterChain(PolarizedChain):
         self.weight = fields.proposal_weights(inverse=True)
         self.widx = WeightedIndex([0.0] * spec.n)  # 1/λ_j for j ∈ A, 0 on S = E \ A
         if q == 0.0:
-            # start from a maximal-rank A: greedy insertion in element order
-            r = 0
-            for i in range(spec.n):
-                self.oracle.insert(i)
-                nr = self.oracle.rank()
-                if nr > r:
-                    r = nr
-                    self.widx.set(i, self.weight[i])
-                else:
-                    self.oracle.delete(i)
-            self._max_rank = r
+            # start from a maximal-rank A
+            basis = greedy_basis(self.oracle, spec.n)
+            for i in basis:
+                self.widx.set(i, self.weight[i])
+            self._max_rank = len(basis)
 
     @property
     def A(self) -> list[int]:

@@ -128,13 +128,11 @@ def cographic_spec(inst: NetworkInstance) -> MatroidSpec:
     return spec
 
 
-def rel_sample(inst: NetworkInstance, eps: float, seed: int,
-               method: str = "auto") -> list[int]:
+def rel_sample(inst: NetworkInstance, eps: float, seed: int) -> list[int]:
     """One approximate sample of the failed-edge set (TV <= eps from exact)."""
     spec = cographic_spec(inst)
     cfg = ChainConfig(epsilon=eps, seed=seed)
-    samples, _ = sample_independent_sets(spec, failure_fields(inst), cfg, 1,
-                                         method=method)
+    samples, _ = sample_independent_sets(spec, failure_fields(inst), cfg, 1)
     out = samples[0]
     if debug_asserts_enabled():
         mask = 0
@@ -144,10 +142,10 @@ def rel_sample(inst: NetworkInstance, eps: float, seed: int,
     return out
 
 
-def rel_connected_subgraph(inst: NetworkInstance, eps: float, seed: int,
-                           method: str = "auto") -> list[int]:
+def rel_connected_subgraph(inst: NetworkInstance, eps: float,
+                           seed: int) -> list[int]:
     """One approximate connected spanning subgraph (surviving edge indices)."""
-    failed = set(rel_sample(inst, eps, seed, method=method))
+    failed = set(rel_sample(inst, eps, seed))
     return [i for i in range(inst.m) if i not in failed]
 
 
@@ -190,7 +188,7 @@ def log_rel_exact(inst: NetworkInstance) -> float:
 
 
 def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
-                 c0: float = DEFAULT_C0, method: str = "auto") -> ReliabilityEstimate:
+                 c0: float = DEFAULT_C0) -> ReliabilityEstimate:
     """Estimate reliability within relative error eps at confidence 1 - delta.
 
     Processes edges in input order.  Each level estimates the failure
@@ -245,8 +243,7 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
         lvl_inst = NetworkInstance(len(roots), lvl_edges, lvl_p)
         lvl_cfg = ChainConfig(epsilon=sampler_eps, seed=derive_seed(seed, level))
         samples, _ = sample_independent_sets(
-            cographic_spec(lvl_inst), failure_fields(lvl_inst), lvl_cfg,
-            n_samples, method=method)
+            cographic_spec(lvl_inst), failure_fields(lvl_inst), lvl_cfg, n_samples)
         used += n_samples
         # the edge under study sits at position 0 of the level's edge list
         q_hat = sum(1 for s in samples if s and s[0] == 0) / n_samples

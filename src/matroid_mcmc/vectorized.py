@@ -2,15 +2,17 @@
 
 Both walks touch only bitmask state, so for small n every query the oracles
 answer can be precomputed into dense tables over all 2^n subsets (popcount,
-independence or rank, per-mask cumulative proposal weights).  A batch of
-chains then advances as numpy array operations: one array op per proposal
-round instead of one Python call per chain step.  The transition law per
-chain is identical to the sequential implementations — the rejection loop
-just runs masked over the chains still pending — and is validated against
-the exact kernels and the sequential chains by the test suite.  One loop
-serves both laws: the random-cluster walk runs as the down-up walk on the
-complements of its cluster sets, with weights 1/λ and a rank-drop test in
-place of the independence test.
+independence or rank, per-mask cumulative proposal weights).  The
+independence and rank tables are filled by the same incremental oracles the
+sequential chains use, walked once through all 2^n masks in Gray-code order.
+A batch of chains then advances as numpy array operations: one array op per
+proposal round instead of one Python call per chain step.  The transition
+law per chain is identical to the sequential implementations — the rejection
+loop just runs masked over the chains still pending — and is validated
+against the exact kernels and the sequential chains by the test suite.  One
+loop serves both laws: the random-cluster walk runs as the down-up walk on
+the complements of its cluster sets, with weights 1/λ and a rank-drop test
+in place of the independence test.
 
 The whole batch consumes a single counter-based stream keyed by cfg.seed, so
 batch output is a deterministic function of (spec, fields, cfg, count).
@@ -21,8 +23,7 @@ import numpy as np
 
 from .config import ChainConfig, StepStats
 from .errors import SizeLimitError, ValidationError
-from .exact import BruteMatroid
-from .matroids import Fields, MatroidSpec
+from .matroids import Fields, MatroidSpec, build_oracle, greedy_basis
 
 VECTORIZED_MAX_N = 16
 
@@ -47,15 +48,15 @@ class SmallTables:
 
         # random-cluster: the walk runs on complements, weights 1/λ
         w = np.asarray(fields.proposal_weights(inverse=need == "rc"), dtype=float)
-        brute = BruteMatroid(spec)
+        gray = masks ^ (masks >> 1)
         if need == "polarized":
-            self.indep = np.fromiter(
-                (brute.is_independent(int(m)) for m in range(size)),
-                dtype=bool, count=size)
+            self.indep = np.empty(size, dtype=bool)
+            self.indep[gray] = np.fromiter(_gray_walk(spec, "independence"),
+                                           dtype=bool, count=size)
         else:
-            self.rank = np.fromiter(
-                (brute.rank(int(m)) for m in range(size)),
-                dtype=np.int64, count=size)
+            self.rank = np.empty(size, dtype=np.int64)
+            self.rank[gray] = np.fromiter(_gray_walk(spec, "rank"),
+                                          dtype=np.int64, count=size)
         # csum[m, i] = sum of w_j over j <= i with j outside m
         csum = np.zeros((size, n), dtype=float)
         run = np.zeros(size, dtype=float)
@@ -66,8 +67,27 @@ class SmallTables:
         self.mass = csum[:, n - 1].copy()
 
 
-def _run_lockstep(tb: SmallTables, cfg: ChainConfig, count: int, steps: int | None,
-                  start: int, accepts):
+def _gray_walk(spec: MatroidSpec, kind: str):
+    """One oracle's answers on all 2^n masks; answer k is on mask k ^ (k >> 1).
+
+    That is the Gray-code order: step k flips element ctz(k), so each mask
+    costs one insert or delete and one query.
+    """
+    oracle = build_oracle(spec, kind)
+    query = oracle.is_independent if kind == "independence" else oracle.rank
+    yield query()
+    held = 0
+    for k in range(1, 1 << spec.n):
+        low = k & -k
+        if held & low:
+            oracle.delete(low.bit_length() - 1)
+        else:
+            oracle.insert(low.bit_length() - 1)
+        held ^= low
+        yield query()
+
+
+def _run_lockstep(tb: SmallTables, cfg: ChainConfig, count: int, start: int, accepts):
     """Advance `count` down-up chains from mask `start`; returns (masks, stats).
 
     Each step drops a uniform element index (a set bit leaves the mask, an
@@ -76,14 +96,12 @@ def _run_lockstep(tb: SmallTables, cfg: ChainConfig, count: int, steps: int | No
     cand are taken.
     """
     n = tb.n
-    if steps is None:
-        steps = cfg.steps(n)
     gen = np.random.Generator(np.random.Philox(key=cfg.seed & ((1 << 64) - 1)))
     mask = np.full(count, int(start), dtype=np.int64)
     stats = StepStats()
     ones = np.int64(1)
 
-    for _ in range(steps):
+    for _ in range(cfg.steps(n)):
         mask &= ~(ones << (gen.random(count) * n).astype(np.int64))
         # rejection-sampled re-add
         pending = np.arange(count, dtype=np.int64)
@@ -113,19 +131,17 @@ def _run_lockstep(tb: SmallTables, cfg: ChainConfig, count: int, steps: int | No
 
 
 def run_polarized_batch(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
-                        count: int, steps: int | None = None,
-                        initial_mask: int = 0):
+                        count: int, initial_mask: int = 0):
     """Advance `count` down-up chains in lockstep; returns (masks, stats)."""
     tb = SmallTables(spec, fields, need="polarized")
     if not tb.indep[int(initial_mask)]:
         raise ValidationError("initial state must be independent")
-    return _run_lockstep(tb, cfg, count, steps, initial_mask,
+    return _run_lockstep(tb, cfg, count, initial_mask,
                          lambda gen, cur, cand: tb.indep[cand])
 
 
 def run_rc_batch(spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
-                 count: int, steps: int | None = None,
-                 initial_mask: int | None = None):
+                 count: int, initial_mask: int | None = None):
     """Advance `count` up-down random-cluster chains in lockstep.
 
     Runs the down-up walk on the complements of the cluster sets.
@@ -134,7 +150,8 @@ def run_rc_batch(spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
         raise ValidationError(f"q must lie in [0, 1], got {q}")
     tb = SmallTables(spec, fields, need="rc")
     if initial_mask is None:
-        initial_mask = greedy_basis_mask(tb) if q == 0.0 else 0
+        basis = greedy_basis(build_oracle(spec, "rank"), spec.n) if q == 0.0 else []
+        initial_mask = sum(1 << i for i in basis)
     full = (1 << tb.n) - 1
     rank_c = tb.rank[::-1]  # rank_c[m] = rank of the complement of m
 
@@ -143,17 +160,5 @@ def run_rc_batch(spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
         coin = gen.random(cand.size)
         return (rank_c[cand] >= rank_c[cur]) | (coin < q)
 
-    masks, stats = _run_lockstep(tb, cfg, count, steps, full ^ int(initial_mask), accepts)
+    masks, stats = _run_lockstep(tb, cfg, count, full ^ int(initial_mask), accepts)
     return full ^ masks, stats
-
-
-def greedy_basis_mask(tb: SmallTables) -> int:
-    """Maximal-rank subset built by inserting elements in index order."""
-    mask = 0
-    r = 0
-    for i in range(tb.n):
-        m2 = mask | (1 << i)
-        if tb.rank[m2] > r:
-            mask = m2
-            r = int(tb.rank[m2])
-    return mask

@@ -76,9 +76,6 @@ class WeightedIndex:
         if self._updates >= REBUILD_EVERY:
             self.rebuild()
 
-    def get(self, i: int) -> float:
-        return self.weight[i]
-
     def sample(self, u: float) -> int:
         """Element whose cumulative-weight interval contains u ∈ (0, total).
 

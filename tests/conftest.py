@@ -1,11 +1,12 @@
 """Shared fixtures: small graphs, matroid specs, and exact-law helpers."""
 
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from matroid_mcmc import Fields, matroid_from_dict
+from matroid_mcmc import Fields, StepStats, derive_seed, matroid_from_dict
 from matroid_mcmc.exact import BruteMatroid, independent_masks, is_matroid_family
 
 TRIANGLE_EDGES = [(0, 1), (1, 2), (0, 2)]
@@ -67,3 +68,18 @@ def masks_of(samples):
 
 def brute(spec) -> BruteMatroid:
     return BruteMatroid(spec)
+
+
+def sequential_samples(make_chain, cfg, count):
+    """The sequential path at any ground-set size, as sampling runs it above
+    VECTORIZED_MAX_N: chain i is make_chain(cfg keyed derive_seed(cfg.seed, i)).
+
+    Returns (samples, stats) like the sampling functions.
+    """
+    stats = StepStats()
+    samples = []
+    for i in range(count):
+        chain = make_chain(replace(cfg, seed=derive_seed(cfg.seed, i)))
+        samples.append(chain.run())
+        stats.merge(chain.stats)
+    return samples, stats

@@ -168,9 +168,8 @@ def test_criterion_3_polarized_rejection_bound():
             spec = matroid_from_dict(d)
             for lam_max in (1.0, 3.0):
                 fields = Fields([lam_max] + [1.0] * (spec.n - 1))
-                cfg = ChainConfig(seed=1000 + 10 * si + int(lam_max))
-                _, stats = run_polarized_batch(spec, fields, cfg,
-                                               count=4096, steps=30)
+                cfg = ChainConfig(seed=1000 + 10 * si + int(lam_max), step_override=30)
+                _, stats = run_polarized_batch(spec, fields, cfg, count=4096)
                 assert stats.proposals >= 100_000, stats
                 bound = lam_max / (1.0 + lam_max) + 0.02
                 assert stats.rejection_rate <= bound, (d, lam_max, stats)
@@ -193,8 +192,8 @@ def test_criterion_4_rc_rejection_bound():
                       "over >=1e5 proposals; exactly 0 at q=1") as note:
         rates = []
         for q, fields, lam_min in combos:
-            cfg = ChainConfig(seed=int(q * 100) + 7)
-            _, stats = run_rc_batch(spec, fields, q, cfg, count=4096, steps=30)
+            cfg = ChainConfig(seed=int(q * 100) + 7, step_override=30)
+            _, stats = run_rc_batch(spec, fields, q, cfg, count=4096)
             assert stats.proposals >= 100_000, stats
             bound = (1.0 - q) / (1.0 + lam_min) + 0.02
             assert stats.rejection_rate <= bound, (q, lam_min, stats)

@@ -166,12 +166,11 @@ def test_state_check_catches_desync(triangle_graphic, triangle_cographic):
 
 
 def _simulated_row_tv(kind, spec, fields, q, start, target_row, states, trials):
+    cfg = ChainConfig(seed=start + 1, step_override=1)
     if kind == "polarized":
-        masks, _ = run_polarized_batch(spec, fields, ChainConfig(seed=start + 1),
-                                       count=trials, steps=1, initial_mask=start)
+        masks, _ = run_polarized_batch(spec, fields, cfg, count=trials, initial_mask=start)
     else:
-        masks, _ = run_rc_batch(spec, fields, q, ChainConfig(seed=start + 1),
-                                count=trials, steps=1, initial_mask=start)
+        masks, _ = run_rc_batch(spec, fields, q, cfg, count=trials, initial_mask=start)
     idx = {m: i for i, m in enumerate(states)}
     counts = np.zeros(len(states))
     uniq, cnt = np.unique(masks, return_counts=True)

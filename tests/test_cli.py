@@ -224,6 +224,6 @@ def test_exit_2_on_overflowing_lambda_sum(tmp_path):
     lam = tmp_path / "lam.txt"
     lam.write_text("1e308\n1e308\n1\n")
     r = run_cli("sample", "--model", "independent", "--matroid", str(spec),
-                "--lambda", str(lam), "--num-samples", "4", "--method", "sequential")
+                "--lambda", str(lam), "--num-samples", "4")
     assert r.returncode == 2
     assert "overflows" in r.stderr

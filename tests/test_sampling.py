@@ -1,40 +1,69 @@
-"""Batch sampling API: determinism and method dispatch."""
+"""Batch sampling API: determinism and the size rule that picks the path."""
 
 import pytest
 
-from matroid_mcmc import ChainConfig, Fields, ValidationError
-from matroid_mcmc.sampling import _pick_method, sample_independent_sets, sample_random_cluster
+from matroid_mcmc import (
+    ChainConfig,
+    Fields,
+    PolarizedChain,
+    RandomClusterChain,
+    ValidationError,
+    sampling,
+)
+from matroid_mcmc.sampling import sample_independent_sets, sample_random_cluster
 
-from conftest import ones, spec_of
+from conftest import ones, sequential_samples, spec_of
 
 
-def test_method_dispatch():
-    assert _pick_method("auto", 10) == "vectorized"
-    assert _pick_method("auto", 17) == "sequential"
-    assert _pick_method("sequential", 4) == "sequential"
-    assert _pick_method("vectorized", 4) == "vectorized"
+def test_method_dispatch(monkeypatch):
+    """n = 16 runs one lockstep batch, n = 17 runs sequential chains."""
+    batches = []
+    batch = sampling.run_polarized_batch
+
+    def spy(spec, *args, **kwargs):
+        batches.append(spec.n)
+        return batch(spec, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "run_polarized_batch", spy)
+    cfg = ChainConfig(seed=4, step_override=5)
+    for n in (16, 17):
+        spec = spec_of({"variant": "uniform", "n": n, "k": 2})
+        samples, stats = sample_independent_sets(spec, ones(n), cfg, 3)
+        assert len(samples) == 3 and stats.steps == 3 * 5
+    assert batches == [16]
+    # the test helper that reaches the sequential path at n <= 16 runs it as is
+    seq = sequential_samples(lambda c: PolarizedChain(spec, ones(17), c), cfg, 3)
+    assert seq == (samples, stats)
+    assert sampling.execution_path(16) == "vectorized"
+    assert sampling.execution_path(17) == "sequential"
 
 
 def test_sequential_replay_identical(uniform42):
     cfg = ChainConfig(seed=9, step_override=25)
-    a, _ = sample_independent_sets(uniform42, ones(4), cfg, 100, method="sequential")
-    b, _ = sample_independent_sets(uniform42, ones(4), cfg, 100, method="sequential")
+
+    def make(c):
+        return PolarizedChain(uniform42, ones(4), c)
+
+    a, _ = sequential_samples(make, cfg, 100)
+    b, _ = sequential_samples(make, cfg, 100)
     assert a == b
 
 
 def test_vectorized_replay_identical(uniform42):
     cfg = ChainConfig(seed=9, step_override=25)
-    a, _ = sample_independent_sets(uniform42, ones(4), cfg, 100, method="vectorized")
-    b, _ = sample_independent_sets(uniform42, ones(4), cfg, 100, method="vectorized")
+    a, _ = sample_independent_sets(uniform42, ones(4), cfg, 100)
+    b, _ = sample_independent_sets(uniform42, ones(4), cfg, 100)
     assert a == b
 
 
 def test_rc_sampling_jobs_deterministic(triangle_graphic):
     cfg = ChainConfig(seed=3, step_override=30)
-    a, _ = sample_random_cluster(triangle_graphic, ones(3), 0.5, cfg, 120,
-                                 method="sequential")
-    b, _ = sample_random_cluster(triangle_graphic, ones(3), 0.5, cfg, 120,
-                                 method="sequential")
+
+    def make(c):
+        return RandomClusterChain(triangle_graphic, ones(3), 0.5, c)
+
+    a, _ = sequential_samples(make, cfg, 120)
+    b, _ = sequential_samples(make, cfg, 120)
     assert a == b
 
 
@@ -63,18 +92,22 @@ def test_nearby_seeds_share_no_sample():
     assert not {tuple(s) for s in a} & {tuple(s) for s in b}
 
 
-@pytest.mark.parametrize("method", ["sequential", "vectorized"])
+@pytest.mark.parametrize("path", ["sequential", "vectorized"])
 @pytest.mark.parametrize("model, lam", [
     ("independent", [1e308, 1e308, 1.0]),   # the sum of λ overflows
     ("random-cluster", [1e-310, 1.0, 1.0]),  # 1/λ_0 overflows
     ("random-cluster", [1e-308, 1e-308, 1.0]),  # each 1/λ is finite, their sum is not
 ])
-def test_overflowing_proposal_total_rejected(triangle_graphic, model, lam, method):
+def test_overflowing_proposal_total_rejected(triangle_graphic, model, lam, path):
     cfg = ChainConfig(seed=1, step_override=20)
+    u31 = spec_of({"variant": "uniform", "n": 3, "k": 1})
     with pytest.raises(ValidationError, match="overflows"):
-        if model == "independent":
-            sample_independent_sets(spec_of({"variant": "uniform", "n": 3, "k": 1}),
-                                    Fields(lam), cfg, 10, method=method)
+        if path == "sequential" and model == "independent":
+            sequential_samples(lambda c: PolarizedChain(u31, Fields(lam), c), cfg, 10)
+        elif path == "sequential":
+            sequential_samples(
+                lambda c: RandomClusterChain(triangle_graphic, Fields(lam), 0.5, c), cfg, 10)
+        elif model == "independent":
+            sample_independent_sets(u31, Fields(lam), cfg, 10)
         else:
-            sample_random_cluster(triangle_graphic, Fields(lam), 0.5, cfg, 10,
-                                  method=method)
+            sample_random_cluster(triangle_graphic, Fields(lam), 0.5, cfg, 10)

@@ -1,13 +1,18 @@
 """Batch (table-driven) execution vs the sequential chains: same law, same caps."""
 
+import ast
+
 import numpy as np
 import pytest
 
 from matroid_mcmc import (
     ChainConfig,
     Fields,
+    PolarizedChain,
+    RandomClusterChain,
     SizeLimitError,
     ValidationError,
+    build_oracle,
     matroid_from_dict,
 )
 from matroid_mcmc.exact import (
@@ -17,43 +22,94 @@ from matroid_mcmc.exact import (
     exact_rc,
     tv_distance,
 )
+from matroid_mcmc.matroids import greedy_basis
 from matroid_mcmc.sampling import sample_independent_sets, sample_random_cluster
 from matroid_mcmc.vectorized import (
     VECTORIZED_MAX_N,
     SmallTables,
-    greedy_basis_mask,
     run_polarized_batch,
     run_rc_batch,
 )
 
-from conftest import K4_EDGES, TRIANGLE_EDGES, masks_of, ones, spec_of
+from conftest import (
+    K4_EDGES,
+    REPO_ROOT,
+    TRIANGLE_EDGES,
+    masks_of,
+    ones,
+    sequential_samples,
+    spec_of,
+)
+
+TABLE_CASES = {
+    "graphic-K4": {"variant": "graphic", "edges": [list(e) for e in K4_EDGES]},
+    # a self-loop (element 1) and a pair of parallel edges (0 and 2)
+    "graphic-loop-parallel": {"variant": "graphic",
+                              "edges": [[0, 1], [1, 1], [0, 1], [1, 2], [2, 3], [3, 0]]},
+    "cographic-loop-parallel": {"variant": "cographic",
+                                "edges": [[0, 1], [1, 1], [0, 1], [1, 2], [2, 3], [3, 0]]},
+    "uniform": {"variant": "uniform", "n": 6, "k": 3},
+    "partition": {"variant": "partition", "blocks": [[0, 3], [1, 4, 5], [2]],
+                  "caps": [1, 2, 0]},
+    "binary-linear": {"variant": "binary-linear",
+                      "matrix": [[1, 0, 1, 1, 0, 0], [0, 1, 1, 0, 1, 0], [0, 0, 0, 1, 1, 0]]},
+    # U(2, 3) on {0, 1, 2}, U(1, 2) on {3, 4}, and the loop 5
+    "explicit": {"variant": "explicit", "n": 6, "independent_sets": [
+        a + b for a in ([], [0], [1], [2], [0, 1], [0, 2], [1, 2]) for b in ([], [3], [4])]},
+}
 
 
-def test_tables_match_brute():
-    spec = spec_of({"variant": "graphic", "edges": [list(e) for e in K4_EDGES]})
+@pytest.mark.parametrize("name", list(TABLE_CASES))
+def test_tables_match_brute(name):
+    """The tables, filled by the production oracles, agree with the reference."""
+    spec = spec_of(TABLE_CASES[name])
     f = Fields([1, 2, 0.5, 1, 3, 0.25])
     ref = BruteMatroid(spec)
     tp = SmallTables(spec, f, need="polarized")
-    tr = SmallTables(spec, f, need="rc")
+    tr = SmallTables(spec, f, need="rc") if spec.rank_capable else None
     for m in range(1 << 6):
-        assert bool(tp.indep[m]) == ref.is_independent(m)
-        assert int(tr.rank[m]) == ref.rank(m)
+        assert bool(tp.indep[m]) == ref.is_independent(m), m
+        if tr is not None:
+            assert int(tr.rank[m]) == ref.rank(m), m
         assert tp.popcnt[m] == bin(m).count("1")
         # mass = total weight of elements outside the mask
         want = sum(f.lam[i] for i in range(6) if not m >> i & 1)
         assert tp.mass[m] == pytest.approx(want, rel=1e-12)
-        # rc tables are indexed by the complement of the cluster set m
-        want_inv = sum(1 / f.lam[i] for i in range(6) if m >> i & 1)
-        assert tr.mass[m ^ 0b111111] == pytest.approx(want_inv, rel=1e-12)
+        if tr is not None:
+            # rc tables are indexed by the complement of the cluster set m
+            want_inv = sum(1 / f.lam[i] for i in range(6) if m >> i & 1)
+            assert tr.mass[m ^ 0b111111] == pytest.approx(want_inv, rel=1e-12)
+
+
+def _imported(tree):
+    """Every module an import names; a relative one keeps its leading dots."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            mod = "." * node.level + (node.module or "")
+            yield mod
+            sep = "" if mod.endswith(".") else "."
+            yield from (mod + sep + a.name for a in node.names)
+
+
+def test_only_cli_and_package_import_exact():
+    """The brute-force module is a test reference: no sampler imports it."""
+    importers = [
+        path.name for path in sorted((REPO_ROOT / "src" / "matroid_mcmc").glob("*.py"))
+        if {".exact", "matroid_mcmc.exact"} & set(_imported(ast.parse(path.read_text("utf-8"))))]
+    assert importers == ["__init__.py", "cli.py"]
 
 
 def test_greedy_basis_is_max_rank():
     spec = spec_of({"variant": "graphic", "edges": [list(e) for e in K4_EDGES]})
-    tb = SmallTables(spec, ones(6), need="rc")
-    mask = greedy_basis_mask(tb)
+    oracle = build_oracle(spec, "rank")
+    basis = greedy_basis(oracle, spec.n)
+    mask = sum(1 << i for i in basis)
     ref = BruteMatroid(spec)
     assert ref.rank(mask) == ref.rank((1 << 6) - 1)
     assert ref.is_independent(mask)
+    assert sorted(oracle.current) == basis
 
 
 def test_size_cap_enforced():
@@ -86,8 +142,8 @@ def test_polarized_batch_and_sequential_same_law(d, lam):
     f = Fields(lam)
     cfg = ChainConfig(epsilon=0.05, seed=31)
     mu = exact_mu(spec, f)
-    seq, _ = sample_independent_sets(spec, f, cfg, 6_000, method="sequential")
-    vec, _ = sample_independent_sets(spec, f, cfg, 12_000, method="vectorized")
+    seq, _ = sequential_samples(lambda c: PolarizedChain(spec, f, c), cfg, 6_000)
+    vec, _ = sample_independent_sets(spec, f, cfg, 12_000)
     tv_seq = tv_distance(empirical_distribution(masks_of(seq)), mu)
     tv_vec = tv_distance(empirical_distribution(masks_of(vec)), mu)
     assert tv_seq <= 0.03, tv_seq
@@ -100,8 +156,8 @@ def test_rc_batch_and_sequential_same_law(q):
     f = Fields([1.0, 2.0, 0.5])
     cfg = ChainConfig(epsilon=0.05, seed=37)
     rcd = exact_rc(spec, f, q)
-    seq, sseq = sample_random_cluster(spec, f, q, cfg, 6_000, method="sequential")
-    vec, svec = sample_random_cluster(spec, f, q, cfg, 12_000, method="vectorized")
+    seq, sseq = sequential_samples(lambda c: RandomClusterChain(spec, f, q, c), cfg, 6_000)
+    vec, svec = sample_random_cluster(spec, f, q, cfg, 12_000)
     assert tv_distance(empirical_distribution(masks_of(seq)), rcd) <= 0.03
     assert tv_distance(empirical_distribution(masks_of(vec)), rcd) <= 0.03
     # both paths must see comparable rejection pressure
