@@ -28,13 +28,12 @@ import time
 import numpy as np
 
 from . import __version__
-from .bench import SAMPLER_FAMILIES, BenchRow, bench_sampler, build_family, dyncon_workload
+from .bench import SAMPLER_FAMILIES, BenchRow, bench_sampler, dyncon_workload
 from .config import ChainConfig
 from .errors import ContractError, SizeLimitError, ValidationError
 from .exact import exact_kernel, exact_mu, exact_pi, exact_rc, stationary_residual
 from .matroids import Fields, load_matroid, set_bits
 from .reliability import (
-    NetworkInstance,
     cographic_spec,
     failure_fields,
     log_rel_exact,

@@ -2,17 +2,18 @@
 
 Both walks touch only bitmask state, so for small n every query the oracles
 answer can be precomputed into dense tables over all 2^n subsets (popcount,
-independence or rank, per-mask cumulative proposal weights).  The
-independence and rank tables are filled by the same incremental oracles the
+independence or rank).  These are filled by the same incremental oracles the
 sequential chains use, walked once through all 2^n masks in Gray-code order.
-A batch of chains then advances as numpy array operations: one array op per
-proposal round instead of one Python call per chain step.  The transition
-law per chain is identical to the sequential implementations — the rejection
-loop just runs masked over the chains still pending — and is validated
-against the exact kernels and the sequential chains by the test suite.  One
-loop serves both laws: the random-cluster walk runs as the down-up walk on
-the complements of its cluster sets, with weights 1/λ and a rank-drop test
-in place of the independence test.
+From them each runner builds the re-add law of every post-drop mask: the
+masses the sequential rejection loop accepts from, as one cumulative row per
+mask.  A batch of chains then advances as numpy array operations, with one
+drop and one exact re-add draw per chain step and no rejection rounds; the
+rejection counts are drawn from their exact law (see _run_lockstep).  The
+transition law per chain is the sequential chains' and is validated against
+the exact kernels and the sequential chains by the test suite.  One loop
+serves both laws: the random-cluster walk runs as the down-up walk on the
+complements of its cluster sets, with weights 1/λ and a rank-drop test in
+place of the independence test.
 
 The whole batch consumes a single counter-based stream keyed by cfg.seed, so
 batch output is a deterministic function of (spec, fields, cfg, count).
@@ -57,14 +58,9 @@ class SmallTables:
             self.rank = np.empty(size, dtype=np.int64)
             self.rank[gray] = np.fromiter(_gray_walk(spec, "rank"),
                                           dtype=np.int64, count=size)
-        # csum[m, i] = sum of w_j over j <= i with j outside m
-        csum = np.zeros((size, n), dtype=float)
-        run = np.zeros(size, dtype=float)
-        for i in range(n):
-            run = run + w[i] * (((masks >> i) & 1) == 0)
-            csum[:, i] = run
-        self.csum = csum
-        self.mass = csum[:, n - 1].copy()
+        self.weight = w
+        # mass[m] = total weight of the elements outside m
+        self.mass = sum(w[j] * (((masks >> j) & 1) == 0) for j in range(n))
 
 
 def _gray_walk(spec: MatroidSpec, kind: str):
@@ -87,57 +83,97 @@ def _gray_walk(spec: MatroidSpec, kind: str):
         yield query()
 
 
-def _run_lockstep(tb: SmallTables, cfg: ChainConfig, count: int, start: int, accepts):
+def readd_tables(tb: SmallTables, q: float | None = None):
+    """The re-add law of every post-drop mask m.
+
+    Adding j ∉ m is accepted with probability acc(m, j): indep[m | j] for
+    polarized tables (q None); for random-cluster tables (complement masks)
+    1 unless the rank of the complement drops, then q.  Returns (cdf, rej):
+    row m of cdf is the running sum of the re-add masses, first the auxiliary
+    slots (n - |m|), then w_j·acc(m, j) for each j (0 for j ∈ m), so
+    cdf[m, n] is the accepted mass.  rej[m] sums w_j·(1 - acc(m, j)) over
+    j ∉ m: it is exactly 0 where no proposal can be rejected.
+    """
+    n = tb.n
+    masks = np.arange(1 << n, dtype=np.int64)
+    cdf = np.empty((1 << n, n + 1), order="F")  # _run_lockstep reads it by column
+    cdf[:, 0] = n - tb.popcnt
+    rej = np.zeros(1 << n)
+    if q is not None:
+        rank_c = tb.rank[::-1]  # rank_c[m] = rank of the complement of m
+    for j in range(n):
+        free = ((masks >> j) & 1) == 0
+        cand = masks | (1 << j)
+        if q is None:
+            acc = tb.indep[cand]
+        else:
+            acc = np.where(rank_c[cand] < rank_c, q, 1.0)
+        cdf[:, j + 1] = cdf[:, j] + tb.weight[j] * (free * acc)
+        rej += tb.weight[j] * (free * (1.0 - acc))
+    return cdf, rej
+
+
+def _run_lockstep(cdf, rej, cfg: ChainConfig, count: int, start: int):
     """Advance `count` down-up chains from mask `start`; returns (masks, stats).
 
     Each step drops a uniform element index (a set bit leaves the mask, an
-    unset one is an auxiliary slot), then re-adds by rejection rounds over the
-    chains still pending; accepts(gen, cur, cand) says which proposed masks
-    cand are taken.
+    unset one is an auxiliary slot), then re-adds with one draw per chain from
+    the law the rejection loop accepts from: column k of the post-drop row of
+    cdf (see readd_tables) is picked with probability proportional to its
+    increment, k = 0 being an auxiliary slot and k = j + 1 element j.
+
+    A rejection loop's trial count does not depend on the element it accepts:
+    from post-drop mask s it is geometric with success probability
+    p_s = cdf[s, n] / (cdf[s, n] + rej[s]).  Sums of independent geometric
+    counts with one p are negative binomial, so the rejections of all visits
+    to s are drawn at the end as one negative_binomial(visits_s, p_s).
     """
-    n = tb.n
+    n = cdf.shape[1] - 1
     gen = np.random.Generator(np.random.Philox(key=cfg.seed & ((1 << 64) - 1)))
     mask = np.full(count, int(start), dtype=np.int64)
-    stats = StepStats()
+    visits = np.zeros(1 << n, dtype=np.int64)
     ones = np.int64(1)
+    # bit[k] is what column k adds: nothing for an auxiliary slot, else 1 << (k - 1)
+    bit = np.concatenate(([0], ones << np.arange(n, dtype=np.int64)))
+    steps = cfg.steps(n)
 
-    for _ in range(cfg.steps(n)):
+    for _ in range(steps):
         mask &= ~(ones << (gen.random(count) * n).astype(np.int64))
-        # rejection-sampled re-add
-        pending = np.arange(count, dtype=np.int64)
-        while pending.size:
-            rows = mask[pending]
-            k = tb.popcnt[rows]
-            y_mass = (n - k).astype(float)
-            total = y_mass + tb.mass[rows]
-            u = (1.0 - gen.random(pending.size)) * total
-            is_y = u <= y_mass
-            xs = pending[~is_y]
-            stats.proposals += pending.size
-            if xs.size:
-                rowm = mask[xs]
-                v = u[~is_y] - y_mass[~is_y]
-                np.minimum(v, tb.mass[rowm], out=v)
-                pick = (tb.csum[rowm] >= v[:, None]).argmax(axis=1)
-                cand = rowm | (ones << pick)
-                ok = accepts(gen, rowm, cand)
-                mask[xs[ok]] = cand[ok]
-                stats.rejections += int((~ok).sum())
-                pending = xs[~ok]
-            else:
-                pending = xs
-        stats.steps += count
+        visits += np.bincount(mask, minlength=1 << n)
+        u = (1.0 - gen.random(count)) * np.take(cdf[:, n], mask)  # in (0, accepted mass]
+        # the picked column is the first whose running sum reaches u, that is
+        # the number of columns below u (rows are non-decreasing)
+        pick = np.zeros(count, dtype=np.int8)  # n <= 16
+        for k in range(n):
+            pick += np.take(cdf[:, k], mask) < u
+        mask |= bit[pick]
+
+    # a post-drop mask is never full, so its accepted mass is at least 1
+    seen = np.flatnonzero((visits > 0) & (rej > 0.0))
+    accepted = cdf[seen, n]
+    p = accepted / (accepted + rej[seen])
+    rejections = int(gen.negative_binomial(visits[seen], p).sum())
+    stats = StepStats(proposals=steps * count + rejections, rejections=rejections,
+                      steps=steps * count)
     return mask, stats
+
+
+def _check_start(mask: int, n: int) -> int:
+    mask = int(mask)
+    if not 0 <= mask < 1 << n:
+        raise ValidationError(f"initial mask must lie in [0, 2^{n}), got {mask}")
+    return mask
 
 
 def run_polarized_batch(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
                         count: int, initial_mask: int = 0):
     """Advance `count` down-up chains in lockstep; returns (masks, stats)."""
     tb = SmallTables(spec, fields, need="polarized")
-    if not tb.indep[int(initial_mask)]:
+    initial_mask = _check_start(initial_mask, tb.n)
+    if not tb.indep[initial_mask]:
         raise ValidationError("initial state must be independent")
-    return _run_lockstep(tb, cfg, count, initial_mask,
-                         lambda gen, cur, cand: tb.indep[cand])
+    cdf, rej = readd_tables(tb)
+    return _run_lockstep(cdf, rej, cfg, count, initial_mask)
 
 
 def run_rc_batch(spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
@@ -152,13 +188,8 @@ def run_rc_batch(spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
     if initial_mask is None:
         basis = greedy_basis(build_oracle(spec, "rank"), spec.n) if q == 0.0 else []
         initial_mask = sum(1 << i for i in basis)
+    initial_mask = _check_start(initial_mask, tb.n)
     full = (1 << tb.n) - 1
-    rank_c = tb.rank[::-1]  # rank_c[m] = rank of the complement of m
-
-    def accepts(gen, cur, cand):
-        # removing the element from A: taken unless rk(A) drops, then with prob. q
-        coin = gen.random(cand.size)
-        return (rank_c[cand] >= rank_c[cur]) | (coin < q)
-
-    masks, stats = _run_lockstep(tb, cfg, count, full ^ int(initial_mask), accepts)
+    cdf, rej = readd_tables(tb, q)
+    masks, stats = _run_lockstep(cdf, rej, cfg, count, full ^ initial_mask)
     return full ^ masks, stats

@@ -27,6 +27,7 @@ from matroid_mcmc.sampling import sample_independent_sets, sample_random_cluster
 from matroid_mcmc.vectorized import (
     VECTORIZED_MAX_N,
     SmallTables,
+    readd_tables,
     run_polarized_batch,
     run_rc_batch,
 )
@@ -67,6 +68,8 @@ def test_tables_match_brute(name):
     ref = BruteMatroid(spec)
     tp = SmallTables(spec, f, need="polarized")
     tr = SmallTables(spec, f, need="rc") if spec.rank_capable else None
+    cdf_p, _ = readd_tables(tp)
+    cdf_r = readd_tables(tr, 0.5)[0] if tr is not None else None
     for m in range(1 << 6):
         assert bool(tp.indep[m]) == ref.is_independent(m), m
         if tr is not None:
@@ -79,6 +82,16 @@ def test_tables_match_brute(name):
             # rc tables are indexed by the complement of the cluster set m
             want_inv = sum(1 / f.lam[i] for i in range(6) if m >> i & 1)
             assert tr.mass[m ^ 0b111111] == pytest.approx(want_inv, rel=1e-12)
+        # re-add row: n - |m| auxiliary slots plus the weight of every j that
+        # may join m (rc: j leaves the cluster set ~m, at rate q if rk drops)
+        out = [j for j in range(6) if not m >> j & 1]
+        want = len(out) + sum(f.lam[j] for j in out if ref.is_independent(m | 1 << j))
+        assert cdf_p[m, 6] == pytest.approx(want, rel=1e-12), m
+        if tr is not None:
+            a = m ^ 0b111111
+            want = len(out) + sum((1.0 if ref.rank(a ^ 1 << j) == ref.rank(a) else 0.5)
+                                  / f.lam[j] for j in out)
+            assert cdf_r[m, 6] == pytest.approx(want, rel=1e-12), m
 
 
 def _imported(tree):
@@ -117,6 +130,18 @@ def test_size_cap_enforced():
                               "k": 3})
     with pytest.raises(SizeLimitError):
         run_polarized_batch(spec, ones(spec.n), ChainConfig(seed=0), count=4)
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 4])
+@pytest.mark.parametrize("runner", ["polarized", "rc"])
+def test_out_of_range_initial_mask_rejected(runner, mask):
+    spec = spec_of({"variant": "uniform", "n": 4, "k": 4})
+    cfg = ChainConfig(seed=0, step_override=3)
+    with pytest.raises(ValidationError):
+        if runner == "polarized":
+            run_polarized_batch(spec, ones(4), cfg, count=3, initial_mask=mask)
+        else:
+            run_rc_batch(spec, ones(4), 0.5, cfg, count=3, initial_mask=mask)
 
 
 def test_dependent_initial_mask_rejected():
@@ -162,6 +187,45 @@ def test_rc_batch_and_sequential_same_law(q):
     assert tv_distance(empirical_distribution(masks_of(vec)), rcd) <= 0.03
     # both paths must see comparable rejection pressure
     assert abs(sseq.rejection_rate - svec.rejection_rate) < 0.05
+
+
+REJECTION_RATE_CASES = {
+    "polarized-K4-lam3": ({"variant": "graphic", "edges": [list(e) for e in K4_EDGES]},
+                          [3.0, 1.0, 1.0, 1.0, 1.0, 1.0], None),
+    "rc-triangle-q0.5": ({"variant": "graphic", "edges": [list(e) for e in TRIANGLE_EDGES]},
+                         [1.0, 2.0, 0.5], 0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTION_RATE_CASES))
+def test_batch_and_sequential_same_rejection_rate(name):
+    """The batch path draws its rejection counts from their law instead of
+    running the loop: over the same 4096 chains x 30 steps (>= 1e5 proposals
+    each), its rate must match the sequential loop's within 0.01, about five
+    standard errors of the difference at these counts."""
+    d, lam, q = REJECTION_RATE_CASES[name]
+    spec = spec_of(d)
+    f = Fields(lam)
+    cfg = ChainConfig(seed=43, step_override=30)
+    if q is None:
+        _, seq = sequential_samples(lambda c: PolarizedChain(spec, f, c), cfg, 4096)
+        _, vec = run_polarized_batch(spec, f, cfg, count=4096)
+    else:
+        _, seq = sequential_samples(lambda c: RandomClusterChain(spec, f, q, c), cfg, 4096)
+        _, vec = run_rc_batch(spec, f, q, cfg, count=4096)
+    assert seq.steps == vec.steps == 4096 * 30
+    assert min(seq.proposals, vec.proposals) >= 100_000
+    assert vec.proposals == vec.steps + vec.rejections
+    assert abs(seq.rejection_rate - vec.rejection_rate) <= 0.01, (seq, vec)
+
+
+def test_free_matroid_batch_never_rejects():
+    spec = spec_of({"variant": "uniform", "n": 5, "k": 5})
+    _, stats = run_polarized_batch(spec, Fields([0.5, 1.0, 2.0, 3.0, 4.0]),
+                                   ChainConfig(seed=9, step_override=50), count=1000)
+    assert stats.steps == 50_000
+    assert stats.rejections == 0
+    assert stats.proposals == stats.steps
 
 
 def test_batch_states_stay_independent():
