@@ -95,7 +95,7 @@ def bench_sampler(
     inst = build_family(family, m_target, seed=seed)
     spec = cographic_spec(inst)
     fields = Fields.constant(spec.n, 1.0)
-    cfg = ChainConfig(seed=seed, step_override=max(1, steps))
+    cfg = ChainConfig(seed=seed, step_override=steps)
     chain = PolarizedChain(spec, fields, cfg, dyncon_backend=backend)
     t0 = time.perf_counter()
     for _ in range(cfg.steps(spec.n)):

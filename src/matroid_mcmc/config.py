@@ -20,8 +20,9 @@ class ChainConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValidationError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if not self.mix_constant > 0:
-            raise ValidationError(f"mix_constant must be positive, got {self.mix_constant}")
+        if not (0.0 < self.mix_constant < math.inf):
+            raise ValidationError(
+                f"mix_constant must be finite and positive, got {self.mix_constant}")
         if self.step_override is not None and self.step_override < 1:
             raise ValidationError("step_override must be >= 1")
 
@@ -29,7 +30,11 @@ class ChainConfig:
         """Transition count: step_override if set, else ceil(C * n * ln(n/eps))."""
         if self.step_override is not None:
             return self.step_override
-        return math.ceil(self.mix_constant * n * math.log(n / self.epsilon))
+        try:
+            return math.ceil(self.mix_constant * n * math.log(n / self.epsilon))
+        except OverflowError:
+            raise ValidationError("mix_constant and epsilon ask for more steps "
+                                  "than a float can count") from None
 
 
 @dataclass

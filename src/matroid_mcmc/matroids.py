@@ -1,9 +1,12 @@
 """Matroid specifications, external fields, and incremental oracles.
 
 A MatroidSpec names one of six concrete matroid variants; build_oracle turns
-it into a stateful oracle maintaining a mutable set S with insert / delete /
-is_independent, plus rank queries on rank-capable variants.  Graphic and
-cographic backends are backed by the dynamic-connectivity module; the others
+it into a stateful oracle over a mutable set S.  _BaseOracle owns the
+contract: the checked insert / delete of one element, is_independent as
+rank(S) == |S|, and the _add / _remove hooks through which a variant keeps
+its own state in step.  Each variant adds only that state and its queries
+(rank and rank_drops_on_delete on rank-capable variants).  Graphic and
+cographic oracles are backed by the dynamic-connectivity module; the others
 use counters, table lookup, or GF(2) elimination at desk scale.
 """
 from __future__ import annotations
@@ -243,22 +246,44 @@ def edges_connected(vertices: int, edges) -> bool:
 # ---------------------------------------------------------------------------
 
 class _BaseOracle:
+    """The oracle contract, shared by every variant.
+
+    insert(i) adds an element of [0, n) that is not in `current`; delete(i)
+    removes one that is.  Called on any other element, either raises
+    ContractError and changes nothing.  Each then calls its hook, _add(i) or
+    _remove(i) (no-ops here), for the variant's own state.  Queries leave
+    `current` as it was; is_independent defaults to rank() == |current|.
+    """
+
     def __init__(self, n: int):
         self.n = n
         self.current: set[int] = set()
 
-    def _check_absent(self, i: int) -> None:
+    def insert(self, i: int) -> None:
         if not 0 <= i < self.n:
             raise ContractError(f"element {i} outside ground set [0, {self.n})")
         if i in self.current:
             raise ContractError(f"element {i} is already in the oracle's set")
+        self.current.add(i)
+        self._add(i)
+
+    def delete(self, i: int) -> None:
+        self._check_present(i)
+        self.current.remove(i)
+        self._remove(i)
 
     def _check_present(self, i: int) -> None:
         if i not in self.current:
             raise ContractError(f"element {i} is not in the oracle's set")
 
-    def rank(self) -> int:  # pragma: no cover - overridden
-        raise UnsupportedOperationError("rank not implemented")
+    def _add(self, i: int) -> None:
+        """Hook: i has just joined `current`."""
+
+    def _remove(self, i: int) -> None:
+        """Hook: i has just left `current`."""
+
+    def is_independent(self) -> bool:
+        return self.rank() == len(self.current)
 
 
 class ExplicitOracle(_BaseOracle):
@@ -267,27 +292,18 @@ class ExplicitOracle(_BaseOracle):
         self._family = set(spec.independent_sets)
         self._mask = 0
 
-    def insert(self, i: int) -> None:
-        self._check_absent(i)
-        self.current.add(i)
+    def _add(self, i: int) -> None:
         self._mask |= 1 << i
 
-    def delete(self, i: int) -> None:
-        self._check_present(i)
-        self.current.remove(i)
+    def _remove(self, i: int) -> None:
         self._mask ^= 1 << i
 
     def is_independent(self) -> bool:
         return self._mask in self._family
 
     def _rank_of(self, mask: int) -> int:
-        best = 0
-        for f in self._family:
-            if f & ~mask == 0:
-                c = bin(f).count("1")
-                if c > best:
-                    best = c
-        return best
+        # the family holds the empty set, so some member lies inside mask
+        return max(f.bit_count() for f in self._family if not f & ~mask)
 
     def rank(self) -> int:
         return self._rank_of(self._mask)
@@ -301,17 +317,6 @@ class UniformOracle(_BaseOracle):
     def __init__(self, spec: MatroidSpec):
         super().__init__(spec.n)
         self.k = spec.k
-
-    def insert(self, i: int) -> None:
-        self._check_absent(i)
-        self.current.add(i)
-
-    def delete(self, i: int) -> None:
-        self._check_present(i)
-        self.current.remove(i)
-
-    def is_independent(self) -> bool:
-        return len(self.current) <= self.k
 
     def rank(self) -> int:
         return min(len(self.current), self.k)
@@ -331,18 +336,11 @@ class PartitionOracle(_BaseOracle):
         self._caps = list(spec.caps)
         self._counts = [0] * len(spec.blocks)
 
-    def insert(self, i: int) -> None:
-        self._check_absent(i)
-        self.current.add(i)
+    def _add(self, i: int) -> None:
         self._counts[self._block_of[i]] += 1
 
-    def delete(self, i: int) -> None:
-        self._check_present(i)
-        self.current.remove(i)
+    def _remove(self, i: int) -> None:
         self._counts[self._block_of[i]] -= 1
-
-    def is_independent(self) -> bool:
-        return all(c <= cap for c, cap in zip(self._counts, self._caps))
 
     def rank(self) -> int:
         return sum(min(c, cap) for c, cap in zip(self._counts, self._caps))
@@ -354,40 +352,27 @@ class PartitionOracle(_BaseOracle):
 
 
 class GraphicOracle(_BaseOracle):
-    """Forest/rank oracle over the spec's edge list; rk(S) = |V| - kappa(S)."""
+    """Forest/rank oracle over the spec's edge list; rk(S) = |V| - kappa(S).
+
+    A self-loop gets no handle and never enters the dynamic graph: it adds 1
+    to |S| and 0 to the rank.
+    """
 
     def __init__(self, spec: MatroidSpec, dyncon_backend: str = "auto"):
         super().__init__(spec.n)
         self._edges = spec.edges
         self._g = dyn_graph(spec.vertices, backend=dyncon_backend)
         self._handles: dict[int, int] = {}
-        self._loops = 0
-        self._size = 0
 
-    def insert(self, i: int) -> None:
-        self._check_absent(i)
+    def _add(self, i: int) -> None:
         u, v = self._edges[i]
-        self.current.add(i)
-        self._size += 1
-        if u == v:
-            self._loops += 1
-        else:
+        if u != v:
             self._handles[i] = self._g.insert_edge(u, v)
 
-    def delete(self, i: int) -> None:
-        self._check_present(i)
-        u, v = self._edges[i]
-        self.current.remove(i)
-        self._size -= 1
-        if u == v:
-            self._loops -= 1
-        else:
-            self._g.delete_edge(self._handles.pop(i))
-
-    def is_independent(self) -> bool:
-        if self._loops:
-            return False
-        return self._size == self._g.vertex_count - self._g.component_count()
+    def _remove(self, i: int) -> None:
+        handle = self._handles.pop(i, None)
+        if handle is not None:
+            self._g.delete_edge(handle)
 
     def rank(self) -> int:
         return self._g.vertex_count - self._g.component_count()
@@ -416,25 +401,19 @@ class CographicOracle(_BaseOracle):
         self._g = dyn_graph(spec.vertices, backend=dyncon_backend)
         self._handles = [self._g.insert_edge(u, v) for u, v in spec.edges]
 
-    def insert(self, i: int) -> None:
-        self._check_absent(i)
-        self.current.add(i)
+    def _add(self, i: int) -> None:
         self._g.delete_edge(self._handles[i])
 
-    def delete(self, i: int) -> None:
-        self._check_present(i)
-        self.current.remove(i)
-        u, v = self._edges[i]
-        self._handles[i] = self._g.insert_edge(u, v)
+    def _remove(self, i: int) -> None:
+        self._handles[i] = self._g.insert_edge(*self._edges[i])
 
     def is_independent(self) -> bool:
         return self._g.component_count() == 1
 
-    def rank(self) -> int:
+    def rank(self, *_) -> int:
         raise UnsupportedOperationError("cographic oracle answers independence only")
 
-    def rank_drops_on_delete(self, i: int) -> bool:
-        raise UnsupportedOperationError("cographic oracle answers independence only")
+    rank_drops_on_delete = rank
 
 
 class BinaryLinearOracle(_BaseOracle):
@@ -443,14 +422,6 @@ class BinaryLinearOracle(_BaseOracle):
     def __init__(self, spec: MatroidSpec):
         super().__init__(spec.n)
         self._cols = spec.matrix
-
-    def insert(self, i: int) -> None:
-        self._check_absent(i)
-        self.current.add(i)
-
-    def delete(self, i: int) -> None:
-        self._check_present(i)
-        self.current.remove(i)
 
     def _rank_of(self, elements) -> int:
         # xor basis with distinct leading bits, kept in descending order so a
@@ -466,17 +437,12 @@ class BinaryLinearOracle(_BaseOracle):
                 basis.sort(reverse=True)
         return len(basis)
 
-    def is_independent(self) -> bool:
-        return self.rank() == len(self.current)
-
     def rank(self) -> int:
         return self._rank_of(self.current)
 
     def rank_drops_on_delete(self, i: int) -> bool:
         self._check_present(i)
-        before = self.rank()
-        after = self._rank_of([j for j in self.current if j != i])
-        return after == before - 1
+        return self._rank_of(self.current - {i}) < self.rank()
 
 
 def greedy_basis(oracle, n: int) -> list[int]:
@@ -504,14 +470,9 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
     if kind == "rank" and not spec.rank_capable:
         raise UnsupportedOperationError(
             f"variant {spec.variant!r} supports independence queries only")
-    if spec.variant == "explicit":
-        return ExplicitOracle(spec)
-    if spec.variant == "uniform":
-        return UniformOracle(spec)
-    if spec.variant == "partition":
-        return PartitionOracle(spec)
     if spec.variant == "graphic":
         return GraphicOracle(spec, dyncon_backend)
     if spec.variant == "cographic":
         return CographicOracle(spec, dyncon_backend)
-    return BinaryLinearOracle(spec)
+    return {"explicit": ExplicitOracle, "uniform": UniformOracle, "partition": PartitionOracle,
+            "binary-linear": BinaryLinearOracle}[spec.variant](spec)

@@ -202,12 +202,18 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
         raise ValidationError(f"eps must lie in (0,1), got {eps}")
     if not (0.0 < delta < 1.0):
         raise ValidationError(f"delta must lie in (0,1), got {delta}")
+    if not (0.0 < c0 < math.inf):
+        raise ValidationError(f"c0 must be finite and > 0, got {c0}")
     if not inst.is_connected():
         raise ValidationError("graph must be connected")
     m0 = inst.m
     if m0 == 0:
         return ReliabilityEstimate(1.0, 0.0, eps, 1.0 - delta, 0, [])
-    n_samples = math.ceil(c0 * m0 * math.log(2 * m0 / delta) / (eps * eps))
+    try:
+        n_samples = math.ceil(c0 * m0 * math.log(2 * m0 / delta) / (eps * eps))
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError("eps, delta and c0 ask for more samples per level "
+                              "than a float can count") from None
     sampler_eps = eps / (8.0 * m0)
 
     # current graph: union-find over original vertices + remaining edge list

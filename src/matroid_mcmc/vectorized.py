@@ -48,7 +48,7 @@ class SmallTables:
         self.popcnt = pc
 
         # random-cluster: the walk runs on complements, weights 1/λ
-        w = np.asarray(fields.proposal_weights(inverse=need == "rc"), dtype=float)
+        self.weight = np.asarray(fields.proposal_weights(inverse=need == "rc"), dtype=float)
         gray = masks ^ (masks >> 1)
         if need == "polarized":
             self.indep = np.empty(size, dtype=bool)
@@ -58,9 +58,6 @@ class SmallTables:
             self.rank = np.empty(size, dtype=np.int64)
             self.rank[gray] = np.fromiter(_gray_walk(spec, "rank"),
                                           dtype=np.int64, count=size)
-        self.weight = w
-        # mass[m] = total weight of the elements outside m
-        self.mass = sum(w[j] * (((masks >> j) & 1) == 0) for j in range(n))
 
 
 def _gray_walk(spec: MatroidSpec, kind: str):

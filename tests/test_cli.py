@@ -166,6 +166,17 @@ def test_exit_2_on_validation(tri_graph, free2):
                    "--graph", tri_graph).returncode == 2
     assert run_cli("sample", "--model", "independent", "--matroid", free2,
                    "--num-samples", "0").returncode == 2
+    for bad_steps in (["--mix-constant", "inf"], ["--mix-constant", "1e308"],
+                      ["--eps", "5e-324"]):
+        assert run_cli("sample", "--model", "independent", "--matroid", free2,
+                       *bad_steps).returncode == 2
+
+
+@pytest.mark.parametrize("c0", ["nan", "inf", "0", "-1"])
+def test_exit_2_on_bad_c0(tri_graph, c0):
+    r = run_cli("estimate-reliability", "--graph", tri_graph, "--c0", c0)
+    assert r.returncode == 2
+    assert "c0" in r.stderr
 
 
 def test_exit_2_message_names_constraint(tri_graph):
@@ -206,6 +217,17 @@ def test_bench_sampler_csv(tmp_path):
     for row in rows[1:]:
         cols = row.split(",")
         assert int(cols[7]) >= int(cols[4])  # proposals >= steps
+
+
+@pytest.mark.parametrize("args", [
+    ["--steps", "0"],
+    ["--target", "dyncon", "--ops", "-1"],
+    ["--naive-steps", "5"],  # the option is gone
+], ids=["steps-0", "ops-negative", "naive-steps"])
+def test_bench_rejects_bad_counts(args):
+    r = run_cli("bench", "--sizes", "50", *args)
+    assert r.returncode == 2
+    assert r.stdout == ""
 
 
 def test_bench_dyncon_checksums_agree(tmp_path):

@@ -115,6 +115,8 @@ def test_graphic_self_loop_behavior():
     assert not o.rank_drops_on_delete(1)
     o.insert(0)
     assert o.rank() == 1
+    o.delete(1)  # without the loop, the one edge is a forest again
+    assert o.is_independent()
 
 
 def test_cographic_oracle_examples():
@@ -142,19 +144,47 @@ def test_cographic_rank_unsupported():
     o = build_oracle(spec, kind="independence")
     with pytest.raises(UnsupportedOperationError):
         o.rank()
+    o.insert(0)
+    with pytest.raises(UnsupportedOperationError):
+        o.rank_drops_on_delete(0)
 
 
-def test_duplicate_insert_and_absent_delete():
-    spec = matroid_from_dict({"variant": "uniform", "n": 3, "k": 2})
-    o = build_oracle(spec)
+# one spec per variant; the contract test holds {0, 1} and leaves 2 out
+CONTRACT_SPECS = {
+    "explicit": {"variant": "explicit", "n": 3,
+                 "independent_sets": [[], [0], [1], [2], [0, 1], [0, 2], [1, 2]]},
+    "uniform": {"variant": "uniform", "n": 3, "k": 2},
+    "partition": {"variant": "partition", "blocks": [[0, 1], [2]], "caps": [2, 1]},
+    "graphic": {"variant": "graphic", "edges": [[0, 1], [1, 2], [2, 2]]},
+    "cographic": {"variant": "cographic", "edges": [list(e) for e in TRIANGLE_EDGES]},
+    "binary-linear": {"variant": "binary-linear", "matrix": [[1, 1, 0], [0, 0, 1]]},
+}
+
+
+@pytest.mark.parametrize("name", list(CONTRACT_SPECS))
+def test_duplicate_insert_and_absent_delete(name):
+    spec = matroid_from_dict(CONTRACT_SPECS[name])
+    o = build_oracle(spec, kind="rank" if spec.rank_capable else "independence")
+    ref = BruteMatroid(spec)
+    o.insert(0)
     o.insert(1)
-    with pytest.raises(ContractError):
-        o.insert(1)
+    indep = o.is_independent()
+    assert indep == ref.is_independent(0b011)
+    bad = [lambda: o.insert(-1), lambda: o.insert(spec.n), lambda: o.insert(1),
+           lambda: o.delete(2)]
+    if spec.rank_capable:
+        bad.append(lambda: o.rank_drops_on_delete(2))
+    for call in bad:
+        with pytest.raises(ContractError):
+            call()
+        assert o.current == {0, 1}
+        assert o.is_independent() == indep
+    # no failed call left the variant's own state behind: move to {0, 2}
     o.delete(1)
-    with pytest.raises(ContractError):
-        o.delete(1)
-    with pytest.raises(ContractError):
-        o.insert(7)
+    o.insert(2)
+    assert o.is_independent() == ref.is_independent(0b101)
+    if spec.rank_capable:
+        assert o.rank() == ref.rank(0b101)
 
 
 def test_binary_linear_duplicate_columns():

@@ -187,6 +187,19 @@ def test_estimate_single_edge_exact():
     assert est.trace[0]["branch"] == "contract"
 
 
+@pytest.mark.parametrize("c0", [math.nan, math.inf, 0.0, -1.0])
+def test_estimate_rejects_bad_c0(c0):
+    with pytest.raises(ValidationError, match="c0"):
+        rel_estimate(TRI, 0.1, 0.05, seed=0, c0=c0)
+
+
+@pytest.mark.parametrize("eps, delta, c0", [(1e-200, 0.05, 8.0), (0.1, 1e-320, 8.0),
+                                            (0.1, 0.05, 1e308)])
+def test_estimate_rejects_uncountable_sample_size(eps, delta, c0):
+    with pytest.raises(ValidationError, match="more samples"):
+        rel_estimate(TRI, eps, delta, seed=0, c0=c0)
+
+
 def test_estimate_trace_invariants():
     est = rel_estimate(K4, 0.2, 0.2, seed=4, c0=1.0)
     assert len(est.trace) == K4.m

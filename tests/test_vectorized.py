@@ -75,13 +75,6 @@ def test_tables_match_brute(name):
         if tr is not None:
             assert int(tr.rank[m]) == ref.rank(m), m
         assert tp.popcnt[m] == bin(m).count("1")
-        # mass = total weight of elements outside the mask
-        want = sum(f.lam[i] for i in range(6) if not m >> i & 1)
-        assert tp.mass[m] == pytest.approx(want, rel=1e-12)
-        if tr is not None:
-            # rc tables are indexed by the complement of the cluster set m
-            want_inv = sum(1 / f.lam[i] for i in range(6) if m >> i & 1)
-            assert tr.mass[m ^ 0b111111] == pytest.approx(want_inv, rel=1e-12)
         # re-add row: n - |m| auxiliary slots plus the weight of every j that
         # may join m (rc: j leaves the cluster set ~m, at rate q if rk drops)
         out = [j for j in range(6) if not m >> j & 1]
