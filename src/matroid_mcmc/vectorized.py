@@ -5,10 +5,14 @@ answer can be precomputed into dense tables over all 2^n subsets (popcount,
 independence or rank).  These are filled by the same incremental oracles the
 sequential chains use, walked once through all 2^n masks in Gray-code order.
 From them each runner builds the re-add law of every post-drop mask: the
-masses the sequential rejection loop accepts from, as one cumulative row per
-mask.  A batch of chains then advances as numpy array operations, with one
-drop and one exact re-add draw per chain step and no rejection rounds; the
-rejection counts are drawn from their exact law (see _run_lockstep).  The
+masses the sequential rejection loop accepts from, as one Walker alias table
+per mask (Walker 1977; Vose 1991).  A batch of chains then advances as numpy
+array operations: each chain step draws one uniform, whose integer part
+picks the drop and whose fractional part picks the alias column and its
+coin, so the exact re-add costs O(1) per chain and no rejection rounds run;
+the rejection counts are drawn from their exact law (see _run_lockstep).
+The tables take (n + 1)·2^n·9 bytes and are built in row blocks, so the
+masses of all rows never exist at once.  The
 transition law per chain is the sequential chains' and is validated against
 the exact kernels and the sequential chains by the test suite.  One loop
 serves both laws: the random-cluster walk runs as the down-up walk on the
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ChainConfig, StepStats
+from .config import ChainConfig, StepStats, debug_asserts_enabled
 from .errors import SizeLimitError, ValidationError
 from .matroids import Fields, MatroidSpec, build_oracle, greedy_basis
 
@@ -80,54 +84,124 @@ def _gray_walk(spec: MatroidSpec, kind: str):
         yield query()
 
 
+_ROW_BLOCK = 2048  # re-add rows converted to alias tables at a time
+
+
 def readd_tables(tb: SmallTables, q: float | None = None):
-    """The re-add law of every post-drop mask m.
+    """The re-add law of every post-drop mask m, as alias tables.
 
     Adding j ∉ m is accepted with probability acc(m, j): indep[m | j] for
     polarized tables (q None); for random-cluster tables (complement masks)
-    1 unless the rank of the complement drops, then q.  Returns (cdf, rej):
-    row m of cdf is the running sum of the re-add masses, first the auxiliary
-    slots (n - |m|), then w_j·acc(m, j) for each j (0 for j ∈ m), so
-    cdf[m, n] is the accepted mass.  rej[m] sums w_j·(1 - acc(m, j)) over
-    j ∉ m: it is exactly 0 where no proposal can be rejected.
+    1 unless the rank of the complement drops, then q.  Row m has n + 1
+    re-add masses: column 0 holds the auxiliary slots (n - |m|), column
+    j + 1 holds w_j·acc(m, j) (0 for j ∈ m).
+
+    Returns (prob, alias, accepted, rej).  prob (float64) and alias (int8,
+    n + 1 <= 17) are flat, entry m·(n + 1) + k for column k: Walker's alias
+    tables of row m (see _alias_block), which _run_lockstep reads with one
+    uniform.  accepted[m] is row m's total, the accepted mass; rej[m] sums
+    w_j·(1 - acc(m, j)) over j ∉ m, exactly 0 where no proposal can be
+    rejected.  The masses are built and converted _ROW_BLOCK rows at a time,
+    so they never exist for all rows at once beside prob.
     """
     n = tb.n
-    masks = np.arange(1 << n, dtype=np.int64)
-    cdf = np.empty((1 << n, n + 1), order="F")  # _run_lockstep reads it by column
-    cdf[:, 0] = n - tb.popcnt
-    rej = np.zeros(1 << n)
+    size, width = 1 << n, n + 1
+    prob = np.empty(size * width)
+    alias = np.empty(size * width, dtype=np.int8)
+    accepted = np.empty(size)
+    rej = np.zeros(size)
     if q is not None:
         rank_c = tb.rank[::-1]  # rank_c[m] = rank of the complement of m
-    for j in range(n):
-        free = ((masks >> j) & 1) == 0
-        cand = masks | (1 << j)
-        if q is None:
-            acc = tb.indep[cand]
-        else:
-            acc = np.where(rank_c[cand] < rank_c, q, 1.0)
-        cdf[:, j + 1] = cdf[:, j] + tb.weight[j] * (free * acc)
-        rej += tb.weight[j] * (free * (1.0 - acc))
-    return cdf, rej
+    for lo in range(0, size, _ROW_BLOCK):
+        rows = np.arange(lo, min(lo + _ROW_BLOCK, size), dtype=np.int64)
+        mass = np.empty((len(rows), width))
+        mass[:, 0] = n - tb.popcnt[rows]
+        for j in range(n):
+            free = ((rows >> j) & 1) == 0
+            cand = rows | (1 << j)
+            if q is None:
+                acc = tb.indep[cand]
+            else:
+                acc = np.where(rank_c[cand] < rank_c[rows], q, 1.0)
+            mass[:, j + 1] = tb.weight[j] * (free * acc)
+            rej[rows] += tb.weight[j] * (free * (1.0 - acc))
+        accepted[rows] = mass.sum(axis=1)
+        block = slice(lo * width, (lo + len(rows)) * width)
+        _alias_block(mass, accepted[rows], prob[block], alias[block])
+    return prob, alias, accepted, rej
 
 
-def _run_lockstep(cdf, rej, cfg: ChainConfig, count: int, start: int):
+def _alias_block(mass, total, prob, alias):
+    """Fill prob and alias (flat) with Walker's alias tables of each row of
+    `mass` (rows summing to `total`); mass is scaled in place.
+
+    Scaled to mean 1, a row's active columns always hold some p <= 1 and some
+    p >= 1 (Vose 1991); each round, per row, the smallest active column s
+    keeps prob p_s and sends the rest of its 1/width share to the largest
+    column l, which gives up 1 - p_s and stays active.  The last active
+    column gets prob 1.  Zero-mass columns get key -1, so they leave first
+    (even when rounding takes a positive column to 0), with prob 0, and are
+    never the largest; the all-zero (full) row gets prob 0 throughout.
+    Drawing column k uniformly and keeping it with probability prob[k], else
+    taking alias[k], then picks k with probability mass[k] / total.
+    """
+    rows, width = mass.shape
+    zero = (mass == 0.0).ravel()
+    mass *= (width / np.where(total > 0.0, total, 1.0))[:, None]
+    p = mass.ravel()
+    prob[:] = 1.0  # what the last active column keeps
+    alias.reshape(rows, width)[:] = np.arange(width)
+    low = np.where(zero, -1.0, p)  # finished: +inf
+    high = np.where(zero, -np.inf, p)  # finished: -inf
+    base = np.arange(rows) * width
+    for _ in range(width - 1):
+        s = base + low.reshape(rows, width).argmin(axis=1)
+        big = base + high.reshape(rows, width).argmax(axis=1)
+        ps = p[s]
+        prob[s] = ps
+        alias[s] = big - base
+        p[big] -= 1.0 - ps
+        low[big] = high[big] = p[big]
+        low[s] = np.inf
+        high[s] = -np.inf
+    np.clip(prob, 0.0, 1.0, out=prob)  # rounding may leave p_s a hair outside
+    prob[zero] = 0.0
+
+
+def _run_lockstep(tables, cfg: ChainConfig, count: int, start: int):
     """Advance `count` down-up chains from mask `start`; returns (masks, stats).
 
-    Each step drops a uniform element index (a set bit leaves the mask, an
-    unset one is an auxiliary slot), then re-adds with one draw per chain from
-    the law the rejection loop accepts from: column k of the post-drop row of
-    cdf (see readd_tables) is picked with probability proportional to its
-    increment, k = 0 being an auxiliary slot and k = j + 1 element j.
+    `tables` is readd_tables' (prob, alias, accepted, rej).  Each step draws
+    one uniform r per chain.  The drop is element index floor(r·n) (a set
+    bit leaves the mask, an unset one is an auxiliary slot).  The re-add
+    reuses r's fractional part: f = frac(r·n)·(n + 1) picks column floor(f)
+    of the post-drop row's alias table and frac(f) is the coin against its
+    prob; column k = 0 is an auxiliary slot and k = j + 1 element j.  That
+    draws from the law the rejection loop accepts from in O(1) per chain.
+    r has 53 bits, so frac(f) still resolves 2^-45 (n <= 16): the coin, and
+    with it the per-step law, is off by under 1e-12 in TV.
 
     A rejection loop's trial count does not depend on the element it accepts:
     from post-drop mask s it is geometric with success probability
-    p_s = cdf[s, n] / (cdf[s, n] + rej[s]).  Sums of independent geometric
+    p_s = accepted[s] / (accepted[s] + rej[s]).  Sums of independent geometric
     counts with one p are negative binomial, so the rejections of all visits
     to s are drawn at the end as one negative_binomial(visits_s, p_s).
+
+    Memory: the tables take (n + 1)·2^n·9 bytes and each chain about 60
+    bytes; a count whose per-chain arrays cannot be allocated is a
+    ValidationError naming it.
     """
-    n = cdf.shape[1] - 1
+    prob, alias, accepted, rej = tables
+    n = len(accepted).bit_length() - 1
+    width = n + 1
     gen = np.random.Generator(np.random.Philox(key=cfg.seed & ((1 << 64) - 1)))
-    mask = np.full(count, int(start), dtype=np.int64)
+    try:
+        mask = np.full(count, int(start), dtype=np.int64)
+        r = np.empty(count)
+        col = np.empty(count, dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"cannot allocate the per-chain arrays of {count} "
+                              "lockstep chains") from None
     visits = np.zeros(1 << n, dtype=np.int64)
     ones = np.int64(1)
     # bit[k] is what column k adds: nothing for an auxiliary slot, else 1 << (k - 1)
@@ -135,20 +209,27 @@ def _run_lockstep(cdf, rej, cfg: ChainConfig, count: int, start: int):
     steps = cfg.steps(n)
 
     for _ in range(steps):
-        mask &= ~(ones << (gen.random(count) * n).astype(np.int64))
+        gen.random(out=r)
+        r *= n
+        np.copyto(col, r, casting="unsafe")  # the drop index floor(r·n)
+        mask &= ~(ones << col)
         visits += np.bincount(mask, minlength=1 << n)
-        u = (1.0 - gen.random(count)) * np.take(cdf[:, n], mask)  # in (0, accepted mass]
-        # the picked column is the first whose running sum reaches u, that is
-        # the number of columns below u (rows are non-decreasing)
-        pick = np.zeros(count, dtype=np.int8)  # n <= 16
-        for k in range(n):
-            pick += np.take(cdf[:, k], mask) < u
-        mask |= bit[pick]
+        r -= col
+        r *= width  # f < width: frac(r·n) <= 1 - 2^-53, and rounding keeps it below
+        np.copyto(col, r, casting="unsafe")
+        r -= col  # the coin
+        cell = mask * width
+        cell += col
+        pick = np.take(alias, cell)
+        col -= pick
+        col *= r < np.take(prob, cell)  # keep the column on the coin, else its alias
+        col += pick
+        mask |= np.take(bit, col)
 
     # a post-drop mask is never full, so its accepted mass is at least 1
     seen = np.flatnonzero((visits > 0) & (rej > 0.0))
-    accepted = cdf[seen, n]
-    p = accepted / (accepted + rej[seen])
+    acc = accepted[seen]
+    p = acc / (acc + rej[seen])
     rejections = int(gen.negative_binomial(visits[seen], p).sum())
     stats = StepStats(proposals=steps * count + rejections, rejections=rejections,
                       steps=steps * count)
@@ -169,8 +250,10 @@ def run_polarized_batch(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
     initial_mask = _check_start(initial_mask, tb.n)
     if not tb.indep[initial_mask]:
         raise ValidationError("initial state must be independent")
-    cdf, rej = readd_tables(tb)
-    return _run_lockstep(cdf, rej, cfg, count, initial_mask)
+    masks, stats = _run_lockstep(readd_tables(tb), cfg, count, initial_mask)
+    if debug_asserts_enabled():
+        assert tb.indep[masks].all(), "a lockstep chain left the independent sets"
+    return masks, stats
 
 
 def run_rc_batch(spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
@@ -187,6 +270,8 @@ def run_rc_batch(spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
         initial_mask = sum(1 << i for i in basis)
     initial_mask = _check_start(initial_mask, tb.n)
     full = (1 << tb.n) - 1
-    cdf, rej = readd_tables(tb, q)
-    masks, stats = _run_lockstep(cdf, rej, cfg, count, full ^ initial_mask)
-    return full ^ masks, stats
+    masks, stats = _run_lockstep(readd_tables(tb, q), cfg, count, full ^ initial_mask)
+    masks ^= full
+    if debug_asserts_enabled() and q == 0.0:
+        assert (tb.rank[masks] == tb.rank[full]).all(), "a lockstep chain lost rank at q = 0"
+    return masks, stats

@@ -12,6 +12,8 @@ from matroid_mcmc.exact import BruteMatroid, independent_masks, is_matroid_famil
 TRIANGLE_EDGES = [(0, 1), (1, 2), (0, 2)]
 PATH4_EDGES = [(0, 1), (1, 2), (2, 3)]
 K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+# a self-loop (element 1) and a pair of parallel edges (0 and 2) on a 4-cycle
+LOOP_PARALLEL_EDGES = [(0, 1), (1, 1), (0, 1), (1, 2), (2, 3), (3, 0)]
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 

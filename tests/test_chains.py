@@ -17,7 +17,7 @@ from matroid_mcmc import (
 )
 from matroid_mcmc.exact import exact_rc
 
-from conftest import TRIANGLE_EDGES, ones, spec_of
+from conftest import LOOP_PARALLEL_EDGES, TRIANGLE_EDGES, ones, spec_of
 
 
 def test_fresh_chain_stats_zero(uniform42):
@@ -196,6 +196,20 @@ def test_rc_simulated_kernel_rows():
     states, P = exact_kernel("random-cluster", spec, f, q=q)
     for si, start in enumerate(states):
         tv = _simulated_row_tv("random-cluster", spec, f, q, start,
+                               P[si], states, trials=1_000_000)
+        assert tv <= 0.01, (start, tv)
+
+
+def test_polarized_simulated_kernel_rows_with_rejections():
+    """A cographic multigraph with a self-loop and parallel edges, where the
+    re-add rejects: the batch's one-step law still matches every kernel row."""
+    spec = spec_of({"variant": "cographic", "edges": [list(e) for e in LOOP_PARALLEL_EDGES]})
+    f = Fields([1.0, 2.0, 0.5, 1.0, 3.0, 0.25])
+    _, stats = run_polarized_batch(spec, f, ChainConfig(seed=1, step_override=5), count=1000)
+    assert stats.rejections > 0
+    states, P = exact_kernel("polarized", spec, f)
+    for si, start in enumerate(states):
+        tv = _simulated_row_tv("polarized", spec, f, None, start,
                                P[si], states, trials=1_000_000)
         assert tv <= 0.01, (start, tv)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -177,6 +178,15 @@ def test_exit_2_on_bad_c0(tri_graph, c0):
     r = run_cli("estimate-reliability", "--graph", tri_graph, "--c0", c0)
     assert r.returncode == 2
     assert "c0" in r.stderr
+
+
+@pytest.mark.parametrize("eps", ["1e-10", "1e-8"])
+def test_exit_2_on_unallocatable_sample_count(tri_graph, eps):
+    """About 1e22 (past numpy's largest dimension) and 1e18 (8 EiB) chains per
+    level: the lockstep runner cannot allocate them and names the count."""
+    r = run_cli("estimate-reliability", "--graph", tri_graph, "--eps", eps)
+    assert r.returncode == 2, r.stderr
+    assert re.search(r"arrays of \d{19,} lockstep chains", r.stderr), r.stderr
 
 
 def test_exit_2_message_names_constraint(tri_graph):

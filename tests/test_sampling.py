@@ -76,6 +76,18 @@ def test_samples_are_sorted_lists(uniform42):
         assert len(s) <= 2  # rank cap of uniform(4, 2)
 
 
+def test_vectorized_samples_are_distinct_lists(uniform42):
+    """Samples of one mask are equal but separate lists: changing one leaves
+    the others as they were."""
+    cfg = ChainConfig(seed=1, step_override=20)
+    samples, _ = sample_independent_sets(uniform42, ones(4), cfg, 200)
+    first = samples[0]
+    twins = [s for s in samples[1:] if s == first]
+    assert twins
+    first.append(99)
+    assert all(99 not in s for s in twins)
+
+
 def test_distinct_seeds_distinct_output(uniform42):
     c1 = ChainConfig(seed=100, step_override=30)
     c2 = ChainConfig(seed=101, step_override=30)

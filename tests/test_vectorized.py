@@ -23,6 +23,7 @@ from matroid_mcmc.exact import (
     tv_distance,
 )
 from matroid_mcmc.matroids import greedy_basis
+from matroid_mcmc import vectorized
 from matroid_mcmc.sampling import sample_independent_sets, sample_random_cluster
 from matroid_mcmc.vectorized import (
     VECTORIZED_MAX_N,
@@ -34,6 +35,7 @@ from matroid_mcmc.vectorized import (
 
 from conftest import (
     K4_EDGES,
+    LOOP_PARALLEL_EDGES,
     REPO_ROOT,
     TRIANGLE_EDGES,
     masks_of,
@@ -44,11 +46,10 @@ from conftest import (
 
 TABLE_CASES = {
     "graphic-K4": {"variant": "graphic", "edges": [list(e) for e in K4_EDGES]},
-    # a self-loop (element 1) and a pair of parallel edges (0 and 2)
     "graphic-loop-parallel": {"variant": "graphic",
-                              "edges": [[0, 1], [1, 1], [0, 1], [1, 2], [2, 3], [3, 0]]},
+                              "edges": [list(e) for e in LOOP_PARALLEL_EDGES]},
     "cographic-loop-parallel": {"variant": "cographic",
-                                "edges": [[0, 1], [1, 1], [0, 1], [1, 2], [2, 3], [3, 0]]},
+                                "edges": [list(e) for e in LOOP_PARALLEL_EDGES]},
     "uniform": {"variant": "uniform", "n": 6, "k": 3},
     "partition": {"variant": "partition", "blocks": [[0, 3], [1, 4, 5], [2]],
                   "caps": [1, 2, 0]},
@@ -68,8 +69,8 @@ def test_tables_match_brute(name):
     ref = BruteMatroid(spec)
     tp = SmallTables(spec, f, need="polarized")
     tr = SmallTables(spec, f, need="rc") if spec.rank_capable else None
-    cdf_p, _ = readd_tables(tp)
-    cdf_r = readd_tables(tr, 0.5)[0] if tr is not None else None
+    acc_p = readd_tables(tp)[2]
+    acc_r = readd_tables(tr, 0.5)[2] if tr is not None else None
     for m in range(1 << 6):
         assert bool(tp.indep[m]) == ref.is_independent(m), m
         if tr is not None:
@@ -79,12 +80,65 @@ def test_tables_match_brute(name):
         # may join m (rc: j leaves the cluster set ~m, at rate q if rk drops)
         out = [j for j in range(6) if not m >> j & 1]
         want = len(out) + sum(f.lam[j] for j in out if ref.is_independent(m | 1 << j))
-        assert cdf_p[m, 6] == pytest.approx(want, rel=1e-12), m
+        assert acc_p[m] == pytest.approx(want, rel=1e-12), m
         if tr is not None:
             a = m ^ 0b111111
             want = len(out) + sum((1.0 if ref.rank(a ^ 1 << j) == ref.rank(a) else 0.5)
                                   / f.lam[j] for j in out)
-            assert cdf_r[m, 6] == pytest.approx(want, rel=1e-12), m
+            assert acc_r[m] == pytest.approx(want, rel=1e-12), m
+
+
+LAW_FIELDS = {
+    "moderate": [1, 2, 0.5, 1, 3, 0.25],
+    # spans 1e±300, yet both Σλ and Σ1/λ stay finite
+    "extreme": [1e300, 1e-300, 1.0, 3.0, 1e-150, 1e150],
+}
+
+
+def _readd_masses(ref, lam, q, m):
+    """Row m of the re-add law from the reference: the n - |m| auxiliary
+    slots, then the accepted weight of each j (0 for j ∈ m); q None is the
+    polarized law, else the random-cluster law on complement masks."""
+    n = len(lam)
+    out = [j for j in range(n) if not m >> j & 1]
+    row = [float(len(out))] + [0.0] * n
+    for j in out:
+        if q is None:
+            row[j + 1] = lam[j] if ref.is_independent(m | 1 << j) else 0.0
+        else:
+            a = m ^ ((1 << n) - 1)
+            row[j + 1] = (1.0 if ref.rank(a ^ 1 << j) == ref.rank(a) else q) / lam[j]
+    return np.array(row)
+
+
+@pytest.mark.parametrize("lam_name", list(LAW_FIELDS))
+@pytest.mark.parametrize("name", list(TABLE_CASES))
+def test_alias_tables_rebuild_readd_law(name, lam_name):
+    """Each row's alias table draws the re-add law: column k is kept with
+    probability prob[k] and otherwise gives way to alias[k], so its law is
+    (prob[k] + Σ_{alias[j] = k} (1 - prob[j])) / (n + 1).  A column of zero
+    mass must never be drawn: prob 0 and no column's alias."""
+    spec = spec_of(TABLE_CASES[name])
+    lam = LAW_FIELDS[lam_name]
+    f = Fields(lam)
+    ref = BruteMatroid(spec)
+    laws = [None] + ([0.0, 0.5, 1.0] if spec.rank_capable else [])
+    width, full = 7, (1 << 6) - 1
+    for q in laws:
+        tb = SmallTables(spec, f, need="polarized" if q is None else "rc")
+        prob, alias, accepted, _ = readd_tables(tb, q)
+        assert prob.dtype == np.float64 and alias.dtype == np.int8
+        prob, alias = prob.reshape(-1, width), alias.reshape(-1, width)
+        assert (prob[full] == 0.0).all()
+        for m in range(full):
+            mass = _readd_masses(ref, lam, q, m)
+            assert accepted[m] == pytest.approx(mass.sum(), rel=1e-12), (q, m)
+            law = prob[m].copy()
+            np.add.at(law, alias[m], 1.0 - prob[m])
+            assert law / width == pytest.approx(mass / mass.sum(), rel=1e-12, abs=0), (q, m)
+            zero = np.flatnonzero(mass == 0.0)
+            assert (prob[m, zero] == 0.0).all(), (q, m)
+            assert not set(zero) & set(alias[m].tolist()), (q, m)
 
 
 def _imported(tree):
@@ -229,6 +283,43 @@ def test_batch_states_stay_independent():
                                    count=5000)
     for m in np.unique(masks):
         assert ref.is_independent(int(m))
+
+
+def test_debug_asserts_pass_on_lockstep_runs(monkeypatch):
+    monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
+    spec = spec_of(TABLE_CASES["graphic-loop-parallel"])
+    cfg = ChainConfig(seed=5, step_override=25)
+    run_polarized_batch(spec, ones(6), cfg, count=2000)
+    for q in (0.0, 0.5):
+        run_rc_batch(spec, ones(6), q, cfg, count=2000)
+
+
+@pytest.mark.parametrize("runner", ["polarized", "rc"])
+def test_debug_asserts_catch_a_bad_readd_table(monkeypatch, runner):
+    """Zero-mass columns made drawable send chains to dependent sets (polarized)
+    or below full rank (rc at q = 0); with the debug flag on, the runner says so."""
+    real = vectorized.readd_tables
+
+    def leaky(tb, q=None):
+        prob, alias, accepted, rej = real(tb, q)
+        prob[:] = 1.0  # every column kept, zero-mass ones included
+        return prob, alias, accepted, rej
+
+    monkeypatch.setattr(vectorized, "readd_tables", leaky)
+    spec = spec_of({"variant": "graphic", "edges": [list(e) for e in K4_EDGES]})
+    cfg = ChainConfig(seed=5, step_override=25)
+
+    def run():
+        if runner == "polarized":
+            run_polarized_batch(spec, ones(6), cfg, count=500)
+        else:
+            run_rc_batch(spec, ones(6), 0.0, cfg, count=500)
+
+    monkeypatch.delenv("MATROID_MCMC_DEBUG_ASSERTS", raising=False)
+    run()  # off: the runner does not look
+    monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
+    with pytest.raises(AssertionError):
+        run()
 
 
 def test_rc_batch_q0_stays_max_rank():
