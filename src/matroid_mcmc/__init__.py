@@ -10,9 +10,11 @@ The package provides:
   ``q <= 1``;
 * an all-terminal reliability estimator built on the subgraph sampler via
   deletion/contraction self-reducibility;
-* the supporting machinery: fully dynamic graph connectivity, logarithmic
-  weighted index selection, deterministic seeded RNG streams, and exact
-  brute-force references for everything above.
+* the supporting machinery: fully dynamic graph connectivity, a plane
+  embedder whose dual turns the cographic oracle of a planar graph into a
+  spanning-forest oracle, logarithmic weighted index selection,
+  deterministic seeded RNG streams, and exact brute-force references for
+  everything above.
 """
 
 from .config import ChainConfig, StepStats

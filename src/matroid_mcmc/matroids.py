@@ -5,9 +5,12 @@ it into a stateful oracle over a mutable set S.  _BaseOracle owns the
 contract: the checked insert / delete of one element, is_independent as
 rank(S) == |S|, and the _add / _remove hooks through which a variant keeps
 its own state in step.  Each variant adds only that state and its queries
-(rank and rank_drops_on_delete on rank-capable variants).  Graphic and
-cographic oracles are backed by the dynamic-connectivity module; the others
-use counters, table lookup, or GF(2) elimination at desk scale.
+(rank and rank_drops_on_delete on rank-capable variants).  Graphic oracles
+are backed by the dynamic-connectivity module, naive or HDT.  So is a
+cographic oracle, except on a planar graph above dyncon's naive threshold
+under backend "auto": there PlanarCographicOracle keeps the dual edges of S
+as a spanning forest of the plane dual that planar.py computes.  The
+others use counters, table lookup, or GF(2) elimination at desk scale.
 """
 from __future__ import annotations
 
@@ -15,7 +18,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .dyncon import dyn_graph
+from . import planar
+from .config import debug_asserts_enabled
+from .dyncon import (_AUTO_NAIVE_MAX_VERTICES, _check_subtree, _ett_cut, _ett_link, _Node,
+                     _root, _same_tree, dyn_graph)
 from .errors import ContractError, UnsupportedOperationError, ValidationError
 
 EXPLICIT_MAX_N = 24
@@ -416,6 +422,85 @@ class CographicOracle(_BaseOracle):
     rank_drops_on_delete = rank
 
 
+class PlanarCographicOracle(CographicOracle):
+    """The cographic oracle of a connected plane graph: a forest of its dual.
+
+    By Whitney duality M*(G) = M(G*), so S is independent iff the dual edges
+    of S form a forest in G*.  Each face of G is a vertex of a forest of
+    Euler tours (dyncon's splay trees).  Its tree edges are the dual edges of
+    S except the "extras": elements whose two faces were already joined when
+    they came in (a bridge of G is a dual loop, so always an extra).  S is
+    independent iff there is no extra.  delete cuts the dual edge, then
+    relinks the first extra that now joins two trees, so the trees always
+    span the components of S*.  The walk holds at most one extra, and only
+    between its insert and its delete.  `dual` is what planar.dual_graph
+    returns for the spec's edges.
+    """
+
+    def __init__(self, spec: MatroidSpec, dual: tuple[int, list[int]]):
+        _BaseOracle.__init__(self, spec.n)
+        faces, self._face = dual
+        self._faces = [_Node(vertex=f) for f in range(faces)]
+        self._arcs: dict[int, tuple[_Node, _Node]] = {}
+        self._extras: dict[int, None] = {}  # an insertion-ordered set
+        self._debug = debug_asserts_enabled()
+
+    def _ends(self, i: int) -> tuple[_Node, _Node]:
+        return self._faces[self._face[2 * i]], self._faces[self._face[2 * i + 1]]
+
+    def _link(self, i: int, a: _Node, b: _Node) -> None:
+        arcs = self._arcs[i] = (_Node(edge=i), _Node(edge=i))
+        _ett_link(a, b, *arcs)
+
+    def _add(self, i: int) -> None:
+        a, b = self._ends(i)
+        if _same_tree(a, b):
+            self._extras[i] = None
+        else:
+            self._link(i, a, b)
+        if self._debug:
+            self._check_invariants()
+
+    def _remove(self, i: int) -> None:
+        arcs = self._arcs.pop(i, None)
+        if arcs is None:
+            del self._extras[i]
+        else:
+            _ett_cut(*arcs)
+            for j in self._extras:
+                a, b = self._ends(j)
+                if not _same_tree(a, b):
+                    del self._extras[j]
+                    self._link(j, a, b)
+                    break
+        if self._debug:
+            self._check_invariants()
+
+    def is_independent(self) -> bool:
+        return not self._extras
+
+    def _check_invariants(self) -> None:
+        """Assert the forest invariants (MATROID_MCMC_DEBUG_ASSERTS=1); O(faces
+        + |S|), run after each mutation.
+
+        The tree arcs are exactly the non-extra elements of S, each in the
+        tree of its two faces; each extra's two faces lie in one tree; the
+        trees number faces - arcs; every splay node's aggregates match.
+        """
+        arcs, extras, faces = self._arcs, self._extras, self._faces
+        assert arcs.keys() | extras.keys() == self.current \
+            and not arcs.keys() & extras.keys()
+        roots = {id(r): r for r in map(_root, faces)}
+        assert len(roots) == len(faces) - len(arcs), (len(roots), len(faces), len(arcs))
+        assert sum(map(_check_subtree, roots.values())) == len(faces) + 2 * len(arcs)
+        for i, (p, q) in arcs.items():
+            a, b = self._ends(i)
+            assert p.edge == q.edge == i and _root(p) is _root(q) is _root(a) is _root(b), i
+        for j in extras:
+            a, b = self._ends(j)
+            assert _root(a) is _root(b), j
+
+
 class BinaryLinearOracle(_BaseOracle):
     """Columns over GF(2); rank recomputed by bitmask elimination per query."""
 
@@ -464,7 +549,13 @@ def greedy_basis(oracle, n: int) -> list[int]:
 
 def build_oracle(spec: MatroidSpec, kind: str = "independence",
                  dyncon_backend: str = "auto"):
-    """Oracle with current = empty set; kind is "independence" or "rank"."""
+    """Oracle with current = empty set; kind is "independence" or "rank".
+
+    dyncon_backend "hdt" or "naive" pins a graph oracle's connectivity
+    backend.  "auto" picks naive up to dyncon's size threshold and HDT above
+    it, except that a cographic spec above it whose graph is planar gets the
+    dual-forest oracle, PlanarCographicOracle.
+    """
     if kind not in ("independence", "rank"):
         raise ValidationError(f"oracle kind must be 'independence' or 'rank', got {kind!r}")
     if kind == "rank" and not spec.rank_capable:
@@ -473,6 +564,10 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
     if spec.variant == "graphic":
         return GraphicOracle(spec, dyncon_backend)
     if spec.variant == "cographic":
+        if dyncon_backend == "auto" and spec.vertices > _AUTO_NAIVE_MAX_VERTICES:
+            dual = planar.dual_graph(spec.vertices, spec.edges)
+            if dual is not None:
+                return PlanarCographicOracle(spec, dual)
         return CographicOracle(spec, dyncon_backend)
     return {"explicit": ExplicitOracle, "uniform": UniformOracle, "partition": PartitionOracle,
             "binary-linear": BinaryLinearOracle}[spec.variant](spec)

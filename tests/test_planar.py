@@ -1,0 +1,332 @@
+"""Plane embeddings and the dual-forest cographic oracle."""
+
+import random
+
+import numpy as np
+import pytest
+
+from matroid_mcmc import (ContractError, UnsupportedOperationError, ValidationError,
+                          build_oracle, matroid_from_dict)
+from matroid_mcmc import planar
+from matroid_mcmc.bench import build_family
+from matroid_mcmc.exact import BruteMatroid
+from matroid_mcmc.matroids import CographicOracle, PlanarCographicOracle
+
+from conftest import K4_EDGES, LOOP_PARALLEL_EDGES, TRIANGLE_EDGES
+
+
+# ---------------------------------------------------------------------------
+# graphs
+
+
+def grid_with_diagonals(k, seed):
+    """A k x k grid; each square gets one random diagonal, or none."""
+    rnd = random.Random(seed)
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            v = r * k + c
+            if c + 1 < k:
+                edges.append((v, v + 1))
+            if r + 1 < k:
+                edges.append((v, v + k))
+            if c + 1 < k and r + 1 < k:
+                pick = rnd.randrange(3)
+                if pick == 1:
+                    edges.append((v, v + k + 1))
+                elif pick == 2:
+                    edges.append((v + 1, v + k))
+    return k * k, edges
+
+
+def wheel(k):
+    """A hub (vertex k) joined to every vertex of the cycle 0..k-1."""
+    return k + 1, [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)]
+
+
+def path(n):
+    return n, [(i, i + 1) for i in range(n - 1)]
+
+
+def shuffled(graph, seed):
+    """The same graph with its vertices relabelled, its edges reordered and
+    each edge's endpoints in random order."""
+    n, edges = graph
+    rnd = random.Random(seed)
+    label = list(range(n))
+    rnd.shuffle(label)
+    out = [(label[u], label[v]) if rnd.random() < 0.5 else (label[v], label[u])
+           for u, v in edges]
+    rnd.shuffle(out)
+    return n, out
+
+
+def with_parallel(graph, seed, copies=8):
+    n, edges = graph
+    rnd = random.Random(seed)
+    extra = [rnd.choice(edges) for _ in range(copies)]
+    return n, edges + extra + extra[:2]  # some pairs get three copies
+
+
+def with_loops(graph, seed, loops=5):
+    n, edges = graph
+    rnd = random.Random(seed)
+    v = rnd.randrange(n)
+    return n, edges + [(v, v)] + [(x, x) for x in rnd.sample(range(n), loops - 1)]
+
+
+def with_bridge(graph):
+    """A pendant vertex on a bridge, with a loop on the far side."""
+    n, edges = graph
+    return n + 1, edges + [(0, n), (n, n)]
+
+
+def padded(graph, vertices=40):
+    """The graph with a path hung off vertex 0 so it has `vertices` vertices."""
+    n, edges = graph
+    return max(n, vertices), edges + [(0 if i == n else i - 1, i) for i in range(n, vertices)]
+
+
+def complete(k):
+    return k, [(u, v) for u in range(k) for v in range(u + 1, k)]
+
+
+def k33():
+    return 6, [(u, v) for u in range(3) for v in range(3, 6)]
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return 10, outer + spokes + inner
+
+
+PLANAR = {
+    "grid-diagonals": grid_with_diagonals(9, seed=3),
+    "wheel": wheel(11),
+    "shuffled-grid": shuffled(grid_with_diagonals(7, seed=5), seed=1),
+    "shuffled-wheel": shuffled(wheel(6), seed=2),
+    "triangle": (3, list(TRIANGLE_EDGES)),
+    "k4": (4, list(K4_EDGES)),
+    "loop-parallel": (4, list(LOOP_PARALLEL_EDGES)),
+}
+MULTI = {
+    f"{name}-{kind}": make(graph)
+    for name, graph in PLANAR.items() if name not in ("triangle", "loop-parallel")
+    for kind, make in (("parallel", lambda g: with_parallel(g, seed=7)),
+                       ("loops", lambda g: with_loops(g, seed=8)),
+                       ("bridge", with_bridge),
+                       ("all", lambda g: with_bridge(with_loops(with_parallel(g, 9), 9))))
+}
+NONPLANAR = {
+    "k5": complete(5),
+    "k33": k33(),
+    "petersen": petersen(),
+    # a subdivided K3,3; labelled so, the LR test rejects it at a conflict
+    # pair whose left and right intervals both conflict with the new edge
+    "k33-subdivided": (7, [(0, 2), (0, 3), (1, 4), (1, 5), (5, 6), (5, 2), (3, 1),
+                           (4, 6), (3, 6), (2, 4)]),
+    "random-regular-300": (lambda inst: (inst.vertices, inst.edges))(
+        build_family("random-regular", 300)),
+}
+
+
+def _connected_without(n, edges, removed):
+    adj = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        if i not in removed:
+            adj[u].append(v)
+            adj[v].append(u)
+    seen = {0}
+    todo = [0]
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return len(seen) == n
+
+
+def _dual_is_forest(faces, face, elements):
+    parent = list(range(faces))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in elements:
+        a, b = find(face[2 * i]), find(face[2 * i + 1])
+        if a == b:
+            return False
+        parent[a] = b
+    return True
+
+
+# ---------------------------------------------------------------------------
+# the embedder
+
+
+@pytest.mark.parametrize("name", list(PLANAR) + list(MULTI))
+def test_planar_graphs_embed_with_euler_face_count(name):
+    n, edges = PLANAR.get(name) or MULTI[name]
+    faces, face = planar.dual_graph(n, edges)
+    assert faces == len(edges) - n + 2
+    assert sorted(set(face)) == list(range(faces))
+    # Whitney: removing S keeps G connected iff S's dual edges form a forest
+    rnd = random.Random(name)
+    for _ in range(60):
+        removed = set(rnd.sample(range(len(edges)), rnd.randint(0, len(edges) - n + 2)))
+        assert _dual_is_forest(faces, face, removed) == _connected_without(n, edges, removed)
+
+
+def test_disconnected_graph_is_rejected():
+    with pytest.raises(ValidationError, match="connected"):
+        planar.dual_graph(4, [(0, 1), (2, 3)])
+
+
+def test_long_path_needs_no_recursion():
+    n, edges = path(20_000)
+    faces, face = planar.dual_graph(n, edges)
+    assert faces == 1 and set(face) == {0}
+    n, edges = shuffled(path(12_000), seed=4)
+    assert planar.dual_graph(n, edges)[0] == 1
+
+
+@pytest.mark.parametrize("name", NONPLANAR)
+def test_nonplanar_graphs_return_none(name):
+    n, edges = NONPLANAR[name]
+    assert planar.dual_graph(n, edges) is None
+    assert planar.dual_graph(*shuffled((n, edges), seed=3)) is None
+    assert planar.dual_graph(*with_bridge(with_loops(with_parallel((n, edges), 2), 2))) is None
+
+
+@pytest.mark.parametrize("name", NONPLANAR)
+def test_nonplanar_graphs_keep_hdt(name):
+    n, edges = padded(NONPLANAR[name])
+    assert n > 32
+    spec = matroid_from_dict({"variant": "cographic", "edges": [list(e) for e in edges]})
+    oracle = build_oracle(spec)
+    assert type(oracle) is CographicOracle
+    assert oracle._g.name == "hdt"
+
+
+def test_oracle_choice_by_size_and_backend():
+    """auto picks the dual forest only above dyncon's naive threshold; a
+    pinned backend always keeps the connectivity oracle."""
+    small = matroid_from_dict({"variant": "cographic",
+                               "edges": [list(e) for e in wheel(31)[1]]})
+    large = matroid_from_dict({"variant": "cographic",
+                               "edges": [list(e) for e in wheel(32)[1]]})
+    assert (small.vertices, large.vertices) == (32, 33)
+    assert build_oracle(small)._g.name == "naive"
+    assert type(build_oracle(large)) is PlanarCographicOracle
+    for backend in ("hdt", "naive"):
+        assert build_oracle(large, dyncon_backend=backend)._g.name == backend
+
+
+def test_euler_mismatch_raises(monkeypatch):
+    """A rotation system that is not a plane embedding is never used."""
+    embed = planar._embed
+
+    def swap_two(*args):
+        cw = embed(*args)
+        a = cw[0]
+        b = cw[a]
+        cw[0], cw[a], cw[b] = b, cw[b], a  # swap a and b around their vertex
+        return cw
+
+    monkeypatch.setattr(planar, "_embed", swap_two)
+    with pytest.raises(ContractError, match="Euler"):
+        planar.dual_graph(*wheel(6))
+
+
+# ---------------------------------------------------------------------------
+# the dual-forest oracle
+
+
+ORACLE_GRAPHS = ["k4", "loop-parallel", "grid-diagonals", "wheel-all", "shuffled-grid-all"]
+
+
+def _dual_oracle(graph):
+    n, edges = graph
+    spec = matroid_from_dict({"variant": "cographic", "edges": [list(e) for e in edges]})
+    return spec, PlanarCographicOracle(spec, planar.dual_graph(spec.vertices, spec.edges))
+
+
+@pytest.mark.parametrize("name", ORACLE_GRAPHS)
+def test_dual_oracle_matches_brute_force(name, monkeypatch):
+    """A walk that grows the set while it is independent and mostly shrinks
+    it otherwise, so it keeps crossing the boundary with a few extras."""
+    monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
+    spec, oracle = _dual_oracle(PLANAR.get(name) or MULTI[name])
+    assert oracle._debug
+    ref = BruteMatroid(spec)
+    rng = np.random.default_rng(31)
+    cur = 0
+    most_extras = 0
+    for step in range(3000):
+        grow = rng.random() < (0.7 if oracle.is_independent() else 0.35)
+        pool = [j for j in range(spec.n) if (cur >> j & 1) != grow]
+        if not pool:
+            continue
+        i = pool[int(rng.integers(len(pool)))]
+        if grow:
+            oracle.insert(i)
+        else:
+            oracle.delete(i)
+        cur ^= 1 << i
+        assert oracle.is_independent() == ref.is_independent(cur), (name, step)
+        most_extras = max(most_extras, len(oracle._extras))
+    assert most_extras >= 2
+
+
+def test_dual_oracle_is_independence_only():
+    _, oracle = _dual_oracle(PLANAR["wheel"])
+    oracle.insert(0)
+    with pytest.raises(UnsupportedOperationError):
+        oracle.rank()
+    with pytest.raises(UnsupportedOperationError):
+        oracle.rank_drops_on_delete(0)
+    with pytest.raises(ContractError):
+        oracle.insert(0)
+    with pytest.raises(ContractError):
+        oracle.delete(1)
+
+
+def _corrupt_an_arc(oracle):
+    """Move a linked element to the extras without cutting its arcs."""
+    for i in (0, 1, 2):
+        oracle.insert(i)
+    assert oracle.is_independent()
+    oracle._extras[1] = None
+    del oracle._arcs[1]
+
+
+def test_forest_invariant_checker_catches_corruption(monkeypatch):
+    monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
+    _, oracle = _dual_oracle(PLANAR["wheel"])
+    _corrupt_an_arc(oracle)
+    with pytest.raises(AssertionError):
+        oracle.insert(5)
+
+    # the flag is read at construction: with it off, the same damage goes unseen
+    monkeypatch.delenv("MATROID_MCMC_DEBUG_ASSERTS")
+    _, oracle = _dual_oracle(PLANAR["wheel"])
+    _corrupt_an_arc(oracle)
+    oracle.insert(5)
+    with pytest.raises(AssertionError):
+        oracle._check_invariants()
+
+
+def test_forest_invariant_checker_catches_a_stray_extra(monkeypatch):
+    """An extra whose faces lie in two trees should have been linked."""
+    monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
+    _, oracle = _dual_oracle(PLANAR["wheel"])
+    oracle.insert(0)
+    oracle.current.add(3)
+    oracle._extras[3] = None
+    with pytest.raises(AssertionError):
+        oracle.insert(6)
