@@ -12,17 +12,19 @@ on the underlying simple graph: a DFS orientation with lowpoints and
 nesting depths, a test phase over conflict pairs of return-edge intervals,
 and an embedding phase that fixes each back edge's side and builds a
 rotation system.  All three DFS passes are iterative, so path-like graphs
-of any length fit.  Each parallel copy of an edge is then spliced in next
-to its representative (clockwise after it at one end, counter-clockwise
-before its twin at the other), and each self-loop becomes two adjacent
-half-edges.  Tracing the faces of the rotation system gives the duals.
-Apart from one sort of the edges by nesting depth per phase, everything is
-O(n + m).
+of any length fit.  Tracing the faces of the simple rotation gives the
+duals of the simple edges.  The rest follow from two rules of matroid
+duality (Oxley, Matroid Theory, 2nd ed., 2011, sections 2.3 and 5.1): a
+parallel class of G is a series class of G*, so each later copy of an edge
+splits its class's dual edge with a new (digon) face; and a self-loop is a
+coloop, a pendant dual edge to a new face.  Apart from one sort of the
+edges by nesting depth per phase, everything is O(n + m).
 
-Euler check: a connected plane multigraph with n vertices and m edges has
-m - n + 2 faces.  Every build compares the traced face count with that and
-raises ContractError on a mismatch, since a graph the test accepted must
-embed.
+Euler check: a connected plane graph with n vertices and ms simple edges
+has ms - n + 2 faces.  Every build compares the traced face count with
+that and raises ContractError on a mismatch, since a graph the test
+accepted must embed.  Each copy and each loop then adds one face, so the
+multigraph's m edges give m - n + 2.
 """
 from __future__ import annotations
 
@@ -38,11 +40,9 @@ def dual_graph(vertices: int, edges) -> tuple[int, list[int]] | None:
     """
     n = vertices
     m = len(edges)
-    # the underlying simple graph: simple edge s joins su[s] and sv[s]; the
-    # first element on a pair represents it, later ones are parallel copies
+    # the underlying simple graph: simple edge s joins su[s] and sv[s]
     su: list[int] = []
     sv: list[int] = []
-    rep: list[int] = []
     simple_of = [-1] * m
     ids: dict[int, int] = {}
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -55,7 +55,6 @@ def dual_graph(vertices: int, edges) -> tuple[int, list[int]] | None:
             s = ids[key] = len(su)
             su.append(u)
             sv.append(v)
-            rep.append(i)
             adj[u].append(s)
             adj[v].append(s)
         simple_of[i] = s
@@ -70,7 +69,7 @@ def dual_graph(vertices: int, edges) -> tuple[int, list[int]] | None:
         return None
     cw = _embed(n, _sorted_out(n, tail, [d * c for d, c in zip(nest, side)]),
                 head, parent, side)
-    return _trace_duals(n, edges, simple_of, rep, tail, cw)
+    return _trace_duals(n, edges, simple_of, tail, head, cw)
 
 
 def _orient(n, adj, su, sv):
@@ -360,68 +359,55 @@ def _insert_after(cw, ccw, r, h):
     ccw[q] = h
 
 
-def _trace_duals(n, edges, simple_of, rep, tail, cw):
-    """Splice parallel copies and self-loops into the simple rotation, trace
-    the faces, and check Euler's formula.
+def _trace_duals(n, edges, simple_of, tail, head, cw):
+    """Trace the faces of the simple rotation, check Euler's formula on the
+    simple graph, then give each element its dual edge.
 
-    Element i has half-edges 2i at edges[i][0] and 2i + 1 at edges[i][1];
-    nxt/prv are their clockwise and counter-clockwise successors around
-    their vertex.  The face after half-edge h (from x to y) starts at y,
-    just counter-clockwise of h's twin.
+    Simple half-edge 2s sits at tail[s] and 2s + 1 at head[s]; the face
+    after half-edge h (from x to y) starts at y, just counter-clockwise of
+    h's twin.  The first element on a vertex pair takes the pair's two
+    faces; each later copy splits the class's last dual edge with a new
+    face (a series class in G*), and each self-loop hangs a new face off a
+    face at its vertex (a coloop).
     """
-    m = len(edges)
-    nxt = [0] * (2 * m)
-    prv = [0] * (2 * m)
-    # simple half-edge 2s / 2s + 1 is one of its representative's two
-    hmap = [0] * (2 * len(rep))
-    for s, r in enumerate(rep):
-        f = edges[r][0] != tail[s]
-        hmap[2 * s] = 2 * r + f
-        hmap[2 * s + 1] = 2 * r + 1 - f
+    ms = len(tail)
+    ccw = [0] * (2 * ms)
     for h, g in enumerate(cw):
-        a = hmap[h]
-        b = hmap[g]
-        nxt[a] = b
-        prv[b] = a
-    anchor = None
+        ccw[g] = h
+    sface = [-1] * (2 * ms)
+    faces = 0
+    for h in range(2 * ms):
+        if sface[h] < 0:
+            g = h
+            while sface[g] < 0:
+                sface[g] = faces
+                g = ccw[g ^ 1]
+            faces += 1
+    faces = faces or 1  # no simple edge: one vertex in one face
+    if faces != ms - n + 2:
+        raise ContractError(
+            f"the embedding traced {faces} faces, Euler's formula wants {ms - n + 2}")
+    at = [0] * n  # a face at each vertex, for its self-loops
+    for s, (t, w) in enumerate(zip(tail, head)):
+        at[t] = sface[2 * s]
+        at[w] = sface[2 * s + 1]
+    face = [0] * (2 * len(edges))
+    last = [-1] * ms  # the element holding each class's last dual edge
     for i, (u, _) in enumerate(edges):
         s = simple_of[i]
-        if s >= 0:
-            r = rep[s]
-            if r == i:
-                continue
-            # a copy: clockwise after the representative at u, and
-            # counter-clockwise before its twin at v (a digon face between)
-            a = 2 * r + (edges[r][0] != u)
-            _insert_after(nxt, prv, a, 2 * i)
-            _insert_after(nxt, prv, prv[a ^ 1], 2 * i + 1)
-            continue
-        # a self-loop: two adjacent half-edges, the inner one a face alone
-        if anchor is None:
-            anchor = [-1] * n
-            for r in rep:
-                anchor[edges[r][0]] = 2 * r
-                anchor[edges[r][1]] = 2 * r + 1
-        a = anchor[u]
-        h = 2 * i
-        if a < 0:
-            nxt[h] = prv[h] = h + 1
-            nxt[h + 1] = prv[h + 1] = h
-            anchor[u] = h
-            continue
-        _insert_after(nxt, prv, a, h)
-        _insert_after(nxt, prv, h, h + 1)
-
-    face = [-1] * (2 * m)
-    faces = 0
-    for h in range(2 * m):
-        if face[h] < 0:
-            g = h
-            while face[g] < 0:
-                face[g] = faces
-                g = prv[g ^ 1]
+        if s < 0:
+            face[2 * i] = at[u]
+            face[2 * i + 1] = faces
             faces += 1
-    if faces != m - n + 2:
-        raise ContractError(
-            f"the embedding traced {faces} faces, Euler's formula wants {m - n + 2}")
+            continue
+        j = last[s]
+        if j < 0:
+            f = u != tail[s]
+            face[2 * i] = sface[2 * s + f]
+            face[2 * i + 1] = sface[2 * s + 1 - f]
+        else:
+            face[2 * i + 1] = face[2 * j + 1]
+            face[2 * i] = face[2 * j + 1] = faces
+            faces += 1
+        last[s] = i
     return faces, face

@@ -216,37 +216,21 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
                               "than a float can count") from None
     sampler_eps = eps / (8.0 * m0)
 
-    # current graph: union-find over original vertices + remaining edge list
-    parent = list(range(inst.vertices))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    remaining = [(i, u, v, inst.p[i]) for i, (u, v) in enumerate(inst.edges)]
+    # label[x] is the vertex of the current graph that holds vertex x; the
+    # labels are dense, and level k's graph is inst.edges[k:] under them
+    label = list(range(inst.vertices))
     log_z = 0.0
     trace: list[dict] = []
     used = 0
     level = 0
-    while remaining:
-        orig, u, v, pe = remaining[0]
-        ru, rv = find(u), find(v)
-        if ru == rv:
+    for k, ((u, v), pe) in enumerate(zip(inst.edges, inst.p)):
+        a, b = sorted((label[u], label[v]))
+        if a == b:
             # contracted into a self-loop: its failure never matters
-            trace.append({"edge": orig, "branch": "loop", "marginal": None})
-            remaining.pop(0)
+            trace.append({"edge": k, "branch": "loop", "marginal": None})
             continue
-        # relabel the current graph densely and sample its failure law
-        roots = sorted({find(x) for x in range(inst.vertices)})
-        label = {r: i for i, r in enumerate(roots)}
-        lvl_edges = []
-        lvl_p = []
-        for _, eu, ev, ep in remaining:
-            lvl_edges.append((label[find(eu)], label[find(ev)]))
-            lvl_p.append(ep)
-        lvl_inst = NetworkInstance(len(roots), lvl_edges, lvl_p)
+        lvl_inst = NetworkInstance(max(label) + 1,
+                                   [(label[x], label[y]) for x, y in inst.edges[k:]], inst.p[k:])
         lvl_cfg = ChainConfig(epsilon=sampler_eps, seed=derive_seed(seed, level))
         samples, _ = sample_independent_sets(
             cographic_spec(lvl_inst), failure_fields(lvl_inst), lvl_cfg, n_samples)
@@ -255,12 +239,12 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
         q_hat = sum(1 for s in samples if s and s[0] == 0) / n_samples
         if q_hat >= 0.5:
             log_z += math.log(pe / q_hat)
-            trace.append({"edge": orig, "branch": "delete", "marginal": q_hat})
+            trace.append({"edge": k, "branch": "delete", "marginal": q_hat})
         else:
             log_z += math.log1p(-pe) - math.log1p(-q_hat)
-            trace.append({"edge": orig, "branch": "contract", "marginal": q_hat})
-            parent[find(u)] = find(v)
-        remaining.pop(0)
+            trace.append({"edge": k, "branch": "contract", "marginal": q_hat})
+            # merge b into a and close the gap b leaves
+            label = [a if x == b else x - (x > b) for x in label]
         level += 1
     log_z = min(log_z, 0.0)
     return ReliabilityEstimate(math.exp(log_z), log_z, eps, 1.0 - delta, used, trace)

@@ -119,6 +119,10 @@ MULTI = {
                        ("bridge", with_bridge),
                        ("all", lambda g: with_bridge(with_loops(with_parallel(g, 9), 9))))
 }
+MULTI.update({
+    "loops-only": (1, [(0, 0), (0, 0)]),  # no simple edge at all
+    "three-copies": (2, [(0, 1), (1, 0), (0, 1)]),  # the dual is a triangle
+})
 NONPLANAR = {
     "k5": complete(5),
     "k33": k33(),
@@ -178,7 +182,8 @@ def test_planar_graphs_embed_with_euler_face_count(name):
     # Whitney: removing S keeps G connected iff S's dual edges form a forest
     rnd = random.Random(name)
     for _ in range(60):
-        removed = set(rnd.sample(range(len(edges)), rnd.randint(0, len(edges) - n + 2)))
+        size = rnd.randint(0, min(len(edges), len(edges) - n + 2))
+        removed = set(rnd.sample(range(len(edges)), size))
         assert _dual_is_forest(faces, face, removed) == _connected_without(n, edges, removed)
 
 

@@ -234,6 +234,25 @@ def test_bridges_always_contract():
     assert est.log_z_hat == pytest.approx(math.log(want), abs=1e-12)
 
 
+@pytest.mark.parametrize("inst, branches, pinned", [
+    # contract, then the second copy is a loop
+    (NetworkInstance(2, [(0, 1), (0, 1)], [0.01, 0.5]), ["contract", "loop"],
+     {1: (185, -0.010050335853501442), 2: (185, -0.010050335853501442)}),
+    # three contractions that each merge a higher label into a lower one
+    # (3 into 2, then 2 into 0, then 1 into 0), then four loops
+    (NetworkInstance(4, [(2, 3), (0, 3), (1, 2), (0, 1), (1, 3), (0, 2), (3, 3)], 0.3),
+     ["contract"] * 3 + ["loop"] * 4,
+     {1: (2595, -0.0920119640599164), 2: (2595, -0.07060937835571496)}),
+])
+def test_estimate_pinned_through_contractions(inst, branches, pinned):
+    """The estimator's exact output on minors built by contraction, and its
+    accuracy there."""
+    for seed, (used, log_z) in pinned.items():
+        est = rel_estimate(inst, 0.2, 0.1, seed, c0=1.0)
+        assert [t["branch"] for t in est.trace] == branches
+        assert (est.samples_used, est.log_z_hat) == (used, log_z)
+        assert abs(est.log_z_hat - log_rel_exact(inst)) <= math.log(1.2)
+
 def test_telescoping_identity_with_exact_marginals():
     """Replace sampled marginals by exact ones: the product telescopes to Z."""
     for inst in (TRI, K4, NetworkInstance(3, list(TRIANGLE_EDGES), [0.75, 0.25, 0.25])):
