@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import vectorized
 from .config import ChainConfig, debug_asserts_enabled
 from .errors import SizeLimitError, ValidationError
 from .matroids import Fields, MatroidSpec, edges_connected, matroid_from_dict
 from .rng import derive_seed
-from .sampling import sample_independent_sets
+from .sampling import execution_path, sample_independent_sets
 
 REL_EXACT_MAX_EDGES = 24
 DEFAULT_C0 = 8.0
@@ -61,6 +64,7 @@ class ReliabilityEstimate:
     rel_err_target: float
     confidence: float
     samples_used: int
+    chain_steps: int  # chain steps run over all levels
     trace: list[dict] = field(default_factory=list)
 
     def as_json_dict(self) -> dict:
@@ -70,6 +74,7 @@ class ReliabilityEstimate:
             "eps": self.rel_err_target,
             "delta": 1.0 - self.confidence,
             "samples_used": self.samples_used,
+            "chain_steps": self.chain_steps,
             "trace": self.trace,
         }
 
@@ -208,7 +213,7 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
         raise ValidationError("graph must be connected")
     m0 = inst.m
     if m0 == 0:
-        return ReliabilityEstimate(1.0, 0.0, eps, 1.0 - delta, 0, [])
+        return ReliabilityEstimate(1.0, 0.0, eps, 1.0 - delta, 0, 0, [])
     try:
         n_samples = math.ceil(c0 * m0 * math.log(2 * m0 / delta) / (eps * eps))
     except (OverflowError, ZeroDivisionError):
@@ -216,30 +221,46 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
                               "than a float can count") from None
     sampler_eps = eps / (8.0 * m0)
 
+    debug = debug_asserts_enabled()
     # label[x] is the vertex of the current graph that holds vertex x; the
     # labels are dense, and level k's graph is inst.edges[k:] under them
     label = list(range(inst.vertices))
+    base = None  # the tables of level k0, the first level on the lockstep path
+    k0 = deleted = 0  # deleted: bit k - k0 for each edge k deleted since k0
     log_z = 0.0
     trace: list[dict] = []
-    used = 0
-    level = 0
+    used = steps = level = 0
     for k, ((u, v), pe) in enumerate(zip(inst.edges, inst.p)):
         a, b = sorted((label[u], label[v]))
         if a == b:
             # contracted into a self-loop: its failure never matters
             trace.append({"edge": k, "branch": "loop", "marginal": None})
             continue
-        lvl_inst = NetworkInstance(max(label) + 1,
-                                   [(label[x], label[y]) for x, y in inst.edges[k:]], inst.p[k:])
         lvl_cfg = ChainConfig(epsilon=sampler_eps, seed=derive_seed(seed, level))
-        samples, _ = sample_independent_sets(
-            cographic_spec(lvl_inst), failure_fields(lvl_inst), lvl_cfg, n_samples)
+        if base is None and execution_path(m0 - k) == "vectorized":
+            k0, base = k, _level_tables(inst, label, k)
+        # the edge under study is element 0 of the level's ground set
+        if base is None:
+            lvl_inst = _level_instance(inst, label, k)
+            samples, stats = sample_independent_sets(
+                cographic_spec(lvl_inst), failure_fields(lvl_inst), lvl_cfg, n_samples)
+            failed = sum(1 for s in samples if s and s[0] == 0)
+        else:
+            # M*(G / C \ D) = M*(G) \ C / D, and D is independent in M*(G)
+            # because a bridge is never deleted
+            tb = base.minor(k - k0, deleted)
+            if debug:
+                _check_minor(tb, _level_tables(inst, label, k), k)
+            masks, stats = vectorized.run_polarized_tables(tb, lvl_cfg, n_samples)
+            failed = int(np.count_nonzero(masks & 1))
         used += n_samples
-        # the edge under study sits at position 0 of the level's edge list
-        q_hat = sum(1 for s in samples if s and s[0] == 0) / n_samples
+        steps += stats.steps
+        q_hat = failed / n_samples
         if q_hat >= 0.5:
             log_z += math.log(pe / q_hat)
             trace.append({"edge": k, "branch": "delete", "marginal": q_hat})
+            if base is not None:
+                deleted |= 1 << (k - k0)
         else:
             log_z += math.log1p(-pe) - math.log1p(-q_hat)
             trace.append({"edge": k, "branch": "contract", "marginal": q_hat})
@@ -247,4 +268,22 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
             label = [a if x == b else x - (x > b) for x in label]
         level += 1
     log_z = min(log_z, 0.0)
-    return ReliabilityEstimate(math.exp(log_z), log_z, eps, 1.0 - delta, used, trace)
+    return ReliabilityEstimate(math.exp(log_z), log_z, eps, 1.0 - delta, used, steps, trace)
+
+
+def _level_instance(inst: NetworkInstance, label: list[int], k: int) -> NetworkInstance:
+    """Level k's graph: inst.edges[k:] under the vertex labels."""
+    return NetworkInstance(max(label) + 1, [(label[x], label[y]) for x, y in inst.edges[k:]],
+                           inst.p[k:])
+
+
+def _level_tables(inst: NetworkInstance, label: list[int], k: int) -> vectorized.SmallTables:
+    lvl_inst = _level_instance(inst, label, k)
+    return vectorized.SmallTables(cographic_spec(lvl_inst), failure_fields(lvl_inst),
+                                  "polarized")
+
+
+def _check_minor(tb: vectorized.SmallTables, fresh: vectorized.SmallTables, k: int) -> None:
+    for name in ("indep", "popcnt", "weight"):
+        assert np.array_equal(getattr(tb, name), getattr(fresh, name)), \
+            f"level {k}: the derived {name} table differs from the level's own"

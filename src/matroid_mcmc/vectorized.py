@@ -63,6 +63,25 @@ class SmallTables:
             self.rank[gray] = np.fromiter(_gray_walk(spec, "rank"),
                                           dtype=np.int64, count=size)
 
+    def minor(self, shift: int, contract: int) -> "SmallTables":
+        """Independence tables of the minor that contracts the elements in
+        mask `contract` and deletes the other elements below `shift`.
+
+        `contract` must be an independent subset of [0, shift).  Element i
+        of the minor is element i + shift here, and a set S of the minor is
+        independent iff (S << shift) | contract is.  So the tables are a
+        gather, a prefix of popcnt and a suffix of weight: no oracle call.
+        """
+        tb = object.__new__(type(self))
+        tb.n = self.n - shift
+        tb.popcnt = self.popcnt[:1 << tb.n]
+        tb.weight = self.weight[shift:]
+        idx = np.arange(1 << tb.n, dtype=np.int64)
+        idx <<= shift
+        idx |= contract
+        tb.indep = self.indep[idx]
+        return tb
+
 
 def _gray_walk(spec: MatroidSpec, kind: str):
     """One oracle's answers on all 2^n masks; answer k is on mask k ^ (k >> 1).
@@ -246,7 +265,14 @@ def _check_start(mask: int, n: int) -> int:
 def run_polarized_batch(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
                         count: int, initial_mask: int = 0):
     """Advance `count` down-up chains in lockstep; returns (masks, stats)."""
-    tb = SmallTables(spec, fields, need="polarized")
+    return run_polarized_tables(SmallTables(spec, fields, need="polarized"), cfg, count,
+                                initial_mask)
+
+
+def run_polarized_tables(tb: SmallTables, cfg: ChainConfig, count: int,
+                         initial_mask: int = 0):
+    """run_polarized_batch on independence tables already built (or derived
+    by SmallTables.minor); returns (masks, stats)."""
     initial_mask = _check_start(initial_mask, tb.n)
     if not tb.indep[initial_mask]:
         raise ValidationError("initial state must be independent")

@@ -8,6 +8,7 @@ import pytest
 from matroid_mcmc import (
     ChainConfig,
     NetworkInstance,
+    StepStats,
     ValidationError,
     cographic_spec,
     exact_mu,
@@ -20,8 +21,10 @@ from matroid_mcmc import (
     rel_sample,
     tv_distance,
 )
+from matroid_mcmc import reliability, vectorized
 from matroid_mcmc.exact import empirical_distribution
 from matroid_mcmc.sampling import sample_independent_sets
+from matroid_mcmc.vectorized import SmallTables
 
 from conftest import K4_EDGES, TRIANGLE_EDGES, masks_of
 
@@ -284,3 +287,176 @@ def test_telescoping_identity_with_exact_marginals():
             cur = NetworkInstance(cur.vertices, [cur.edges[i] for i in keep],
                                   [cur.p[i] for i in keep])
         assert z == pytest.approx(rel_exact(inst), abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# one table per estimate: every level's tables derived from the first
+
+
+class _ForcedBranches:
+    """Stands in for both samplers of rel_estimate.
+
+    It forces each sampled level's branch (delete when choose(i) says so and
+    the edge is no bridge, else contract) and checks the tables handed to the
+    lockstep runner against a fresh SmallTables of the level's minor, which it
+    builds by its own deletions and contractions.
+    """
+
+    def __init__(self, inst, choose):
+        self.m = inst.m
+        self.cur = inst
+        self.pos = 0  # self.cur is the graph of level self.pos
+        self.choose = choose
+        self.made = []  # (level, deletable, deleted) per sampled level
+        self.tables_checked = 0
+
+    def _advance(self, k):
+        while self.pos < k:  # the estimator skipped these levels: loops
+            (u, v), cur = self.cur.edges[0], self.cur
+            assert u == v, f"level {self.pos} was skipped but is no loop"
+            self.cur = NetworkInstance(cur.vertices, cur.edges[1:], cur.p[1:])
+            self.pos += 1
+
+    def _decide(self, k):
+        cur = self.cur
+        deletable = cur.is_connected(1)
+        delete = deletable and self.choose(len(self.made))
+        self.made.append((k, deletable, delete))
+        if delete:
+            self.cur = NetworkInstance(cur.vertices, cur.edges[1:], cur.p[1:])
+        else:
+            u, v = cur.edges[0]
+
+            def squash(w):
+                w = u if w == v else w
+                return w - (w > v)
+
+            self.cur = NetworkInstance(cur.vertices - 1,
+                                       [(squash(a), squash(b)) for a, b in cur.edges[1:]],
+                                       cur.p[1:])
+        self.pos = k + 1
+        return delete
+
+    def lockstep(self, tb, cfg, count, initial_mask=0):
+        k = self.m - tb.n
+        self._advance(k)
+        fresh = SmallTables(cographic_spec(self.cur), failure_fields(self.cur), "polarized")
+        for name in ("indep", "popcnt", "weight"):
+            assert np.array_equal(getattr(tb, name), getattr(fresh, name)), (k, name)
+        self.tables_checked += 1
+        delete = self._decide(k)
+        return (np.full(count, int(delete), dtype=np.int64),
+                StepStats(steps=count * cfg.steps(tb.n)))
+
+    def sequential(self, spec, fields, cfg, count):
+        k = self.m - spec.n
+        self._advance(k)
+        delete = self._decide(k)
+        return [[0] if delete else [] for _ in range(count)], StepStats(
+            steps=count * cfg.steps(spec.n))
+
+
+# the 3x4 grid (17 edges) with a second copy of edge (0, 4) in front: levels
+# 0 and 1 run sequential chains, level 2 is the first on the lockstep path
+GRID_18 = NetworkInstance(
+    12, [(0, 4)] + [(r * 4 + c, r * 4 + c + 1) for r in range(3) for c in range(3)]
+    + [(r * 4 + c, r * 4 + c + 4) for r in range(2) for c in range(4)], 0.4)
+
+
+def _forced_estimate(monkeypatch, inst, choose):
+    forced = _ForcedBranches(inst, choose)
+    monkeypatch.setattr(vectorized, "run_polarized_tables", forced.lockstep)
+    monkeypatch.setattr(reliability, "sample_independent_sets", forced.sequential)
+    est = rel_estimate(inst, 0.5, 0.5, seed=0, c0=0.01)
+    sampled = [t["branch"] for t in est.trace if t["branch"] != "loop"]
+    assert sampled == ["delete" if d else "contract" for _, _, d in forced.made]
+    return forced
+
+
+def _random_multigraph(rng, m):
+    """A connected multigraph on m edges with a parallel pair and a self-loop."""
+    n = int(rng.integers(2, 6))
+    edges = [(i, int(rng.integers(i))) for i in range(1, n)]
+    edges += [edges[0], (int(rng.integers(n)),) * 2]
+    while len(edges) < m:
+        edges.append((int(rng.integers(n)), int(rng.integers(n))))
+    order = rng.permutation(len(edges))
+    return NetworkInstance(n, [edges[i] for i in order],
+                           [float(x) for x in rng.uniform(0.05, 0.95, len(edges))])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_derived_tables_match_every_branch_sequence(monkeypatch, seed):
+    """On m <= 8 every level runs on the lockstep path: each level's derived
+    tables equal a fresh build of its minor, under every sequence of branches."""
+    rng = np.random.default_rng(seed)
+    inst = _random_multigraph(rng, int(rng.integers(6, 9)))
+    todo, seen = [[]], 0
+    while todo:
+        prefix = todo.pop()
+        forced = _forced_estimate(
+            monkeypatch, inst, lambda i, prefix=prefix: i < len(prefix) and prefix[i])
+        made = [d for _, _, d in forced.made]
+        assert made[:len(prefix)] == prefix
+        assert forced.tables_checked == len(forced.made)
+        # branch off wherever this run contracted an edge it could delete
+        todo += [made[:i] + [True] for i in range(len(prefix), len(made))
+                 if forced.made[i][1]]
+        seen += 1
+    assert seen > 1
+
+
+def test_derived_tables_first_built_at_level_two(monkeypatch):
+    """m = 18: levels 0 and 1 run sequential chains, and the one table build is
+    level 2's; every later level's tables are derived from it."""
+    inst = GRID_18
+    built = []
+    real = vectorized.SmallTables
+
+    def counting(spec, fields, need):
+        built.append(spec.n)
+        return real(spec, fields, need)
+
+    monkeypatch.setattr(vectorized, "SmallTables", counting)
+    for choose, deletes in ((lambda i: False, False), (lambda i: True, True),
+                            (lambda i: i % 2 == 1, True)):
+        built.clear()
+        forced = _forced_estimate(monkeypatch, inst, choose)
+        assert built == [16]
+        assert [k for k, _, _ in forced.made][:3] == [0, 1, 2]
+        assert forced.tables_checked == len(forced.made) - 2
+        assert any(d for k, _, d in forced.made if k > 2) == deletes
+
+
+def test_debug_guard_checks_derived_tables(monkeypatch):
+    """With MATROID_MCMC_DEBUG_ASSERTS=1 rel_estimate compares each level's
+    derived tables with a fresh build of its minor."""
+    inst = NetworkInstance(3, [(0, 1), (1, 2), (0, 1), (2, 2), (0, 2), (1, 2)], 0.6)
+    monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
+    rel_estimate(inst, 0.3, 0.3, seed=1, c0=0.5)
+    real = SmallTables.minor
+
+    def corrupt(self, shift, contract):
+        tb = real(self, shift, contract)
+        tb.indep[1] = not tb.indep[1]
+        return tb
+
+    monkeypatch.setattr(SmallTables, "minor", corrupt)
+    with pytest.raises(AssertionError, match="derived indep"):
+        rel_estimate(inst, 0.3, 0.3, seed=1, c0=0.5)
+    monkeypatch.delenv("MATROID_MCMC_DEBUG_ASSERTS")
+    rel_estimate(inst, 0.3, 0.3, seed=1, c0=0.5)  # off: no comparison
+
+
+@pytest.mark.parametrize("inst, c0", [
+    (K4, 0.5),
+    (NetworkInstance(3, [(0, 1), (1, 2), (0, 1), (2, 2), (0, 2)], 0.5), 0.5),
+    (GRID_18, 0.02),
+])
+def test_estimate_counts_its_chain_steps(inst, c0):
+    est = rel_estimate(inst, 0.3, 0.3, seed=3, c0=c0)
+    sampled = [k for k, t in enumerate(est.trace) if t["branch"] != "loop"]
+    n = est.samples_used // len(sampled)
+    cfg = ChainConfig(epsilon=0.3 / (8 * inst.m))
+    assert est.chain_steps == sum(n * cfg.steps(inst.m - k) for k in sampled)
+    assert est.as_json_dict()["chain_steps"] == est.chain_steps
