@@ -7,7 +7,9 @@ still span.  Reliability Z (the probability the network stays connected) is
 estimated by deletion/contraction self-reducibility: each level estimates
 the failure marginal of one edge from fresh chain samples and multiplies
 the corresponding telescoping factor, in log space so that a Z below
-float range still has a finite log.
+float range still has a finite log.  The levels with at most 16 edges left
+run as lockstep batches on one independence table per estimate: it is built
+at the first of them, and each later level's table is gathered from it.
 """
 from __future__ import annotations
 
@@ -202,6 +204,16 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
     factor p/q (a bridge never reaches this branch: its failure marginal is
     exactly 0), others are contracted with factor (1-p)/(1-q).  Contractions
     keep parallel edges; self-loops carry factor 1 and are dropped.
+
+    A level with more than 16 edges left runs one sequential chain per
+    sample.  The others run as one lockstep batch each, on one cographic
+    table per estimate, built at the first such level k0.  Level k's graph
+    is level k0's with the edges C contracted and D deleted since k0, so its
+    cographic matroid is level k0's with C deleted and D contracted, and a
+    failure set S of level k is feasible iff (S << (k - k0)) | D is feasible
+    at k0: the table is a gather, with no oracle call.  D is independent
+    there because a bridge is never deleted.  q is read off the batch's
+    masks.  The result carries the chain steps run (chain_steps).
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError(f"eps must lie in (0,1), got {eps}")
@@ -246,11 +258,13 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
                 cographic_spec(lvl_inst), failure_fields(lvl_inst), lvl_cfg, n_samples)
             failed = sum(1 for s in samples if s and s[0] == 0)
         else:
-            # M*(G / C \ D) = M*(G) \ C / D, and D is independent in M*(G)
-            # because a bridge is never deleted
+            # M*(G / C \ D) = M*(G) \ C / D: a gather from level k0's table
             tb = base.minor(k - k0, deleted)
             if debug:
-                _check_minor(tb, _level_tables(inst, label, k), k)
+                fresh = _level_tables(inst, label, k)
+                for name in ("indep", "popcnt", "weight"):
+                    assert np.array_equal(getattr(tb, name), getattr(fresh, name)), \
+                        f"level {k}: the derived {name} table differs from a fresh build"
             masks, stats = vectorized.run_polarized_tables(tb, lvl_cfg, n_samples)
             failed = int(np.count_nonzero(masks & 1))
         used += n_samples
@@ -282,8 +296,3 @@ def _level_tables(inst: NetworkInstance, label: list[int], k: int) -> vectorized
     return vectorized.SmallTables(cographic_spec(lvl_inst), failure_fields(lvl_inst),
                                   "polarized")
 
-
-def _check_minor(tb: vectorized.SmallTables, fresh: vectorized.SmallTables, k: int) -> None:
-    for name in ("indep", "popcnt", "weight"):
-        assert np.array_equal(getattr(tb, name), getattr(fresh, name)), \
-            f"level {k}: the derived {name} table differs from the level's own"

@@ -1,9 +1,11 @@
 """Deterministic random streams on top of numpy's counter-based Philox generator.
 
-Every chain owns a SeedStream.  Streams for batch chain number ``i`` are keyed
-``derive_seed(seed, i)``, a 64-bit mix of the pair, so a batch can be replayed
-chain-by-chain regardless of how the chains were scheduled, and nearby seeds
-do not share streams.
+Every sequential chain owns a SeedStream.  Streams for batch chain number
+``i`` are keyed ``derive_seed(seed, i)``, a 64-bit mix of the pair, so a batch
+can be replayed chain-by-chain regardless of how the chains were scheduled,
+and nearby seeds do not share streams.  The lockstep runner
+(vectorized._run_lockstep) does not use SeedStream: a whole lockstep batch
+draws from one SFC64 stream seeded with its key.
 """
 from __future__ import annotations
 

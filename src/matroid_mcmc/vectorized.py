@@ -19,8 +19,13 @@ serves both laws: the random-cluster walk runs as the down-up walk on the
 complements of its cluster sets, with weights 1/λ and a rank-drop test in
 place of the independence test.
 
-The whole batch consumes a single counter-based stream keyed by cfg.seed, so
+The whole batch consumes one numpy SFC64 stream seeded with cfg.seed, so
 batch output is a deterministic function of (spec, fields, cfg, count).
+SFC64 (Chris Doty-Humphrey's Small Fast Chaotic generator) was chosen for
+speed: it fills a batch's uniforms in under half of Philox's time, and under
+Philox that fill took about a third of a lockstep step.  A batch needs one
+stream only, so Philox's keyed independent streams buy it nothing; the
+sequential chains keep Philox (see rng.py).
 """
 from __future__ import annotations
 
@@ -191,13 +196,15 @@ def _run_lockstep(tables, cfg: ChainConfig, count: int, start: int):
     """Advance `count` down-up chains from mask `start`; returns (masks, stats).
 
     `tables` is readd_tables' (prob, alias, accepted, rej).  Each step draws
-    one uniform r per chain.  The drop is element index floor(r·n) (a set
-    bit leaves the mask, an unset one is an auxiliary slot).  The re-add
-    reuses r's fractional part: f = frac(r·n)·(n + 1) picks column floor(f)
-    of the post-drop row's alias table and frac(f) is the coin against its
-    prob; column k = 0 is an auxiliary slot and k = j + 1 element j.  That
-    draws from the law the rejection loop accepts from in O(1) per chain.
-    r has 53 bits, so frac(f) still resolves 2^-45 (n <= 16): the coin, and
+    one uniform r per chain from the batch's one SFC64 stream, seeded with
+    cfg.seed (chosen for speed; see the module docstring).  The drop is
+    element index floor(r·n) (a set bit leaves the mask, an unset one is an
+    auxiliary slot).  The re-add reuses r's fractional part:
+    f = frac(r·n)·(n + 1) picks column floor(f) of the post-drop row's alias
+    table and frac(f) is the coin against its prob; column k = 0 is an
+    auxiliary slot and k = j + 1 element j.  That draws from the law the
+    rejection loop accepts from in O(1) per chain.  r is a double with 53
+    random bits, so frac(f) still resolves 2^-45 (n <= 16): the coin, and
     with it the per-step law, is off by under 1e-12 in TV.
 
     A rejection loop's trial count does not depend on the element it accepts:
@@ -213,7 +220,7 @@ def _run_lockstep(tables, cfg: ChainConfig, count: int, start: int):
     prob, alias, accepted, rej = tables
     n = len(accepted).bit_length() - 1
     width = n + 1
-    gen = np.random.Generator(np.random.Philox(key=cfg.seed & ((1 << 64) - 1)))
+    gen = np.random.Generator(np.random.SFC64(cfg.seed & ((1 << 64) - 1)))
     try:
         mask = np.full(count, int(start), dtype=np.int64)
         r = np.empty(count)

@@ -13,6 +13,7 @@ from matroid_mcmc import (
     SizeLimitError,
     ValidationError,
     build_oracle,
+    derive_seed,
     matroid_from_dict,
 )
 from matroid_mcmc.exact import (
@@ -339,3 +340,23 @@ def test_batch_deterministic():
     m2, s2 = run_polarized_batch(spec, ones(4), cfg, count=2000)
     assert (m1 == m2).all()
     assert s1.proposals == s2.proposals and s1.rejections == s2.rejections
+
+
+@pytest.mark.parametrize("runner", ["polarized", "rc"])
+def test_lockstep_stream_replays_per_key(runner):
+    """A batch draws from one stream keyed by cfg.seed: a key replays its masks
+    and StepStats exactly, and the next derived key gives different masks."""
+    spec = spec_of(TABLE_CASES["graphic-loop-parallel"])
+
+    def run(key):
+        cfg = ChainConfig(seed=key, step_override=30)
+        if runner == "polarized":
+            return run_polarized_batch(spec, ones(6), cfg, count=3000)
+        return run_rc_batch(spec, ones(6), 0.5, cfg, count=3000)
+
+    for s in (0, 7, 2**64 - 1):
+        masks, stats = run(derive_seed(s, 0))
+        again, again_stats = run(derive_seed(s, 0))
+        assert np.array_equal(masks, again)
+        assert stats == again_stats and stats.rejections > 0
+        assert not np.array_equal(masks, run(derive_seed(s, 1))[0])
