@@ -410,6 +410,7 @@ def test_derived_tables_first_built_at_level_two(monkeypatch):
     """m = 18: levels 0 and 1 run sequential chains, and the one table build is
     level 2's; every later level's tables are derived from it."""
     inst = GRID_18
+    monkeypatch.delenv("MATROID_MCMC_DEBUG_ASSERTS", raising=False)  # its guard builds too
     built = []
     real = vectorized.SmallTables
 
