@@ -130,18 +130,17 @@ def dyncon_workload(
     """
     g = dyn_graph(vertex_count, backend=backend)
     rng = np.random.default_rng(seed)
-    handle: dict[tuple[int, int], int] = {}
+    live: set[int] = set()  # keys u * vertex_count + v of the live edges, u <= v
     checksum = 0
     t0 = time.perf_counter()
     for i in range(ops):
-        u = int(rng.integers(vertex_count))
-        v = int(rng.integers(vertex_count))
-        e = (min(u, v), max(u, v))
-        h = handle.pop(e, None)
-        if h is not None:
-            g.delete_edge(h)
+        u, v = sorted((int(rng.integers(vertex_count)), int(rng.integers(vertex_count))))
+        key = u * vertex_count + v
+        live ^= {key}
+        if key in live:
+            g.insert_edge(key, u, v)
         else:
-            handle[e] = g.insert_edge(*e)
+            g.delete_edge(key)
         if i % query_every == 0:
             a = int(rng.integers(vertex_count))
             b = int(rng.integers(vertex_count))

@@ -1,6 +1,8 @@
 """Fully dynamic graph connectivity.
 
-Two interchangeable backends behind `dyn_graph`:
+Two interchangeable backends behind `dyn_graph`.  The caller keys edges by
+non-negative ints not live already (`insert_edge(key, u, v)`, `delete_edge(key)`);
+`connected(u, v, skip)` asks if u and v stay joined without `skip`, a live u-v edge.
 
 * ``hdt`` — the Holm–de Lichtenberg–Thorup level scheme: every edge carries a
   level, F_i is a spanning forest of the edges with level >= i (F_0 is the
@@ -10,13 +12,14 @@ Two interchangeable backends behind `dyn_graph`:
   refreshes only the nodes it moves down.  Deleting a tree edge searches the
   smaller half for a replacement, promoting inspected edges one level up so
   each edge is inspected O(log n) times; insert/delete/query are O(log^2 n)
-  amortized.
+  amortized; only a tree `skip` is cut, and relinked, to answer a query.
 * ``naive`` — stores the edge multiset as per-vertex neighbour counts, so a
   mutation is O(1); `connected` searches level by level from one endpoint
   and stops as soon as the other is adjacent (O(n + m) at worst, a few
   levels when the endpoints are close), and `component_count` traverses the
-  whole graph.  Used as the differential-testing oracle and the scaling
-  baseline.
+  whole graph; a parallel copy of `skip` answers at once, else one search
+  runs from u's other neighbours.  Used as the differential-testing oracle
+  and the scaling baseline.
 
 Both accept multigraphs; self-loops are stored but never affect connectivity.
 
@@ -300,8 +303,7 @@ class _HdtBackend:
     def __init__(self, vertex_count: int):
         self.vertex_count = vertex_count
         self._components = vertex_count
-        self._edges: dict[int, _Edge | None] = {}  # None marks a self-loop
-        self._next = 0
+        self._edges: dict[int, _Edge] = {}
         self._vnodes: list[dict[int, _Node]] = [{}]
         self._adj: list[dict[int, set[int]]] = [{}]
         self._debug = debug_asserts_enabled()
@@ -353,36 +355,31 @@ class _HdtBackend:
 
     # -- public ops ---------------------------------------------------------
 
-    def insert_edge(self, u: int, v: int) -> int:
+    def insert_edge(self, key: int, u: int, v: int) -> None:
         _check_vertex(u, self.vertex_count)
         _check_vertex(v, self.vertex_count)
-        h = self._next
-        self._next += 1
-        if u == v:
-            self._edges[h] = None
-        else:
-            e = _Edge(u, v)
-            self._edges[h] = e
+        e = _Edge(u, v)
+        if self._edges.setdefault(key, e) is not e:
+            raise ContractError(f"edge key {key} is already live")
+        if u != v:  # a self-loop joins no forest and no adjacency set
             if _same_tree(self._vnode(u, 0), self._vnode(v, 0)):
-                self._adj_add(h, e, 0)
+                self._adj_add(key, e, 0)
             else:
                 e.tree = True
-                self._link_tree_edge(h, e, 0)
+                self._link_tree_edge(key, e, 0)
                 self._components -= 1
         if self._debug:
             self._check_invariants()
-        return h
 
-    def delete_edge(self, h: int) -> None:
+    def delete_edge(self, key: int) -> None:
         try:
-            e = self._edges.pop(h)
+            e = self._edges.pop(key)
         except KeyError:
-            raise ContractError(f"edge handle {h} is not live") from None
-        if e is not None:  # None is a self-loop: nothing to unlink
-            if e.tree:
-                self._cut_tree_edge(e)
-            else:
-                self._adj_remove(h, e, e.level)
+            raise ContractError(f"edge key {key} is not live") from None
+        if e.tree:
+            self._cut_tree_edge(e)
+        elif e.u != e.v:
+            self._adj_remove(key, e, e.level)
         if self._debug:
             self._check_invariants()
 
@@ -397,11 +394,18 @@ class _HdtBackend:
                 return
         self._components += 1
 
-    def connected(self, u: int, v: int) -> bool:
+    def connected(self, u: int, v: int, skip: int | None = None) -> bool:
         _check_vertex(u, self.vertex_count)
         _check_vertex(v, self.vertex_count)
-        if u == v:
-            return True
+        if skip is not None:
+            e = self._edges.get(skip)
+            if e is None or (e.u, e.v) not in ((u, v), (v, u)):
+                raise ContractError(f"skip {skip} is not a live edge joining {u} and {v}")
+            if e.tree:
+                self.delete_edge(skip)
+                joined = self.connected(u, v)
+                self.insert_edge(skip, e.u, e.v)
+                return joined
         return _same_tree(self._vnode(u, 0), self._vnode(v, 0))
 
     def component_count(self) -> int:
@@ -481,7 +485,7 @@ class _HdtBackend:
         flagged TREE); NT flags match the non-tree adjacency.
         """
         n = self.vertex_count
-        tree_edges = [e for e in self._edges.values() if e is not None and e.tree]
+        tree_edges = [e for e in self._edges.values() if e.tree]
         assert self._components == n - len(tree_edges)
         for i, vnodes in enumerate(self._vnodes):
             adj = self._adj[i]
@@ -497,7 +501,7 @@ class _HdtBackend:
             arcs = sum(2 for e in tree_edges if e.level >= i)
             assert nodes == len(vnodes) + arcs, (i, nodes, len(vnodes), arcs)
         for h, e in self._edges.items():
-            if e is None:
+            if e.u == e.v:
                 continue
             if not e.tree:
                 assert not e.arcs and h in self._adj[e.level][e.u] \
@@ -550,26 +554,24 @@ class _NaiveBackend:
         self.vertex_count = vertex_count
         self._edges: dict[int, tuple[int, int]] = {}
         self._adj: list[dict[int, int]] = [{} for _ in range(vertex_count)]
-        self._next = 0
 
-    def insert_edge(self, u: int, v: int) -> int:
+    def insert_edge(self, key: int, u: int, v: int) -> None:
         _check_vertex(u, self.vertex_count)
         _check_vertex(v, self.vertex_count)
-        h = self._next
-        self._next += 1
-        self._edges[h] = (u, v)
+        e = (u, v)
+        if self._edges.setdefault(key, e) is not e:
+            raise ContractError(f"edge key {key} is already live")
         if u != v:
             nu = self._adj[u]
             nu[v] = nu.get(v, 0) + 1
             nv = self._adj[v]
             nv[u] = nv.get(u, 0) + 1
-        return h
 
-    def delete_edge(self, h: int) -> None:
+    def delete_edge(self, key: int) -> None:
         try:
-            u, v = self._edges.pop(h)
+            u, v = self._edges.pop(key)
         except KeyError:
-            raise ContractError(f"edge handle {h} is not live") from None
+            raise ContractError(f"edge key {key} is not live") from None
         if u != v:  # the two counts of an edge are always equal
             nu = self._adj[u]
             nv = self._adj[v]
@@ -580,14 +582,22 @@ class _NaiveBackend:
                 nu[v] -= 1
                 nv[u] -= 1
 
-    def connected(self, u: int, v: int) -> bool:
+    def connected(self, u: int, v: int, skip: int | None = None) -> bool:
         _check_vertex(u, self.vertex_count)
         _check_vertex(v, self.vertex_count)
+        if skip is not None and self._edges.get(skip) not in ((u, v), (v, u)):
+            raise ContractError(f"skip {skip} is not a live edge joining {u} and {v}")
         if u == v:
             return True
         adj = self._adj
         seen = {u}
         level = [u]
+        if skip is not None:
+            nu = adj[u]
+            if nu[v] > 1:  # a parallel copy of skip joins them
+                return True
+            level = [y for y in nu if y != v]
+            seen.update(level)
         while level:
             nxt = []
             for x in level:

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import SizeLimitError, UnsupportedOperationError
+from .errors import SizeLimitError, UnsupportedOperationError, ValidationError
 from .matroids import Fields, MatroidSpec
 
 MU_MAX_N = 20
@@ -29,7 +29,11 @@ class ExactDistribution:
     def __init__(self, support, prob):
         self.support = list(support)
         p = np.asarray(prob, dtype=float)
-        self.prob = p / p.sum()
+        with np.errstate(over="ignore"):
+            total = p.sum()
+        if not 0.0 < total < math.inf:
+            raise ValidationError(f"the weights' total is {total}: a float overflow or underflow")
+        self.prob = p / total
 
     def as_dict(self) -> dict[int, float]:
         return {s: float(p) for s, p in zip(self.support, self.prob)}

@@ -5,12 +5,12 @@ it into a stateful oracle over a mutable set S.  _BaseOracle owns the
 contract: the checked insert / delete of one element, is_independent as
 rank(S) == |S|, and the _add / _remove hooks through which a variant keeps
 its own state in step.  Each variant adds only that state and its queries
-(rank and rank_drops_on_delete on rank-capable variants).  Graphic oracles
-are backed by the dynamic-connectivity module, naive or HDT.  So is a
-cographic oracle, except on a planar graph above dyncon's naive threshold
-under backend "auto": there PlanarCographicOracle keeps the dual edges of S
-as a spanning forest of the plane dual that planar.py computes.  The
-others use counters, table lookup, or GF(2) elimination at desk scale.
+(rank and rank_drops_on_delete on rank-capable variants).  GraphicOracle
+keeps S in a naive or HDT dynamic graph, each edge (self-loops too) keyed by
+its element; CographicOracle swaps its hooks, so that graph holds E \\ S.
+A planar cographic spec above dyncon's naive threshold gets, under "auto",
+PlanarCographicOracle: the dual edges of S as a forest of the plane dual.
+The others use counters, table lookup, or GF(2) elimination at desk scale.
 """
 from __future__ import annotations
 
@@ -360,25 +360,21 @@ class PartitionOracle(_BaseOracle):
 class GraphicOracle(_BaseOracle):
     """Forest/rank oracle over the spec's edge list; rk(S) = |V| - kappa(S).
 
-    A self-loop gets no handle and never enters the dynamic graph: it adds 1
-    to |S| and 0 to the rank.
+    The dynamic graph holds S keyed by element, self-loops too (a loop adds 1
+    to |S| and 0 to the rank); rank_drops_on_delete is one `connected` query.
     """
 
     def __init__(self, spec: MatroidSpec, dyncon_backend: str = "auto"):
         super().__init__(spec.n)
         self._edges = spec.edges
         self._g = dyn_graph(spec.vertices, backend=dyncon_backend)
-        self._handles: dict[int, int] = {}
 
     def _add(self, i: int) -> None:
         u, v = self._edges[i]
-        if u != v:
-            self._handles[i] = self._g.insert_edge(u, v)
+        self._g.insert_edge(i, u, v)
 
     def _remove(self, i: int) -> None:
-        handle = self._handles.pop(i, None)
-        if handle is not None:
-            self._g.delete_edge(handle)
+        self._g.delete_edge(i)
 
     def rank(self) -> int:
         return self._g.vertex_count - self._g.component_count()
@@ -386,32 +382,23 @@ class GraphicOracle(_BaseOracle):
     def rank_drops_on_delete(self, i: int) -> bool:
         self._check_present(i)
         u, v = self._edges[i]
-        if u == v:
-            return False
-        self._g.delete_edge(self._handles[i])
-        drops = not self._g.connected(u, v)
-        self._handles[i] = self._g.insert_edge(u, v)
-        return drops
+        return u != v and not self._g.connected(u, v, i)
 
 
-class CographicOracle(_BaseOracle):
+class CographicOracle(GraphicOracle):
     """Independence-only oracle: S independent iff G[E \\ S] stays connected.
 
-    The dynamic graph holds the complement E \\ S, so oracle insert = edge
-    deletion and oracle delete = edge re-insertion.
+    The graphic oracle with its hooks swapped: its graph holds E \\ S, so
+    oracle insert deletes an edge and oracle delete re-inserts it.
     """
 
+    _add = GraphicOracle._remove
+    _remove = GraphicOracle._add
+
     def __init__(self, spec: MatroidSpec, dyncon_backend: str = "auto"):
-        super().__init__(spec.n)
-        self._edges = spec.edges
-        self._g = dyn_graph(spec.vertices, backend=dyncon_backend)
-        self._handles = [self._g.insert_edge(u, v) for u, v in spec.edges]
-
-    def _add(self, i: int) -> None:
-        self._g.delete_edge(self._handles[i])
-
-    def _remove(self, i: int) -> None:
-        self._handles[i] = self._g.insert_edge(*self._edges[i])
+        super().__init__(spec, dyncon_backend)
+        for i, (u, v) in enumerate(spec.edges):
+            self._g.insert_edge(i, u, v)
 
     def is_independent(self) -> bool:
         return self._g.component_count() == 1

@@ -324,14 +324,15 @@ def _dyncon_vs_bfs(ops_total: int, nv: int, seed: int, backend: str) -> int:
     g = dyn_graph(nv, backend=backend)
     ref = _BfsOracle(nv)
     rng = np.random.default_rng(seed)
-    live = []  # (handle, u, v)
+    live = []  # (key, u, v)
     queries = 0
-    for _ in range(ops_total):
+    for op in range(ops_total):
         r = rng.random()
         if len(live) < 4 or (r < 0.42 and len(live) < 420):
             u = int(rng.integers(nv))
             v = u if rng.random() < 0.02 else int(rng.integers(nv))
-            live.append((g.insert_edge(u, v), u, v))
+            g.insert_edge(op, u, v)
+            live.append((op, u, v))
             ref.insert(u, v)
         elif r < 0.78 and live:
             i = int(rng.integers(len(live)))

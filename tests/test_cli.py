@@ -259,3 +259,15 @@ def test_exit_2_on_overflowing_lambda_sum(tmp_path):
                 "--lambda", str(lam), "--num-samples", "4")
     assert r.returncode == 2
     assert "overflows" in r.stderr
+
+
+@pytest.mark.parametrize("what,lam", [("mu", "1e308"), ("pi", "1e200")])
+def test_exit_2_on_overflowing_exact_total(tmp_path, what, lam):
+    """The weights' total overflows a float: exit 2 naming it, not NaN or 0.0
+    probabilities (and no numpy warning)."""
+    spec = tmp_path / "u.json"
+    spec.write_text(json.dumps({"variant": "uniform", "n": 3, "k": 2}))
+    r = run_cli("exact", what, "--matroid", str(spec), "--lambda", lam)
+    assert r.returncode == 2, r.stdout
+    assert r.stdout == ""
+    assert "overflow" in r.stderr and "Warning" not in r.stderr, r.stderr

@@ -15,6 +15,7 @@ from matroid_mcmc import (
     matroid_from_dict,
 )
 from matroid_mcmc.exact import BruteMatroid, independent_masks, is_matroid_family
+from matroid_mcmc.matroids import CographicOracle, GraphicOracle
 
 from conftest import K4_EDGES, TRIANGLE_EDGES, spec_of
 
@@ -147,6 +148,47 @@ def test_cographic_rank_unsupported():
     o.insert(0)
     with pytest.raises(UnsupportedOperationError):
         o.rank_drops_on_delete(0)
+
+
+class _CountingGraph:
+    """A dynamic graph that counts the mutations made through it."""
+
+    def __init__(self, g):
+        self._g = g
+        self.mutations = 0
+
+    def insert_edge(self, *args):
+        self.mutations += 1
+        self._g.insert_edge(*args)
+
+    def delete_edge(self, key):
+        self.mutations += 1
+        self._g.delete_edge(key)
+
+    def __getattr__(self, name):
+        return getattr(self._g, name)
+
+
+@pytest.mark.parametrize("variant,kind,cls", [
+    ("graphic", "rank", GraphicOracle), ("cographic", "independence", CographicOracle)])
+def test_graph_oracle_queries_do_not_mutate(variant, kind, cls):
+    """On the naive backend no query inserts or deletes a dynamic-graph edge."""
+    edges = [[0, 1], [1, 2], [2, 0], [2, 3], [3, 3], [0, 1]]  # a loop, a parallel copy
+    o = build_oracle(spec_of({"variant": variant, "edges": edges}), kind, "naive")
+    assert type(o) is cls
+    o._g = g = _CountingGraph(o._g)
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        i = int(rng.integers(len(edges)))
+        (o.delete if i in o.current else o.insert)(i)
+        before = g.mutations
+        o.is_independent()
+        if kind == "rank":
+            o.rank()
+            for j in o.current:
+                o.rank_drops_on_delete(j)
+        assert g.mutations == before
+    assert g.mutations == 300
 
 
 # one spec per variant; the contract test holds {0, 1} and leaves 2 out
