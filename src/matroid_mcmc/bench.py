@@ -21,6 +21,7 @@ from .polarized import PolarizedChain
 from .reliability import NetworkInstance, cographic_spec
 
 SAMPLER_FAMILIES = ("path", "grid", "random-regular")
+DYNCON_QUERY_EVERY = 4  # dyncon_workload asks one connectivity query per this many updates
 
 
 def build_family(family: str, m_target: int, seed: int = 0) -> NetworkInstance:
@@ -120,7 +121,6 @@ def dyncon_workload(
     ops: int,
     backend: str,
     seed: int = 0,
-    query_every: int = 4,
 ) -> tuple[float, int]:
     """Run a seeded random insert/delete/query workload against one backend.
 
@@ -141,7 +141,7 @@ def dyncon_workload(
             g.insert_edge(key, u, v)
         else:
             g.delete_edge(key)
-        if i % query_every == 0:
+        if i % DYNCON_QUERY_EVERY == 0:
             a = int(rng.integers(vertex_count))
             b = int(rng.integers(vertex_count))
             checksum = (checksum * 131 + (1 if g.connected(a, b) else 0)) % (1 << 61)

@@ -344,14 +344,14 @@ class _HdtBackend:
                 del self._adj[i][v]
                 self._set_nt_flag(v, i, False)
 
-    def _link_tree_edge(self, h: int, e: _Edge, levels: int) -> None:
-        """Create arcs for e in forests 0..levels and link its endpoints."""
-        for j in range(levels + 1):
-            self._ensure_level(j)
-            a = _Node(edge=h, flags=TREE if j == e.level else 0)
-            b = _Node(edge=h)
-            e.arcs[j] = (a, b)
-            _ett_link(self._vnode(e.u, j), self._vnode(e.v, j), a, b)
+    def _link_at(self, h: int, e: _Edge, j: int) -> None:
+        """Create e's arcs in forest j and link its endpoints there; the arc
+        is flagged TREE in e's own level."""
+        self._ensure_level(j)
+        a = _Node(edge=h, flags=TREE if j == e.level else 0)
+        b = _Node(edge=h)
+        e.arcs[j] = (a, b)
+        _ett_link(self._vnode(e.u, j), self._vnode(e.v, j), a, b)
 
     # -- public ops ---------------------------------------------------------
 
@@ -366,7 +366,7 @@ class _HdtBackend:
                 self._adj_add(key, e, 0)
             else:
                 e.tree = True
-                self._link_tree_edge(key, e, 0)
+                self._link_at(key, e, 0)
                 self._components -= 1
         if self._debug:
             self._check_invariants()
@@ -442,11 +442,7 @@ class _HdtBackend:
             nd.flags &= ~TREE
             _update(nd)
             e2.level = i + 1
-            self._ensure_level(i + 1)
-            a2 = _Node(edge=h2, flags=TREE)
-            b2 = _Node(edge=h2)
-            e2.arcs[i + 1] = (a2, b2)
-            _ett_link(self._vnode(e2.u, i + 1), self._vnode(e2.v, i + 1), a2, b2)
+            self._link_at(h2, e2, i + 1)
 
         while True:
             _splay(anchor)
@@ -471,7 +467,8 @@ class _HdtBackend:
                     # leaves the half: this edge reconnects the two sides
                     self._adj_remove(h2, e2, i)
                     e2.tree = True
-                    self._link_tree_edge(h2, e2, i)
+                    for j in range(i + 1):
+                        self._link_at(h2, e2, j)
                     return True
 
     # -- debug invariants (MATROID_MCMC_DEBUG_ASSERTS=1) ---------------------

@@ -90,9 +90,10 @@ class BruteMatroid:
 
     def _components(self, mask: int) -> int:
         s = self.spec
-        parent = list(range(s.vertices))
+        parent: dict[int, int] = {}  # the touched vertices only; a root maps to itself
 
         def find(a):
+            parent.setdefault(a, a)
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
                 a = parent[a]

@@ -33,7 +33,7 @@ ALL_VARIANTS = RANK_CAPABLE_VARIANTS + ("cographic",)
 class Fields:
     """External fields: one positive weight per ground-set element."""
 
-    __slots__ = ("lam", "lambda_max", "lambda_min")
+    __slots__ = ("lam",)
 
     def __init__(self, lam):
         lam = [float(x) for x in lam]
@@ -43,8 +43,6 @@ class Fields:
             if not (x > 0 and math.isfinite(x)):
                 raise ValidationError(f"lambda[{i}] must be finite and > 0, got {x}")
         self.lam = lam
-        self.lambda_max = max(lam)
-        self.lambda_min = min(lam)
 
     def __len__(self):
         return len(self.lam)
@@ -228,6 +226,8 @@ def set_bits(mask: int) -> list[int]:
 
 def edges_connected(vertices: int, edges) -> bool:
     """Whether the edges (self-loops allowed) span all of 0..vertices-1."""
+    if vertices - 1 > len(edges):  # fewer than a spanning tree: answer before allocating
+        return False
     adj = [[] for _ in range(vertices)]
     for u, v in edges:
         if u != v:

@@ -9,7 +9,7 @@ the failure marginal of one edge from fresh chain samples and multiplies
 the corresponding telescoping factor, in log space so that a Z below
 float range still has a finite log.  The levels with at most 16 edges left
 run as lockstep batches on one independence table per estimate: it is built
-at the first of them, and each later level's table is gathered from it.
+at the first of them, and each later level's table is a slice of it.
 """
 from __future__ import annotations
 
@@ -111,7 +111,7 @@ def parse_graph_file(path: str) -> NetworkInstance:
             raise ValidationError(f"{path}:{ln + 1}: edge line must be 'u v p'") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError(f"{path}:{ln + 1}: vertex ids must lie in [0, {n})")
-        if not (0.0 < pe < 1.0) or math.isnan(pe):
+        if not (0.0 < pe < 1.0):
             raise ValidationError(f"{path}:{ln + 1}: p must lie strictly in (0, 1)")
         edges.append((u, v))
         p.append(pe)
@@ -206,14 +206,11 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
     keep parallel edges; self-loops carry factor 1 and are dropped.
 
     A level with more than 16 edges left runs one sequential chain per
-    sample.  The others run as one lockstep batch each, on one cographic
-    table per estimate, built at the first such level k0.  Level k's graph
-    is level k0's with the edges C contracted and D deleted since k0, so its
-    cographic matroid is level k0's with C deleted and D contracted, and a
-    failure set S of level k is feasible iff (S << (k - k0)) | D is feasible
-    at k0: the table is a gather, with no oracle call.  D is independent
-    there because a bridge is never deleted.  q is read off the batch's
-    masks.  The result carries the chain steps run (chain_steps).
+    sample.  The others run as one lockstep batch each, on the cographic
+    tables built at the first of them; each level after that takes the
+    tables of its minor (see _next_level), with no oracle call.  q is read
+    off the batch's masks.  The result carries the chain steps run
+    (chain_steps).
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError(f"eps must lie in (0,1), got {eps}")
@@ -234,65 +231,62 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
     sampler_eps = eps / (8.0 * m0)
 
     debug = debug_asserts_enabled()
-    # label[x] is the vertex of the current graph that holds vertex x; the
-    # labels are dense, and level k's graph is inst.edges[k:] under them
-    label = list(range(inst.vertices))
-    base = None  # the tables of level k0, the first level on the lockstep path
-    k0 = deleted = 0  # deleted: bit k - k0 for each edge k deleted since k0
+    cur, tb = inst, None  # the level's graph, and its tables once on the lockstep path
     log_z = 0.0
     trace: list[dict] = []
-    used = steps = level = 0
-    for k, ((u, v), pe) in enumerate(zip(inst.edges, inst.p)):
-        a, b = sorted((label[u], label[v]))
-        if a == b:
+    steps = level = 0
+    for k in range(m0):
+        (u, v), pe = cur.edges[0], cur.p[0]
+        if u == v:
             # contracted into a self-loop: its failure never matters
             trace.append({"edge": k, "branch": "loop", "marginal": None})
+            cur, tb = _next_level(cur, tb, delete=True)
             continue
         lvl_cfg = ChainConfig(epsilon=sampler_eps, seed=derive_seed(seed, level))
-        if base is None and execution_path(m0 - k) == "vectorized":
-            k0, base = k, _level_tables(inst, label, k)
         # the edge under study is element 0 of the level's ground set
-        if base is None:
-            lvl_inst = _level_instance(inst, label, k)
+        if tb is None and execution_path(cur.m) == "sequential":
             samples, stats = sample_independent_sets(
-                cographic_spec(lvl_inst), failure_fields(lvl_inst), lvl_cfg, n_samples)
+                cographic_spec(cur), failure_fields(cur), lvl_cfg, n_samples)
             failed = sum(1 for s in samples if s and s[0] == 0)
         else:
-            # M*(G / C \ D) = M*(G) \ C / D: a gather from level k0's table
-            tb = base.minor(k - k0, deleted)
-            if debug:
-                fresh = _level_tables(inst, label, k)
-                for name in ("indep", "popcnt", "weight"):
+            if tb is None:
+                tb = vectorized.SmallTables(cographic_spec(cur), failure_fields(cur),
+                                            "polarized")
+            elif debug:
+                fresh = vectorized.SmallTables(cographic_spec(cur), failure_fields(cur),
+                                               "polarized")
+                for name in ("indep", "weight"):
                     assert np.array_equal(getattr(tb, name), getattr(fresh, name)), \
                         f"level {k}: the derived {name} table differs from a fresh build"
             masks, stats = vectorized.run_polarized_tables(tb, lvl_cfg, n_samples)
             failed = int(np.count_nonzero(masks & 1))
-        used += n_samples
         steps += stats.steps
         q_hat = failed / n_samples
-        if q_hat >= 0.5:
+        delete = q_hat >= 0.5
+        if delete:
             log_z += math.log(pe / q_hat)
-            trace.append({"edge": k, "branch": "delete", "marginal": q_hat})
-            if base is not None:
-                deleted |= 1 << (k - k0)
         else:
             log_z += math.log1p(-pe) - math.log1p(-q_hat)
-            trace.append({"edge": k, "branch": "contract", "marginal": q_hat})
-            # merge b into a and close the gap b leaves
-            label = [a if x == b else x - (x > b) for x in label]
+        trace.append({"edge": k, "branch": "delete" if delete else "contract",
+                      "marginal": q_hat})
+        cur, tb = _next_level(cur, tb, delete)
         level += 1
     log_z = min(log_z, 0.0)
-    return ReliabilityEstimate(math.exp(log_z), log_z, eps, 1.0 - delta, used, steps, trace)
+    return ReliabilityEstimate(math.exp(log_z), log_z, eps, 1.0 - delta,
+                               level * n_samples, steps, trace)
 
 
-def _level_instance(inst: NetworkInstance, label: list[int], k: int) -> NetworkInstance:
-    """Level k's graph: inst.edges[k:] under the vertex labels."""
-    return NetworkInstance(max(label) + 1, [(label[x], label[y]) for x, y in inst.edges[k:]],
-                           inst.p[k:])
+def _next_level(cur: NetworkInstance, tb: vectorized.SmallTables | None, delete: bool):
+    """The level after edge 0 of cur: G \\ e (delete) or G / e, and its tables.
 
-
-def _level_tables(inst: NetworkInstance, label: list[int], k: int) -> vectorized.SmallTables:
-    lvl_inst = _level_instance(inst, label, k)
-    return vectorized.SmallTables(cographic_spec(lvl_inst), failure_fields(lvl_inst),
-                                  "polarized")
-
+    Contraction merges the higher end of e into the lower one and closes the
+    gap.  M*(G \\ e) = M*(G) / e and M*(G / e) = M*(G) \\ e, so the tables are
+    tb.minor(delete); a deleted e is no bridge, so it is independent in M*(G).
+    A self-loop is deleted: it is a coloop of M*(G), so both minors agree.
+    """
+    rest = cur.edges[1:]
+    if not delete:
+        a, b = sorted(cur.edges[0])
+        rest = [tuple(a if x == b else x - (x > b) for x in e) for e in rest]
+    nxt = NetworkInstance(cur.vertices - (not delete), rest, cur.p[1:])
+    return nxt, None if tb is None else tb.minor(delete)

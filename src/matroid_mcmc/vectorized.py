@@ -1,8 +1,8 @@
 """Lockstep batch execution of many chains on small ground sets (n <= 16).
 
 Both walks touch only bitmask state, so for small n every query the oracles
-answer can be precomputed into dense tables over all 2^n subsets (popcount,
-independence or rank).  These are filled by the same incremental oracles the
+answer can be precomputed into dense tables over all 2^n subsets
+(independence or rank).  These are filled by the same incremental oracles the
 sequential chains use, walked once through all 2^n masks in Gray-code order.
 From them each runner builds the re-add law of every post-drop mask: the
 masses the sequential rejection loop accepts from, as one Walker alias table
@@ -51,11 +51,6 @@ class SmallTables:
         self.n = n
         size = 1 << n
         masks = np.arange(size, dtype=np.int64)
-        pc = np.zeros(size, dtype=np.int64)
-        for b in range(n):
-            pc += (masks >> b) & 1
-        self.popcnt = pc
-
         # random-cluster: the walk runs on complements, weights 1/λ
         self.weight = np.asarray(fields.proposal_weights(inverse=need == "rc"), dtype=float)
         gray = masks ^ (masks >> 1)
@@ -68,23 +63,18 @@ class SmallTables:
             self.rank[gray] = np.fromiter(_gray_walk(spec, "rank"),
                                           dtype=np.int64, count=size)
 
-    def minor(self, shift: int, contract: int) -> "SmallTables":
-        """Independence tables of the minor that contracts the elements in
-        mask `contract` and deletes the other elements below `shift`.
+    def minor(self, contract: bool) -> "SmallTables":
+        """Independence tables of the minor that contracts element 0 (contract
+        true; {0} must be independent) or deletes it.
 
-        `contract` must be an independent subset of [0, shift).  Element i
-        of the minor is element i + shift here, and a set S of the minor is
-        independent iff (S << shift) | contract is.  So the tables are a
-        gather, a prefix of popcnt and a suffix of weight: no oracle call.
+        Element i of the minor is element i + 1 here, and a set S of the minor
+        is independent iff (S << 1) | contract is.  So the tables are slices:
+        views that share memory with these tables, which are never written.
         """
         tb = object.__new__(type(self))
-        tb.n = self.n - shift
-        tb.popcnt = self.popcnt[:1 << tb.n]
-        tb.weight = self.weight[shift:]
-        idx = np.arange(1 << tb.n, dtype=np.int64)
-        idx <<= shift
-        idx |= contract
-        tb.indep = self.indep[idx]
+        tb.n = self.n - 1
+        tb.weight = self.weight[1:]
+        tb.indep = self.indep[int(contract)::2]
         return tb
 
 
@@ -138,10 +128,10 @@ def readd_tables(tb: SmallTables, q: float | None = None):
         rank_c = tb.rank[::-1]  # rank_c[m] = rank of the complement of m
     for lo in range(0, size, _ROW_BLOCK):
         rows = np.arange(lo, min(lo + _ROW_BLOCK, size), dtype=np.int64)
-        mass = np.empty((len(rows), width))
-        mass[:, 0] = n - tb.popcnt[rows]
+        mass = np.zeros((len(rows), width))
         for j in range(n):
             free = ((rows >> j) & 1) == 0
+            mass[:, 0] += free  # n - |m| once every column has run
             cand = rows | (1 << j)
             if q is None:
                 acc = tb.indep[cand]

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import resource
 import subprocess
 import sys
 
@@ -271,3 +272,42 @@ def test_exit_2_on_overflowing_exact_total(tmp_path, what, lam):
     assert r.returncode == 2, r.stdout
     assert r.stdout == ""
     assert "overflow" in r.stderr and "Warning" not in r.stderr, r.stderr
+
+
+HUGE = 1_000_000_000_000  # a vertex id no per-vertex list could cover
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("case", ["estimate", "exact-reliability", "cographic", "graphic"])
+def test_huge_vertex_count_allocates_nothing_per_vertex(tmp_path, case):
+    """A one-edge input naming vertex 10^12 is answered without a list per
+    vertex.  The child's address space is capped at 2 GiB, so code that does
+    allocate per vertex fails with a MemoryError (exit 1) instead of
+    exhausting the host."""
+    graph = tmp_path / "huge.graph"
+    graph.write_text(f"{HUGE} 1\n0 1 0.5\n")
+    spec = tmp_path / "huge.json"
+    variant = "graphic" if case == "graphic" else "cographic"
+    spec.write_text(json.dumps({"variant": variant, "edges": [[0, HUGE]]}))
+    args = {"estimate": ["estimate-reliability", "--graph", str(graph)],
+            "exact-reliability": ["exact", "reliability", "--graph", str(graph)],
+            }.get(case, ["exact", "mu", "--matroid", str(spec), "--lambda", "1"])
+    r = subprocess.run(CLI + args, capture_output=True, text=True,
+                       env=dict(cli_env(), OPENBLAS_NUM_THREADS="1"),
+                       preexec_fn=_cap_address_space, timeout=120)
+    if case == "estimate":
+        assert r.returncode == 2 and "graph must be connected" in r.stderr, r.stderr
+    elif case == "exact-reliability":
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)
+        assert (out["z_rel"], out["log_z_rel"]) == (0.0, None)
+    elif case == "cographic":
+        assert r.returncode == 2, r.stderr
+        assert "cographic spec requires a connected ambient graph" in r.stderr
+    else:
+        assert r.returncode == 0, r.stderr
+        atoms = json.loads(r.stdout)["atoms"]
+        assert sorted(a["set"] for a in atoms) == [[], [0]]

@@ -32,7 +32,7 @@ def test_fields_validation():
     with pytest.raises(ValidationError):
         Fields([float("inf")])
     f = Fields([0.5, 2.0, 1.0])
-    assert f.lambda_max == 2.0 and f.lambda_min == 0.5
+    assert f.lam == [0.5, 2.0, 1.0]
 
 
 @pytest.mark.parametrize("bad", [

@@ -341,7 +341,7 @@ class _ForcedBranches:
         k = self.m - tb.n
         self._advance(k)
         fresh = SmallTables(cographic_spec(self.cur), failure_fields(self.cur), "polarized")
-        for name in ("indep", "popcnt", "weight"):
+        for name in ("indep", "weight"):
             assert np.array_equal(getattr(tb, name), getattr(fresh, name)), (k, name)
         self.tables_checked += 1
         delete = self._decide(k)
@@ -416,7 +416,10 @@ def test_derived_tables_first_built_at_level_two(monkeypatch):
 
     def counting(spec, fields, need):
         built.append(spec.n)
-        return real(spec, fields, need)
+        tb = real(spec, fields, need)
+        for contract in (False, True):  # a minor's tables are views of these
+            assert np.shares_memory(tb.minor(contract).indep, tb.indep)
+        return tb
 
     monkeypatch.setattr(vectorized, "SmallTables", counting)
     for choose, deletes in ((lambda i: False, False), (lambda i: True, True),
@@ -429,6 +432,14 @@ def test_derived_tables_first_built_at_level_two(monkeypatch):
         assert any(d for k, _, d in forced.made if k > 2) == deletes
 
 
+def test_estimate_pinned_on_the_mixed_path():
+    """GRID_18's exact output at seed 1: levels 0 and 1 run sequential
+    chains, every later level runs on tables sliced from level 2's."""
+    est = rel_estimate(GRID_18, 0.5, 0.5, seed=1, c0=0.01)
+    assert (est.samples_used, est.chain_steps, est.log_z_hat) == (
+        56, 20_136, -5.137784225561402)
+
+
 def test_debug_guard_checks_derived_tables(monkeypatch):
     """With MATROID_MCMC_DEBUG_ASSERTS=1 rel_estimate compares each level's
     derived tables with a fresh build of its minor."""
@@ -437,9 +448,10 @@ def test_debug_guard_checks_derived_tables(monkeypatch):
     rel_estimate(inst, 0.3, 0.3, seed=1, c0=0.5)
     real = SmallTables.minor
 
-    def corrupt(self, shift, contract):
-        tb = real(self, shift, contract)
-        tb.indep[1] = not tb.indep[1]
+    def corrupt(self, contract):
+        tb = real(self, contract)
+        tb.indep = tb.indep.copy()  # the minor is a view of the tables it came from
+        tb.indep[-1] = not tb.indep[-1]  # the last level's minor has one entry
         return tb
 
     monkeypatch.setattr(SmallTables, "minor", corrupt)
