@@ -24,12 +24,13 @@ non-negative ints not live already (`insert_edge(key, u, v)`, `delete_edge(key)`
 Both accept multigraphs; self-loops are stored but never affect connectivity.
 
 Which structure serves which oracle (`matroids.build_oracle` with backend
-"auto"): graphs of at most `_AUTO_NAIVE_MAX_VERTICES` vertices get naive;
-larger graphic specs, and larger cographic specs whose graph is not planar,
-get HDT.  A larger cographic spec on a planar graph uses no dynamic graph:
-`matroids.PlanarCographicOracle` keeps a spanning forest of the plane dual
-with the splay Euler-tour primitives below (`_Node`, `_ett_link`,
-`_ett_cut`, `_same_tree`), with no levels and no replacement search.
+"auto"): graphs of at most `_AUTO_NAIVE_MAX_VERTICES` vertices get naive.
+Above that, graphic independence, and cographic independence on a planar
+graph, use no dynamic graph: `matroids.ForestOracle` keeps a spanning forest
+of the graph or of its plane dual with the splay Euler-tour primitives below
+(`_Node`, `_ett_link`, `_ett_cut`, `_same_tree`), with no levels and no
+replacement search.  HDT serves the rest: graphic rank queries (the
+random-cluster walk) and cographic specs whose graph is not planar.
 """
 from __future__ import annotations
 

@@ -5,12 +5,14 @@ it into a stateful oracle over a mutable set S.  _BaseOracle owns the
 contract: the checked insert / delete of one element, is_independent as
 rank(S) == |S|, and the _add / _remove hooks through which a variant keeps
 its own state in step.  Each variant adds only that state and its queries
-(rank and rank_drops_on_delete on rank-capable variants).  GraphicOracle
-keeps S in a naive or HDT dynamic graph, each edge (self-loops too) keyed by
-its element; CographicOracle swaps its hooks, so that graph holds E \\ S.
-A planar cographic spec above dyncon's naive threshold gets, under "auto",
-PlanarCographicOracle: the dual edges of S as a forest of the plane dual.
-The others use counters, table lookup, or GF(2) elimination at desk scale.
+(rank and rank_drops_on_delete on rank-capable variants; elsewhere they
+raise).  GraphicOracle keeps S in a naive or HDT dynamic graph, each edge
+(self-loops too) keyed by its element; CographicOracle swaps its hooks, so
+that graph holds E \\ S.  Above dyncon's naive threshold, under "auto",
+graphic independence goes to ForestOracle instead, a spanning forest of the
+edges of S, and so does cographic independence on a planar graph, with the
+forest over the plane dual.  The others use counters, table lookup, or
+GF(2) elimination at desk scale.
 """
 from __future__ import annotations
 
@@ -258,7 +260,9 @@ class _BaseOracle:
     removes one that is.  Called on any other element, either raises
     ContractError and changes nothing.  Each then calls its hook, _add(i) or
     _remove(i) (no-ops here), for the variant's own state.  Queries leave
-    `current` as it was; is_independent defaults to rank() == |current|.
+    `current` as it was; is_independent defaults to rank() == |current|,
+    and rank and rank_drops_on_delete raise UnsupportedOperationError until
+    a variant defines them.
     """
 
     def __init__(self, n: int):
@@ -290,6 +294,11 @@ class _BaseOracle:
 
     def is_independent(self) -> bool:
         return self.rank() == len(self.current)
+
+    def rank(self, *_) -> int:
+        raise UnsupportedOperationError(f"{type(self).__name__} answers independence only")
+
+    rank_drops_on_delete = rank
 
 
 class ExplicitOracle(_BaseOracle):
@@ -403,37 +412,36 @@ class CographicOracle(GraphicOracle):
     def is_independent(self) -> bool:
         return self._g.component_count() == 1
 
-    def rank(self, *_) -> int:
-        raise UnsupportedOperationError("cographic oracle answers independence only")
-
-    rank_drops_on_delete = rank
+    rank = rank_drops_on_delete = _BaseOracle.rank
 
 
-class PlanarCographicOracle(CographicOracle):
-    """The cographic oracle of a connected plane graph: a forest of its dual.
+class ForestOracle(_BaseOracle):
+    """Independence oracle: a spanning forest over `ends`, with no levels.
 
-    By Whitney duality M*(G) = M(G*), so S is independent iff the dual edges
-    of S form a forest in G*.  Each face of G is a vertex of a forest of
-    Euler tours (dyncon's splay trees).  Its tree edges are the dual edges of
-    S except the "extras": elements whose two faces were already joined when
-    they came in (a bridge of G is a dual loop, so always an extra).  S is
-    independent iff there is no extra.  delete cuts the dual edge, then
-    relinks the first extra that now joins two trees, so the trees always
-    span the components of S*.  The walk holds at most one extra, and only
-    between its insert and its delete.  `dual` is what planar.dual_graph
-    returns for the spec's edges.
+    `ends` is (node count, end): element i joins nodes end[2i] and
+    end[2i + 1], and S is independent iff its edges form a forest there.
+    For a graphic spec the ends are the primal graph's; for a cographic spec
+    on a connected plane graph they are the plane dual's (planar.dual_graph),
+    since by Whitney duality M*(G) = M(G*).  Each node is a vertex of a
+    forest of Euler tours (dyncon's splay trees).  Its tree edges are the
+    elements of S except the "extras": elements whose two nodes were already
+    joined when they came in (a self-loop, or a copy of a tree edge, is
+    always one).  S is independent iff there is no extra.  delete cuts the
+    tree edge, then relinks the first extra that now joins two trees, so the
+    trees always span the components of S, with no replacement search.  The
+    walk holds at most one extra, and only between its insert and its delete.
     """
 
-    def __init__(self, spec: MatroidSpec, dual: tuple[int, list[int]]):
-        _BaseOracle.__init__(self, spec.n)
-        faces, self._face = dual
-        self._faces = [_Node(vertex=f) for f in range(faces)]
+    def __init__(self, n: int, ends: tuple[int, list[int]]):
+        super().__init__(n)
+        nodes, self._end = ends
+        self._nodes = [_Node(vertex=v) for v in range(nodes)]
         self._arcs: dict[int, tuple[_Node, _Node]] = {}
         self._extras: dict[int, None] = {}  # an insertion-ordered set
         self._debug = debug_asserts_enabled()
 
     def _ends(self, i: int) -> tuple[_Node, _Node]:
-        return self._faces[self._face[2 * i]], self._faces[self._face[2 * i + 1]]
+        return self._nodes[self._end[2 * i]], self._nodes[self._end[2 * i + 1]]
 
     def _link(self, i: int, a: _Node, b: _Node) -> None:
         arcs = self._arcs[i] = (_Node(edge=i), _Node(edge=i))
@@ -467,19 +475,19 @@ class PlanarCographicOracle(CographicOracle):
         return not self._extras
 
     def _check_invariants(self) -> None:
-        """Assert the forest invariants (MATROID_MCMC_DEBUG_ASSERTS=1); O(faces
+        """Assert the forest invariants (MATROID_MCMC_DEBUG_ASSERTS=1); O(nodes
         + |S|), run after each mutation.
 
         The tree arcs are exactly the non-extra elements of S, each in the
-        tree of its two faces; each extra's two faces lie in one tree; the
-        trees number faces - arcs; every splay node's aggregates match.
+        tree of its two nodes; each extra's two nodes lie in one tree; the
+        trees number nodes - arcs; every splay node's aggregates match.
         """
-        arcs, extras, faces = self._arcs, self._extras, self._faces
+        arcs, extras, nodes = self._arcs, self._extras, self._nodes
         assert arcs.keys() | extras.keys() == self.current \
             and not arcs.keys() & extras.keys()
-        roots = {id(r): r for r in map(_root, faces)}
-        assert len(roots) == len(faces) - len(arcs), (len(roots), len(faces), len(arcs))
-        assert sum(map(_check_subtree, roots.values())) == len(faces) + 2 * len(arcs)
+        roots = {id(r): r for r in map(_root, nodes)}
+        assert len(roots) == len(nodes) - len(arcs), (len(roots), len(nodes), len(arcs))
+        assert sum(map(_check_subtree, roots.values())) == len(nodes) + 2 * len(arcs)
         for i, (p, q) in arcs.items():
             a, b = self._ends(i)
             assert p.edge == q.edge == i and _root(p) is _root(q) is _root(a) is _root(b), i
@@ -540,21 +548,28 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
 
     dyncon_backend "hdt" or "naive" pins a graph oracle's connectivity
     backend.  "auto" picks naive up to dyncon's size threshold and HDT above
-    it, except that a cographic spec above it whose graph is planar gets the
-    dual-forest oracle, PlanarCographicOracle.
+    it, except for independence queries on a graph above it: a graphic spec
+    gets ForestOracle over its edges (vertex ids relabelled densely, so a
+    sparse id costs nothing), and a cographic spec on a planar graph gets
+    ForestOracle over the plane dual.
     """
     if kind not in ("independence", "rank"):
         raise ValidationError(f"oracle kind must be 'independence' or 'rank', got {kind!r}")
     if kind == "rank" and not spec.rank_capable:
         raise UnsupportedOperationError(
             f"variant {spec.variant!r} supports independence queries only")
-    if spec.variant == "graphic":
-        return GraphicOracle(spec, dyncon_backend)
-    if spec.variant == "cographic":
-        if dyncon_backend == "auto" and spec.vertices > _AUTO_NAIVE_MAX_VERTICES:
-            dual = planar.dual_graph(spec.vertices, spec.edges)
-            if dual is not None:
-                return PlanarCographicOracle(spec, dual)
-        return CographicOracle(spec, dyncon_backend)
+    if spec.variant in ("graphic", "cographic"):
+        if (dyncon_backend == "auto" and kind == "independence"
+                and spec.vertices > _AUTO_NAIVE_MAX_VERTICES):
+            if spec.variant == "graphic":
+                ids: dict[int, int] = {}
+                end = [ids.setdefault(x, len(ids)) for e in spec.edges for x in e]
+                ends = len(ids), end
+            else:
+                ends = planar.dual_graph(spec.vertices, spec.edges)
+            if ends is not None:
+                return ForestOracle(spec.n, ends)
+        oracle = GraphicOracle if spec.variant == "graphic" else CographicOracle
+        return oracle(spec, dyncon_backend)
     return {"explicit": ExplicitOracle, "uniform": UniformOracle, "partition": PartitionOracle,
             "binary-linear": BinaryLinearOracle}[spec.variant](spec)

@@ -4,7 +4,7 @@
 is not planar, and returns the dual edge of every element.  For a connected
 plane graph G, Whitney duality gives M*(G) = M(G*): a set of edges leaves G
 connected iff its dual edges form a forest in G*.  That turns the cographic
-oracle into a spanning-forest oracle (`matroids.PlanarCographicOracle`).
+oracle into the spanning-forest oracle over the dual (`matroids.ForestOracle`).
 
 The embedding is the left-right planarity test (de Fraysseix, Ossona de
 Mendez & Rosenstiehl 2006; Brandes, "The Left-Right Planarity Test", 2009)

@@ -16,7 +16,7 @@ from matroid_mcmc import (
     run_rc_batch,
 )
 from matroid_mcmc.exact import exact_rc
-from matroid_mcmc.matroids import PlanarCographicOracle
+from matroid_mcmc.matroids import ForestOracle
 
 from conftest import LOOP_PARALLEL_EDGES, TRIANGLE_EDGES, ones, spec_of
 
@@ -301,36 +301,41 @@ def _grid_edges(k):
 
 def test_polarized_cographic_grid_hdt_matches_naive():
     """Oracle answers are exact, so every backend gives one trajectory; on
-    this planar grid, auto is the dual-forest oracle."""
-    spec = matroid_from_dict({"variant": "cographic", "edges": _grid_edges(12)})
-    fields = Fields([0.5 + (i % 7) / 4 for i in range(spec.n)])
-    cfg = ChainConfig(seed=21, step_override=4000)
-    chains = [PolarizedChain(spec, fields, cfg, dyncon_backend=b)
-              for b in ("hdt", "naive", "auto")]
-    hdt, naive, auto = chains
-    assert type(hdt.oracle._g).__name__ != type(naive.oracle._g).__name__
-    assert type(auto.oracle) is PlanarCographicOracle
-    assert hdt.run() == naive.run() == auto.run()
-    assert hdt.stats == naive.stats == auto.stats
-    assert hdt.stats.rejections > 0
+    this 144-vertex grid, auto is the forest oracle, over the plane dual
+    (cographic) or over the grid itself (graphic)."""
+    for variant in ("cographic", "graphic"):
+        spec = matroid_from_dict({"variant": variant, "edges": _grid_edges(12)})
+        fields = Fields([0.5 + (i % 7) / 4 for i in range(spec.n)])
+        cfg = ChainConfig(seed=21, step_override=4000)
+        chains = [PolarizedChain(spec, fields, cfg, dyncon_backend=b)
+                  for b in ("hdt", "naive", "auto")]
+        hdt, naive, auto = chains
+        assert type(hdt.oracle._g).__name__ != type(naive.oracle._g).__name__
+        assert type(auto.oracle) is ForestOracle
+        assert hdt.run() == naive.run() == auto.run(), variant
+        assert hdt.stats == naive.stats == auto.stats, variant
+        assert hdt.stats.rejections > 0
 
 
 def test_polarized_planar_multigraph_dual_matches_hdt(monkeypatch):
     """A 7x7 grid with parallel edges, self-loops and a pendant bridge (50
-    vertices, so auto embeds it): the dual forest and HDT walk alike, with
-    both oracles' invariants checked after every mutation."""
+    vertices, so auto picks the forest oracle): the forest and HDT walk
+    alike on both graph variants, with both oracles' invariants checked
+    after every mutation."""
     monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
     edges = _grid_edges(7)
     edges += [edges[i] for i in (0, 5, 5, 40, 83)] + [[3, 3], [24, 24], [24, 24]]
     edges += [[48, 49], [49, 49]]
-    spec = matroid_from_dict({"variant": "cographic", "edges": edges})
-    fields = Fields([0.4 + (i % 5) / 3 for i in range(spec.n)])
-    cfg = ChainConfig(seed=23, step_override=3000)
-    auto, hdt = (PolarizedChain(spec, fields, cfg, dyncon_backend=b) for b in ("auto", "hdt"))
-    assert type(auto.oracle) is PlanarCographicOracle and hdt.oracle._g.name == "hdt"
-    assert auto.run() == hdt.run()
-    assert auto.stats == hdt.stats
-    assert auto.stats.rejections > 0
+    for variant in ("cographic", "graphic"):
+        spec = matroid_from_dict({"variant": variant, "edges": edges})
+        fields = Fields([0.4 + (i % 5) / 3 for i in range(spec.n)])
+        cfg = ChainConfig(seed=23, step_override=3000)
+        auto, hdt = (PolarizedChain(spec, fields, cfg, dyncon_backend=b)
+                     for b in ("auto", "hdt"))
+        assert type(auto.oracle) is ForestOracle and hdt.oracle._g.name == "hdt"
+        assert auto.run() == hdt.run(), variant
+        assert auto.stats == hdt.stats, variant
+        assert auto.stats.rejections > 0
 
 
 @pytest.mark.parametrize("q", [0.5, 0.0])

@@ -230,6 +230,16 @@ def test_bench_sampler_csv(tmp_path):
         assert int(cols[7]) >= int(cols[4])  # proposals >= steps
 
 
+def test_bench_naive_cap_keeps_a_smaller_request(tmp_path):
+    """The naive backend's step cap only lowers a request, never raises it."""
+    out = tmp_path / "bench.csv"
+    r = run_cli("bench", "--target", "sampler", "--families", "path", "--sizes", "10",
+                "--backends", "naive", "--steps", "5", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    header, row = (ln.split(",") for ln in out.read_text().strip().splitlines())
+    assert row[header.index("steps")] == "5"
+
+
 @pytest.mark.parametrize("args", [
     ["--steps", "0"],
     ["--target", "dyncon", "--ops", "-1"],
@@ -281,7 +291,8 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-@pytest.mark.parametrize("case", ["estimate", "exact-reliability", "cographic", "graphic"])
+@pytest.mark.parametrize("case", ["estimate", "exact-reliability", "cographic", "graphic",
+                                  "sample"])
 def test_huge_vertex_count_allocates_nothing_per_vertex(tmp_path, case):
     """A one-edge input naming vertex 10^12 is answered without a list per
     vertex.  The child's address space is capped at 2 GiB, so code that does
@@ -290,10 +301,12 @@ def test_huge_vertex_count_allocates_nothing_per_vertex(tmp_path, case):
     graph = tmp_path / "huge.graph"
     graph.write_text(f"{HUGE} 1\n0 1 0.5\n")
     spec = tmp_path / "huge.json"
-    variant = "graphic" if case == "graphic" else "cographic"
+    variant = "cographic" if case == "cographic" else "graphic"
     spec.write_text(json.dumps({"variant": variant, "edges": [[0, HUGE]]}))
     args = {"estimate": ["estimate-reliability", "--graph", str(graph)],
             "exact-reliability": ["exact", "reliability", "--graph", str(graph)],
+            "sample": ["sample", "--model", "independent", "--matroid", str(spec),
+                       "--num-samples", "3", "--seed", "1"],
             }.get(case, ["exact", "mu", "--matroid", str(spec), "--lambda", "1"])
     r = subprocess.run(CLI + args, capture_output=True, text=True,
                        env=dict(cli_env(), OPENBLAS_NUM_THREADS="1"),
@@ -307,6 +320,9 @@ def test_huge_vertex_count_allocates_nothing_per_vertex(tmp_path, case):
     elif case == "cographic":
         assert r.returncode == 2, r.stderr
         assert "cographic spec requires a connected ambient graph" in r.stderr
+    elif case == "sample":  # the forest oracle relabels the two ids densely
+        assert r.returncode == 0, r.stderr
+        assert [json.loads(ln) for ln in r.stdout.splitlines()] == [[], [0], []]
     else:
         assert r.returncode == 0, r.stderr
         atoms = json.loads(r.stdout)["atoms"]

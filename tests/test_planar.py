@@ -1,4 +1,4 @@
-"""Plane embeddings and the dual-forest cographic oracle."""
+"""Plane embeddings and the forest oracle over primal and dual ends."""
 
 import random
 
@@ -10,7 +10,7 @@ from matroid_mcmc import (ContractError, UnsupportedOperationError, ValidationEr
 from matroid_mcmc import planar
 from matroid_mcmc.bench import build_family
 from matroid_mcmc.exact import BruteMatroid
-from matroid_mcmc.matroids import CographicOracle, PlanarCographicOracle
+from matroid_mcmc.matroids import CographicOracle, ForestOracle, GraphicOracle
 
 from conftest import K4_EDGES, LOOP_PARALLEL_EDGES, TRIANGLE_EDGES
 
@@ -227,9 +227,38 @@ def test_oracle_choice_by_size_and_backend():
                                "edges": [list(e) for e in wheel(32)[1]]})
     assert (small.vertices, large.vertices) == (32, 33)
     assert build_oracle(small)._g.name == "naive"
-    assert type(build_oracle(large)) is PlanarCographicOracle
+    assert type(build_oracle(large)) is ForestOracle
     for backend in ("hdt", "naive"):
         assert build_oracle(large, dyncon_backend=backend)._g.name == backend
+
+
+def test_graphic_oracle_choice_by_size_kind_and_backend(monkeypatch):
+    """The graphic twin: auto gives independence queries above dyncon's naive
+    threshold the forest over the primal edges, planar or not, and never
+    embeds the graph; rank queries and a pinned backend keep the dynamic
+    graph."""
+    small, large = (matroid_from_dict({"variant": "graphic",
+                                       "edges": [list(e) for e in wheel(k)[1]]})
+                    for k in (31, 32))
+    assert (small.vertices, large.vertices) == (32, 33)
+    oracle = build_oracle(small)
+    assert type(oracle) is GraphicOracle and oracle._g.name == "naive"
+    assert type(build_oracle(large)) is ForestOracle
+    oracle = build_oracle(large, "rank")
+    assert type(oracle) is GraphicOracle and oracle._g.name == "hdt"
+    for backend in ("hdt", "naive"):
+        oracle = build_oracle(large, dyncon_backend=backend)
+        assert type(oracle) is GraphicOracle and oracle._g.name == backend
+
+    def no_embedding(*_):
+        raise AssertionError("a graphic spec is never embedded")
+
+    monkeypatch.setattr(planar, "dual_graph", no_embedding)
+    for name in NONPLANAR:
+        n, edges = padded(NONPLANAR[name])
+        spec = matroid_from_dict({"variant": "graphic", "edges": [list(e) for e in edges]})
+        assert spec.vertices > 32
+        assert type(build_oracle(spec)) is ForestOracle, name
 
 
 def test_euler_mismatch_raises(monkeypatch):
@@ -249,24 +278,34 @@ def test_euler_mismatch_raises(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the dual-forest oracle
+# the forest oracle
 
 
 ORACLE_GRAPHS = ["k4", "loop-parallel", "grid-diagonals", "wheel-all", "shuffled-grid-all"]
 
 
-def _dual_oracle(graph):
-    n, edges = graph
-    spec = matroid_from_dict({"variant": "cographic", "edges": [list(e) for e in edges]})
-    return spec, PlanarCographicOracle(spec, planar.dual_graph(spec.vertices, spec.edges))
+def _forest_oracle(graph, variant="cographic"):
+    """The forest oracle over the plane dual (cographic) or over the primal
+    edges themselves (graphic)."""
+    _, edges = graph
+    spec = matroid_from_dict({"variant": variant, "edges": [list(e) for e in edges]})
+    if variant == "graphic":
+        ends = spec.vertices, [x for e in spec.edges for x in e]
+    else:
+        ends = planar.dual_graph(spec.vertices, spec.edges)
+    return spec, ForestOracle(spec.n, ends)
 
 
-@pytest.mark.parametrize("name", ORACLE_GRAPHS)
-def test_dual_oracle_matches_brute_force(name, monkeypatch):
+@pytest.mark.parametrize("variant,name", [("cographic", name) for name in ORACLE_GRAPHS]
+                         + [("graphic", name) for name in ORACLE_GRAPHS],
+                         ids=ORACLE_GRAPHS + [f"graphic-{name}" for name in ORACLE_GRAPHS])
+def test_dual_oracle_matches_brute_force(variant, name, monkeypatch):
     """A walk that grows the set while it is independent and mostly shrinks
-    it otherwise, so it keeps crossing the boundary with a few extras."""
+    it otherwise, so it keeps crossing the boundary with a few extras.  The
+    graphic cases run the same forest over the primal edges, loops and
+    parallel copies included."""
     monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
-    spec, oracle = _dual_oracle(PLANAR.get(name) or MULTI[name])
+    spec, oracle = _forest_oracle(PLANAR.get(name) or MULTI[name], variant)
     assert oracle._debug
     ref = BruteMatroid(spec)
     rng = np.random.default_rng(31)
@@ -289,16 +328,17 @@ def test_dual_oracle_matches_brute_force(name, monkeypatch):
 
 
 def test_dual_oracle_is_independence_only():
-    _, oracle = _dual_oracle(PLANAR["wheel"])
-    oracle.insert(0)
-    with pytest.raises(UnsupportedOperationError):
-        oracle.rank()
-    with pytest.raises(UnsupportedOperationError):
-        oracle.rank_drops_on_delete(0)
-    with pytest.raises(ContractError):
+    for variant in ("cographic", "graphic"):
+        _, oracle = _forest_oracle(PLANAR["wheel"], variant)
         oracle.insert(0)
-    with pytest.raises(ContractError):
-        oracle.delete(1)
+        with pytest.raises(UnsupportedOperationError):
+            oracle.rank()
+        with pytest.raises(UnsupportedOperationError):
+            oracle.rank_drops_on_delete(0)
+        with pytest.raises(ContractError):
+            oracle.insert(0)
+        with pytest.raises(ContractError):
+            oracle.delete(1)
 
 
 def _corrupt_an_arc(oracle):
@@ -312,14 +352,14 @@ def _corrupt_an_arc(oracle):
 
 def test_forest_invariant_checker_catches_corruption(monkeypatch):
     monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
-    _, oracle = _dual_oracle(PLANAR["wheel"])
+    _, oracle = _forest_oracle(PLANAR["wheel"])
     _corrupt_an_arc(oracle)
     with pytest.raises(AssertionError):
         oracle.insert(5)
 
     # the flag is read at construction: with it off, the same damage goes unseen
     monkeypatch.delenv("MATROID_MCMC_DEBUG_ASSERTS")
-    _, oracle = _dual_oracle(PLANAR["wheel"])
+    _, oracle = _forest_oracle(PLANAR["wheel"])
     _corrupt_an_arc(oracle)
     oracle.insert(5)
     with pytest.raises(AssertionError):
@@ -329,7 +369,7 @@ def test_forest_invariant_checker_catches_corruption(monkeypatch):
 def test_forest_invariant_checker_catches_a_stray_extra(monkeypatch):
     """An extra whose faces lie in two trees should have been linked."""
     monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
-    _, oracle = _dual_oracle(PLANAR["wheel"])
+    _, oracle = _forest_oracle(PLANAR["wheel"])
     oracle.insert(0)
     oracle.current.add(3)
     oracle._extras[3] = None
