@@ -8,8 +8,6 @@ Subcommands:
 * ``estimate-reliability``  FPRAS-style all-terminal reliability estimate
 * ``exact``                 brute-force reference distributions and kernels
                             (guarded by hard size limits)
-* ``bench``                 timing tables for the sampler and the dynamic
-                            connectivity backends
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid input or arguments,
 3 request exceeds a brute-force size guard.
@@ -28,7 +26,6 @@ import time
 import numpy as np
 
 from . import __version__
-from .bench import SAMPLER_FAMILIES, BenchRow, bench_sampler, dyncon_workload
 from .config import ChainConfig
 from .errors import ContractError, SizeLimitError, ValidationError
 from .exact import exact_kernel, exact_mu, exact_pi, exact_rc, stationary_residual
@@ -233,8 +230,25 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 # exact
 
 
+# the options each exact target reads, by argparse dest
+_EXACT_TAKES = {
+    "mu": ("matroid", "lam"),
+    "pi": ("matroid", "lam"),
+    "rc": ("matroid", "lam", "q"),
+    "kernel": ("matroid", "lam", "q", "chain"),
+    "reliability": ("graph",),
+}
+_EXACT_FLAGS = {"matroid": "--matroid", "graph": "--graph", "lam": "--lambda",
+                "q": "--q", "chain": "--chain"}
+
+
 def _cmd_exact(args: argparse.Namespace) -> int:
     what = args.what
+    for dest, flag in _EXACT_FLAGS.items():
+        if getattr(args, dest) is not None and dest not in _EXACT_TAKES[what]:
+            raise ValidationError(f"exact {what} does not take {flag}")
+    if what == "kernel" and args.chain != "random-cluster" and args.q is not None:
+        raise ValidationError("exact kernel --chain polarized does not take --q")
     if what == "reliability":
         if args.graph is None:
             raise ValidationError("exact reliability requires --graph")
@@ -280,7 +294,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         _emit_json({"atoms": atoms, "q": args.q}, args.out)
         return 0
     if what == "kernel":
-        kind = args.chain
+        kind = args.chain or "polarized"
         if kind == "random-cluster" and args.q is None:
             raise ValidationError("exact kernel --chain random-cluster requires --q")
         states, P = exact_kernel(kind, spec, fields, q=args.q)
@@ -298,80 +312,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         }, args.out)
         return 0
     raise ValidationError(f"unknown exact target {what!r}")
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def _csv_out(path: str | None, header: list[str], rows: list[list]) -> None:
-    out, close = _open_out(path)
-    try:
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(str(x) for x in row) + "\n")
-    finally:
-        if close:
-            out.close()
-
-
-def _parse_list(text: str, kind: str) -> list[str]:
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    if not items:
-        raise ValidationError(f"empty {kind} list")
-    return items
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.steps < 1 or args.ops < 1:
-        raise ValidationError("--steps and --ops must be >= 1")
-    sizes = []
-    for t in _parse_list(args.sizes, "size"):
-        try:
-            sizes.append(int(t))
-        except ValueError:
-            raise ValidationError(f"bad size: {t!r}") from None
-        if sizes[-1] < 1:
-            raise ValidationError("sizes must be >= 1")
-    backends = _parse_list(args.backends, "backend")
-    for b in backends:
-        if b not in ("hdt", "naive"):
-            raise ValidationError(f"unknown backend {b!r} (want hdt or naive)")
-
-    if args.target == "dyncon":
-        header = ["backend", "vertices", "ops", "wall_time_sec", "per_op_us", "checksum"]
-        rows = []
-        for nv in sizes:
-            for backend in backends:
-                wall, checksum = dyncon_workload(nv, args.ops, backend, seed=args.seed)
-                rows.append([backend, nv, args.ops, f"{wall:.6f}",
-                             f"{1e6 * wall / args.ops:.3f}", checksum])
-        _csv_out(args.out, header, rows)
-        return 0
-
-    families = _parse_list(args.families, "family")
-    for fam in families:
-        if fam not in SAMPLER_FAMILIES:
-            raise ValidationError(
-                f"unknown family {fam!r} (want one of {', '.join(SAMPLER_FAMILIES)})")
-    header = ["family", "backend", "vertices", "m", "steps",
-              "wall_time_sec", "per_step_us", "proposals", "rejections"]
-    rows: list[list] = []
-    for fam in families:
-        for m_target in sizes:
-            for backend in backends:
-                steps = args.steps
-                if backend == "naive":
-                    # the naive backend traverses the whole graph for each
-                    # step's component count, so cap its work to keep large
-                    # rows affordable (a cap only: a smaller request stands)
-                    steps = min(steps, max(20, 2_000_000 // max(1, m_target)))
-                row: BenchRow = bench_sampler(fam, m_target, backend, steps, seed=args.seed)
-                rows.append([row.family, row.backend, row.vertices, row.m, row.steps,
-                             f"{row.wall_time_sec:.6f}", f"{row.per_step_us:.3f}",
-                             row.proposals, row.rejections])
-    _csv_out(args.out, header, rows)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -422,24 +362,9 @@ def _build_parser() -> argparse.ArgumentParser:
     xp.add_argument("--lambda", dest="lam", metavar="FILE|CONST")
     xp.add_argument("--q", type=float)
     xp.add_argument("--chain", choices=("polarized", "random-cluster"),
-                    default="polarized", help="which kernel to materialize")
+                    help="which kernel to materialize (default: polarized)")
     xp.add_argument("--out")
     xp.set_defaults(func=_cmd_exact)
-
-    bp = sub.add_parser("bench", help="timing tables (CSV)")
-    bp.add_argument("--target", choices=("sampler", "dyncon"), default="sampler")
-    bp.add_argument("--families", default="path,grid,random-regular",
-                    help="comma list of graph families (sampler target)")
-    bp.add_argument("--sizes", default="1000,10000,100000",
-                    help="comma list of edge counts (sampler) or vertex counts (dyncon)")
-    bp.add_argument("--backends", default="naive,hdt")
-    bp.add_argument("--steps", type=int, default=1000,
-                    help="chain transitions per sampler row")
-    bp.add_argument("--ops", type=int, default=100000,
-                    help="edge operations per dyncon row")
-    bp.add_argument("--seed", type=int, default=0)
-    bp.add_argument("--out", help="CSV output path (default: stdout)")
-    bp.set_defaults(func=_cmd_bench)
 
     return p
 

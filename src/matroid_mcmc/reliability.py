@@ -64,7 +64,7 @@ class ReliabilityEstimate:
     z_hat: float
     log_z_hat: float  # finite where z_hat underflows to 0.0
     rel_err_target: float
-    confidence: float
+    delta: float  # the failure probability as the caller passed it
     samples_used: int
     chain_steps: int  # chain steps run over all levels
     trace: list[dict] = field(default_factory=list)
@@ -74,7 +74,7 @@ class ReliabilityEstimate:
             "z_hat": self.z_hat,
             "log_z_hat": self.log_z_hat,
             "eps": self.rel_err_target,
-            "delta": 1.0 - self.confidence,
+            "delta": self.delta,
             "samples_used": self.samples_used,
             "chain_steps": self.chain_steps,
             "trace": self.trace,
@@ -126,6 +126,10 @@ def failure_fields(inst: NetworkInstance) -> Fields:
 
 
 def cographic_spec(inst: NetworkInstance) -> MatroidSpec:
+    if not inst.edges:  # matroid_from_dict wants at least one edge
+        if inst.vertices == 1:
+            raise ValidationError("graph has no edges: one vertex leaves no edge set to sample")
+        raise ValidationError("graph must be connected (reliability law undefined otherwise)")
     # matroid_from_dict checks that the edges connect 0..max endpoint; a
     # vertex above that touches no edge and disconnects the graph
     spec = matroid_from_dict({"variant": "cographic",
@@ -222,7 +226,7 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
         raise ValidationError("graph must be connected")
     m0 = inst.m
     if m0 == 0:
-        return ReliabilityEstimate(1.0, 0.0, eps, 1.0 - delta, 0, 0, [])
+        return ReliabilityEstimate(1.0, 0.0, eps, delta, 0, 0, [])
     try:
         n_samples = math.ceil(c0 * m0 * math.log(2 * m0 / delta) / (eps * eps))
     except (OverflowError, ZeroDivisionError):
@@ -272,7 +276,7 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
         cur, tb = _next_level(cur, tb, delete)
         level += 1
     log_z = min(log_z, 0.0)
-    return ReliabilityEstimate(math.exp(log_z), log_z, eps, 1.0 - delta,
+    return ReliabilityEstimate(math.exp(log_z), log_z, eps, delta,
                                level * n_samples, steps, trace)
 
 

@@ -18,6 +18,7 @@ from matroid_mcmc import (
     ChainConfig,
     Fields,
     NetworkInstance,
+    PolarizedChain,
     build_oracle,
     dyn_graph,
     matroid_from_dict,
@@ -28,7 +29,6 @@ from matroid_mcmc import (
     sample_independent_sets,
     sample_random_cluster,
 )
-from matroid_mcmc.bench import bench_sampler
 from matroid_mcmc.exact import (
     BruteMatroid,
     empirical_distribution,
@@ -409,35 +409,71 @@ def test_criterion_7_oracle_equivalence():
 # 8. scaling evidence CSV (timings recorded, not gated)
 
 
+def _scaling_spec(family, m):
+    """The cographic matroid of a path of m edges, or of the k x k grid whose
+    2k(k - 1) edges come closest to m."""
+    if family == "path":
+        return matroid_from_dict({"variant": "cographic",
+                                  "edges": [[i, i + 1] for i in range(m)]})
+    k = round((1 + (1 + 2 * m) ** 0.5) / 2)
+    edges = []
+    for v in range(k * k):
+        if v % k + 1 < k:
+            edges.append([v, v + 1])
+        if v + k < k * k:
+            edges.append([v, v + k])
+    return matroid_from_dict({"variant": "cographic", "edges": edges})
+
+
+def _scaling_row(family, spec, backend, steps):
+    """Time `steps` transitions of the connected-subgraph sampler on one
+    connectivity backend; building the chain is not timed."""
+    chain = PolarizedChain(spec, ones(spec.n), ChainConfig(seed=5),
+                           dyncon_backend=backend)
+    t0 = time.perf_counter()
+    for _ in range(steps):
+        chain.step()
+    wall = time.perf_counter() - t0
+    st = chain.stats
+    return {"family": family, "backend": backend, "vertices": spec.vertices,
+            "m": spec.n, "steps": st.steps, "wall_time_sec": wall,
+            "per_step_us": 1e6 * wall / steps, "proposals": st.proposals,
+            "rejections": st.rejections}
+
+
 def test_criterion_8_scaling_artifact(tmp_path):
     out = tmp_path / "bench_scaling.csv"
-    with criterion(8, "non-gating scaling CSV: naive vs dyncon per-step cost "
-                      "on paths/grids at m in {1e3,1e4,1e5}") as note:
+    with criterion(8, "non-gating scaling CSV: naive vs HDT vs auto per-step "
+                      "cost on paths/grids at m in {1e3,1e4,1e5}") as note:
         rows = []
         for family in ("path", "grid"):
             for m in (1_000, 10_000, 100_000):
-                for backend in ("naive", "hdt"):
-                    steps = 2000 if backend == "hdt" else max(
+                spec = _scaling_spec(family, m)
+                for backend in ("naive", "hdt", "auto"):
+                    # naive counts components with a whole-graph search per
+                    # step, so its large rows take fewer steps
+                    steps = 2000 if backend != "naive" else max(
                         20, min(2000, 2_000_000 // m))
-                    rows.append(bench_sampler(family, m, backend, steps, seed=5))
+                    rows.append(_scaling_row(family, spec, backend, steps))
         header = ("family,backend,vertices,m,steps,wall_time_sec,"
                   "per_step_us,proposals,rejections")
         lines = [header] + [
-            f"{r.family},{r.backend},{r.vertices},{r.m},{r.steps},"
-            f"{r.wall_time_sec:.6f},{r.per_step_us:.3f},{r.proposals},"
-            f"{r.rejections}"
+            f"{r['family']},{r['backend']},{r['vertices']},{r['m']},{r['steps']},"
+            f"{r['wall_time_sec']:.6f},{r['per_step_us']:.3f},{r['proposals']},"
+            f"{r['rejections']}"
             for r in rows
         ]
         out.write_text("\n".join(lines) + "\n")
         assert out.exists()
-        assert len(rows) == 12
+        assert len(rows) == 18
         for r in rows:
-            assert r.proposals >= r.steps, r
-            assert r.per_step_us > 0.0, r
-        big = {r.backend: r.per_step_us for r in rows
-               if r.family == "path" and r.m == 100_000}
-        note["detail"] = (f"wrote {out.name} (12 rows); path m=1e5 per-step "
-                          f"naive {big['naive']:.0f}us vs hdt {big['hdt']:.0f}us")
+            assert r["proposals"] >= r["steps"], r
+            assert r["per_step_us"] > 0.0, r
+        big = {r["backend"]: r["per_step_us"] for r in rows
+               if r["family"] == "path" and r["m"] == 100_000}
+        note["detail"] = (f"wrote {out.name} (18 rows); path m=1e5 per-step naive "
+                          f"{big['naive']:.0f}us, hdt {big['hdt']:.0f}us, "
+                          f"auto {big['auto']:.0f}us")
 
 
 # ---------------------------------------------------------------------------

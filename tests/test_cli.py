@@ -4,6 +4,7 @@ import json
 import math
 import re
 import resource
+import shlex
 import subprocess
 import sys
 
@@ -11,8 +12,9 @@ import pytest
 
 from matroid_mcmc.exact import empirical_distribution, exact_mu, tv_distance
 from matroid_mcmc import Fields, matroid_from_dict
+from matroid_mcmc.cli import _build_parser
 
-from conftest import cli_env, masks_of
+from conftest import REPO_ROOT, cli_env, masks_of
 
 CLI = [sys.executable, "-m", "matroid_mcmc"]
 
@@ -131,6 +133,13 @@ def test_estimate_reliability_json(tri_graph, tmp_path):
     assert payload["samples_used"] > 0
 
 
+def test_estimate_reliability_reports_delta_as_given(tri_graph):
+    r = run_cli("estimate-reliability", "--graph", tri_graph, "--eps", "0.5",
+                "--delta", "0.05")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["delta"] == 0.05
+
+
 def test_exact_mu_cli(free2):
     r = run_cli("exact", "mu", "--matroid", free2, "--lambda", "1")
     assert r.returncode == 0, r.stderr
@@ -204,6 +213,57 @@ def test_exit_2_on_malformed_graph(tmp_path):
     assert ":2:" in r.stderr  # line-numbered message
 
 
+@pytest.mark.parametrize("args,flag", [
+    (["reliability", "--graph", "{g}", "--lambda", "2", "--q", "0.3", "--matroid", "{m}"],
+     "--matroid"),
+    (["mu", "--matroid", "{m}", "--q", "0.3", "--graph", "{g}", "--chain", "random-cluster"],
+     "--graph"),
+    (["kernel", "--matroid", "{m}", "--q", "0.3"], "--q"),  # the default polarized chain
+], ids=["reliability", "mu", "kernel-polarized"])
+def test_exact_rejects_options_its_target_does_not_take(tri_graph, free2, args, flag):
+    r = run_cli("exact", *(a.format(g=tri_graph, m=free2) for a in args))
+    assert r.returncode == 2, r.stdout
+    assert r.stdout == ""
+    assert f"does not take {flag}" in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize("header,message", [
+    ("2 0", "graph must be connected"),
+    ("1 0", "graph has no edges"),
+], ids=["two-vertices", "one-vertex"])
+def test_exit_2_on_edgeless_connected_spanning_graph(tmp_path, header, message):
+    p = tmp_path / "edgeless.graph"
+    p.write_text(header + "\n")
+    r = run_cli("sample", "--model", "connected-spanning", "--graph", str(p))
+    assert r.returncode == 2
+    assert message in r.stderr and "'edges'" not in r.stderr, r.stderr
+
+
+def test_bench_subcommand_is_gone():
+    r = run_cli("bench")
+    assert r.returncode == 2
+    assert "invalid choice: 'bench'" in r.stderr, r.stderr
+
+
+def test_readme_commands_parse():
+    """Every ``matroid-mcmc`` line in README's sh blocks parses (nothing
+    runs), so a deleted subcommand or option cannot linger in the docs."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["matroid-mcmc"]:
+                commands.append(words[1:])
+    assert len(commands) >= 6, commands
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: matroid-mcmc {shlex.join(argv)}")
+
+
 def test_exit_1_on_missing_file():
     assert run_cli("sample", "--model", "independent",
                    "--matroid", "no-such-file.json").returncode == 1
@@ -214,51 +274,6 @@ def test_exit_3_on_size_guard(tmp_path):
     p.write_text(json.dumps({"variant": "uniform", "n": 21, "k": 10}))
     r = run_cli("exact", "mu", "--matroid", str(p))
     assert r.returncode == 3
-
-
-def test_bench_sampler_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    r = run_cli("bench", "--target", "sampler", "--families", "path",
-                "--sizes", "50,100", "--backends", "naive,hdt",
-                "--steps", "50", "--out", str(out))
-    assert r.returncode == 0, r.stderr
-    rows = out.read_text().strip().splitlines()
-    assert rows[0].startswith("family,backend")
-    assert len(rows) == 1 + 4
-    for row in rows[1:]:
-        cols = row.split(",")
-        assert int(cols[7]) >= int(cols[4])  # proposals >= steps
-
-
-def test_bench_naive_cap_keeps_a_smaller_request(tmp_path):
-    """The naive backend's step cap only lowers a request, never raises it."""
-    out = tmp_path / "bench.csv"
-    r = run_cli("bench", "--target", "sampler", "--families", "path", "--sizes", "10",
-                "--backends", "naive", "--steps", "5", "--out", str(out))
-    assert r.returncode == 0, r.stderr
-    header, row = (ln.split(",") for ln in out.read_text().strip().splitlines())
-    assert row[header.index("steps")] == "5"
-
-
-@pytest.mark.parametrize("args", [
-    ["--steps", "0"],
-    ["--target", "dyncon", "--ops", "-1"],
-    ["--naive-steps", "5"],  # the option is gone
-], ids=["steps-0", "ops-negative", "naive-steps"])
-def test_bench_rejects_bad_counts(args):
-    r = run_cli("bench", "--sizes", "50", *args)
-    assert r.returncode == 2
-    assert r.stdout == ""
-
-
-def test_bench_dyncon_checksums_agree(tmp_path):
-    out = tmp_path / "dc.csv"
-    r = run_cli("bench", "--target", "dyncon", "--sizes", "32",
-                "--ops", "3000", "--out", str(out))
-    assert r.returncode == 0, r.stderr
-    rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
-    assert len(rows) == 2
-    assert rows[0][5] == rows[1][5]  # same query answers on both backends
 
 
 def test_exit_2_on_overflowing_lambda_sum(tmp_path):

@@ -1,12 +1,12 @@
 """Dynamic connectivity: contract examples, round-trips, and differential runs."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from matroid_mcmc import ContractError, dyn_graph
-from matroid_mcmc.bench import dyncon_workload
 
 
 @pytest.fixture(params=["naive", "hdt"])
@@ -197,6 +197,33 @@ def test_hdt_skip_query_leaves_graph(replaced):
     assert g.connected(0, 1, 0) == replaced
     assert set(g._edges) == keys and g.component_count() == comps
     assert g.connected(0, 1) and g.connected(0, 2)
+
+
+def dyncon_workload(vertex_count, ops, backend, seed=0):
+    """Run a seeded random insert/delete/query workload against one backend.
+
+    Returns ``(wall_time_sec, checksum)``; the checksum folds in every query
+    answer (one per four updates), so two backends can be compared for
+    agreement as well as speed.
+    """
+    g = dyn_graph(vertex_count, backend=backend)
+    rng = np.random.default_rng(seed)
+    live = set()  # keys u * vertex_count + v of the live edges, u <= v
+    checksum = 0
+    t0 = time.perf_counter()
+    for i in range(ops):
+        u, v = sorted((int(rng.integers(vertex_count)), int(rng.integers(vertex_count))))
+        key = u * vertex_count + v
+        live ^= {key}
+        if key in live:
+            g.insert_edge(key, u, v)
+        else:
+            g.delete_edge(key)
+        if i % 4 == 0:
+            a = int(rng.integers(vertex_count))
+            b = int(rng.integers(vertex_count))
+            checksum = (checksum * 131 + (1 if g.connected(a, b) else 0)) % (1 << 61)
+    return time.perf_counter() - t0, checksum
 
 
 def test_workload_checksums_agree():

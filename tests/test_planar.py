@@ -8,7 +8,6 @@ import pytest
 from matroid_mcmc import (ContractError, UnsupportedOperationError, ValidationError,
                           build_oracle, matroid_from_dict)
 from matroid_mcmc import planar
-from matroid_mcmc.bench import build_family
 from matroid_mcmc.exact import BruteMatroid
 from matroid_mcmc.matroids import CographicOracle, ForestOracle, GraphicOracle
 
@@ -87,6 +86,16 @@ def padded(graph, vertices=40):
     return max(n, vertices), edges + [(0 if i == n else i - 1, i) for i in range(n, vertices)]
 
 
+def random_regular(m_target, seed=0):
+    """A connected 3-regular graph of about m_target edges: a cycle plus a
+    seeded random perfect matching (parallel edges allowed)."""
+    nv = max(4, 2 * ((m_target + 2) // 3))
+    nv += nv % 2  # perfect matching needs an even vertex count
+    perm = np.random.default_rng(seed).permutation(nv).tolist()
+    return nv, ([(i, (i + 1) % nv) for i in range(nv)]
+                + [(min(a, b), max(a, b)) for a, b in zip(perm[::2], perm[1::2])])
+
+
 def complete(k):
     return k, [(u, v) for u in range(k) for v in range(u + 1, k)]
 
@@ -131,8 +140,7 @@ NONPLANAR = {
     # pair whose left and right intervals both conflict with the new edge
     "k33-subdivided": (7, [(0, 2), (0, 3), (1, 4), (1, 5), (5, 6), (5, 2), (3, 1),
                            (4, 6), (3, 6), (2, 4)]),
-    "random-regular-300": (lambda inst: (inst.vertices, inst.edges))(
-        build_family("random-regular", 300)),
+    "random-regular-300": random_regular(300),
 }
 
 
