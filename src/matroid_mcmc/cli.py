@@ -31,6 +31,7 @@ from .errors import ContractError, SizeLimitError, ValidationError
 from .exact import exact_kernel, exact_mu, exact_pi, exact_rc, stationary_residual
 from .matroids import Fields, load_matroid, set_bits
 from .reliability import (
+    DEFAULT_C0,
     cographic_spec,
     failure_fields,
     log_rel_exact,
@@ -121,6 +122,8 @@ def _write_manifest(path: str, manifest: dict) -> None:
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.num_samples < 1:
         raise ValidationError("--num-samples must be >= 1")
+    if args.steps is not None and args.steps < 1:
+        raise ValidationError("--steps must be >= 1")
     inputs: dict = {}
     q = args.q
     if args.model == "random-cluster":
@@ -158,8 +161,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         fields = failure_fields(inst)
         complement_of = spec.n
 
-    cfg = ChainConfig(epsilon=args.eps, mix_constant=args.mix_constant,
-                      seed=args.seed, step_override=args.steps)
+    cfg = ChainConfig(epsilon=args.eps, seed=args.seed, step_override=args.steps)
     t0 = time.perf_counter()
     if args.model == "random-cluster":
         samples, stats = sample_random_cluster(spec, fields, q, cfg, args.num_samples)
@@ -187,7 +189,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             "seed": args.seed,
             "config": {
                 "eps": args.eps,
-                "mix_constant": args.mix_constant,
                 "steps_override": args.steps,
                 "steps_per_sample": cfg.steps(spec.n),
                 "q": q,
@@ -332,14 +333,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", dest="lam", metavar="FILE|CONST",
                     help="element weights: a constant, or a file with one weight per line")
     sp.add_argument("--q", type=float, help="random cluster parameter in [0, 1]")
-    sp.add_argument("--eps", type=float, default=0.1,
+    sp.add_argument("--eps", type=float, default=ChainConfig.epsilon,
                     help="target sampling accuracy (drives the step count)")
     sp.add_argument("--num-samples", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--mix-constant", type=float, default=4.0,
-                    help="multiplier in the n*log(n/eps) step rule")
     sp.add_argument("--steps", type=int, default=None,
-                    help="override the per-sample transition count")
+                    help="per-sample transition count, in place of the one --eps sets")
     sp.add_argument("--out", help="NDJSON output path (default: stdout)")
     sp.add_argument("--stats", help="write a JSON run manifest here")
     sp.set_defaults(func=_cmd_sample)
@@ -350,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--eps", type=float, default=0.1, help="relative error target")
     ep.add_argument("--delta", type=float, default=0.05, help="failure probability")
     ep.add_argument("--seed", type=int, default=0)
-    ep.add_argument("--c0", type=float, default=8.0,
+    ep.add_argument("--c0", type=float, default=DEFAULT_C0,
                     help="sample-count multiplier per conditioning level")
     ep.add_argument("--out", help="JSON output path (default: stdout)")
     ep.set_defaults(func=_cmd_estimate)

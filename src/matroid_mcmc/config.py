@@ -3,38 +3,33 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
-DEFAULT_MIX_CONSTANT = 4.0
+MIX_CONSTANT = 4.0
 
 
 @dataclass
 class ChainConfig:
     epsilon: float = 0.1
-    mix_constant: float = DEFAULT_MIX_CONSTANT
     seed: int = 0
     step_override: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValidationError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if not (0.0 < self.mix_constant < math.inf):
-            raise ValidationError(
-                f"mix_constant must be finite and positive, got {self.mix_constant}")
         if self.step_override is not None and self.step_override < 1:
             raise ValidationError("step_override must be >= 1")
 
     def steps(self, n: int) -> int:
-        """Transition count: step_override if set, else ceil(C * n * ln(n/eps))."""
+        """Transition count: step_override, else ceil(MIX_CONSTANT * n * ln(n/eps))."""
         if self.step_override is not None:
             return self.step_override
         try:
-            return math.ceil(self.mix_constant * n * math.log(n / self.epsilon))
+            return math.ceil(MIX_CONSTANT * n * math.log(n / self.epsilon))
         except OverflowError:
-            raise ValidationError("mix_constant and epsilon ask for more steps "
-                                  "than a float can count") from None
+            raise ValidationError("epsilon asks for more steps than a float can count") from None
 
 
 @dataclass

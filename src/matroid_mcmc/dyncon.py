@@ -22,15 +22,7 @@ non-negative ints not live already (`insert_edge(key, u, v)`, `delete_edge(key)`
   and the scaling baseline.
 
 Both accept multigraphs; self-loops are stored but never affect connectivity.
-
-Which structure serves which oracle (`matroids.build_oracle` with backend
-"auto"): graphs of at most `_AUTO_NAIVE_MAX_VERTICES` vertices get naive.
-Above that, graphic independence, and cographic independence on a planar
-graph, use no dynamic graph: `matroids.ForestOracle` keeps a spanning forest
-of the graph or of its plane dual with the splay Euler-tour primitives below
-(`_Node`, `_ett_link`, `_ett_cut`, `_same_tree`), with no levels and no
-replacement search.  HDT serves the rest: graphic rank queries (the
-random-cluster walk) and cographic specs whose graph is not planar.
+`matroids.ForestOracle` reuses the splay Euler-tour primitives below.
 """
 from __future__ import annotations
 
@@ -627,18 +619,13 @@ class _NaiveBackend:
         return count
 
 
-_AUTO_NAIVE_MAX_VERTICES = 32
-
-
-def dyn_graph(vertex_count: int, backend: str = "auto"):
+def dyn_graph(vertex_count: int, backend: str):
     """Build a dynamic-connectivity structure over `vertex_count` vertices.
 
-    backend: "hdt", "naive", or "auto" (naive for tiny graphs, hdt beyond).
+    backend: "hdt" or "naive".
     """
     if vertex_count < 1:
         raise ValidationError("vertex_count must be >= 1")
-    if backend == "auto":
-        backend = "naive" if vertex_count <= _AUTO_NAIVE_MAX_VERTICES else "hdt"
     if backend == "hdt":
         return _HdtBackend(vertex_count)
     if backend == "naive":

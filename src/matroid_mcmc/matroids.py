@@ -8,11 +8,10 @@ its own state in step.  Each variant adds only that state and its queries
 (rank and rank_drops_on_delete on rank-capable variants; elsewhere they
 raise).  GraphicOracle keeps S in a naive or HDT dynamic graph, each edge
 (self-loops too) keyed by its element; CographicOracle swaps its hooks, so
-that graph holds E \\ S.  Above dyncon's naive threshold, under "auto",
-graphic independence goes to ForestOracle instead, a spanning forest of the
-edges of S, and so does cographic independence on a planar graph, with the
-forest over the plane dual.  The others use counters, table lookup, or
-GF(2) elimination at desk scale.
+that graph holds E \\ S.  ForestOracle keeps S as a spanning forest of its
+edges, or of their plane dual for cographic independence on a planar graph;
+build_oracle says which graph oracle serves which input.  The others use
+counters, table lookup, or GF(2) elimination at desk scale.
 """
 from __future__ import annotations
 
@@ -22,11 +21,11 @@ from dataclasses import dataclass
 
 from . import planar
 from .config import debug_asserts_enabled
-from .dyncon import (_AUTO_NAIVE_MAX_VERTICES, _check_subtree, _ett_cut, _ett_link, _Node,
-                     _root, _same_tree, dyn_graph)
+from .dyncon import _check_subtree, _ett_cut, _ett_link, _Node, _root, _same_tree, dyn_graph
 from .errors import ContractError, UnsupportedOperationError, ValidationError
 
 EXPLICIT_MAX_N = 24
+_AUTO_NAIVE_MAX_VERTICES = 32
 
 RANK_CAPABLE_VARIANTS = ("explicit", "uniform", "partition", "graphic", "binary-linear")
 ALL_VARIANTS = RANK_CAPABLE_VARIANTS + ("cographic",)
@@ -81,7 +80,6 @@ class MatroidSpec:
     edges: list[tuple[int, int]] | None = None  # graphic / cographic
     vertices: int = 0                           # graphic / cographic (inferred)
     matrix: list[int] | None = None             # binary-linear: column bitmasks
-    rows: int = 0
 
     @property
     def n(self) -> int:
@@ -204,7 +202,7 @@ def matroid_from_dict(d: dict) -> MatroidSpec:
             if row[j]:
                 c |= 1 << ri
         cols.append(c)
-    return MatroidSpec("binary-linear", n_elements=width, matrix=cols, rows=len(raw))
+    return MatroidSpec("binary-linear", n_elements=width, matrix=cols)
 
 
 def load_matroid(path: str) -> MatroidSpec:
@@ -373,7 +371,7 @@ class GraphicOracle(_BaseOracle):
     to |S| and 0 to the rank); rank_drops_on_delete is one `connected` query.
     """
 
-    def __init__(self, spec: MatroidSpec, dyncon_backend: str = "auto"):
+    def __init__(self, spec: MatroidSpec, dyncon_backend: str):
         super().__init__(spec.n)
         self._edges = spec.edges
         self._g = dyn_graph(spec.vertices, backend=dyncon_backend)
@@ -404,7 +402,7 @@ class CographicOracle(GraphicOracle):
     _add = GraphicOracle._remove
     _remove = GraphicOracle._add
 
-    def __init__(self, spec: MatroidSpec, dyncon_backend: str = "auto"):
+    def __init__(self, spec: MatroidSpec, dyncon_backend: str):
         super().__init__(spec, dyncon_backend)
         for i, (u, v) in enumerate(spec.edges):
             self._g.insert_edge(i, u, v)
@@ -547,10 +545,10 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
     """Oracle with current = empty set; kind is "independence" or "rank".
 
     dyncon_backend "hdt" or "naive" pins a graph oracle's connectivity
-    backend.  "auto" picks naive up to dyncon's size threshold and HDT above
-    it, except for independence queries on a graph above it: a graphic spec
-    gets ForestOracle over its edges (vertex ids relabelled densely, so a
-    sparse id costs nothing), and a cographic spec on a planar graph gets
+    backend.  "auto" picks naive up to _AUTO_NAIVE_MAX_VERTICES vertices and
+    HDT above, except for independence queries on a graph above it: a graphic
+    spec gets ForestOracle over its edges (vertex ids relabelled densely, so
+    a sparse id costs nothing), and a cographic spec on a planar graph gets
     ForestOracle over the plane dual.
     """
     if kind not in ("independence", "rank"):
@@ -559,16 +557,17 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
         raise UnsupportedOperationError(
             f"variant {spec.variant!r} supports independence queries only")
     if spec.variant in ("graphic", "cographic"):
-        if (dyncon_backend == "auto" and kind == "independence"
-                and spec.vertices > _AUTO_NAIVE_MAX_VERTICES):
-            if spec.variant == "graphic":
-                ids: dict[int, int] = {}
-                end = [ids.setdefault(x, len(ids)) for e in spec.edges for x in e]
-                ends = len(ids), end
-            else:
-                ends = planar.dual_graph(spec.vertices, spec.edges)
-            if ends is not None:
-                return ForestOracle(spec.n, ends)
+        if dyncon_backend == "auto":
+            dyncon_backend = "naive" if spec.vertices <= _AUTO_NAIVE_MAX_VERTICES else "hdt"
+            if dyncon_backend == "hdt" and kind == "independence":
+                if spec.variant == "graphic":
+                    ids: dict[int, int] = {}
+                    end = [ids.setdefault(x, len(ids)) for e in spec.edges for x in e]
+                    ends = len(ids), end
+                else:
+                    ends = planar.dual_graph(spec.vertices, spec.edges)
+                if ends is not None:
+                    return ForestOracle(spec.n, ends)
         oracle = GraphicOracle if spec.variant == "graphic" else CographicOracle
         return oracle(spec, dyncon_backend)
     return {"explicit": ExplicitOracle, "uniform": UniformOracle, "partition": PartitionOracle,

@@ -63,10 +63,12 @@ def dual_graph(vertices: int, edges) -> tuple[int, list[int]] | None:
         return None
     tail, parent, height, preorder = _orient(n, adj, su, sv)
     head = [su[s] ^ sv[s] ^ tail[s] for s in range(ms)]
-    lowpt, nest = _lowpoints(n, tail, head, parent, height, preorder)
-    side = _lr_test(n, _sorted_out(n, tail, nest), head, parent, height, lowpt)
-    if side is None:
-        return None
+    nest = side = [1] * ms  # a spanning tree has no back edge to test or place
+    if ms > n - 1:
+        lowpt, nest = _lowpoints(n, tail, head, parent, height, preorder)
+        side = _lr_test(n, _sorted_out(n, tail, nest), head, parent, height, lowpt)
+        if side is None:
+            return None
     cw = _embed(n, _sorted_out(n, tail, [d * c for d, c in zip(nest, side)]),
                 head, parent, side)
     return _trace_duals(n, edges, simple_of, tail, head, cw)

@@ -14,6 +14,7 @@ at the first of them, and each later level's table is a slice of it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import vectorized
 from .config import ChainConfig, debug_asserts_enabled
 from .errors import SizeLimitError, ValidationError
-from .matroids import Fields, MatroidSpec, edges_connected, matroid_from_dict
+from .matroids import Fields, MatroidSpec, edges_connected
 from .rng import derive_seed
 from .sampling import execution_path, sample_independent_sets
 
@@ -38,6 +39,10 @@ class NetworkInstance:
     def __post_init__(self):
         if self.vertices < 1:
             raise ValidationError("graph needs at least one vertex")
+        try:
+            self.edges = [(operator.index(u), operator.index(v)) for u, v in self.edges]
+        except TypeError:
+            raise ValidationError("edge endpoints must be integers") from None
         for idx, (u, v) in enumerate(self.edges):
             if not (0 <= u < self.vertices and 0 <= v < self.vertices):
                 raise ValidationError(f"edge {idx} endpoint outside [0, {self.vertices})")
@@ -57,6 +62,10 @@ class NetworkInstance:
         """Whether the edges outside failed_mask span all the vertices."""
         return edges_connected(self.vertices, [e for i, e in enumerate(self.edges)
                                                if not failed_mask >> i & 1])
+
+    def require_connected(self) -> None:
+        if not self.is_connected():
+            raise ValidationError("graph must be connected (reliability law undefined otherwise)")
 
 
 @dataclass
@@ -126,17 +135,11 @@ def failure_fields(inst: NetworkInstance) -> Fields:
 
 
 def cographic_spec(inst: NetworkInstance) -> MatroidSpec:
-    if not inst.edges:  # matroid_from_dict wants at least one edge
-        if inst.vertices == 1:
-            raise ValidationError("graph has no edges: one vertex leaves no edge set to sample")
-        raise ValidationError("graph must be connected (reliability law undefined otherwise)")
-    # matroid_from_dict checks that the edges connect 0..max endpoint; a
-    # vertex above that touches no edge and disconnects the graph
-    spec = matroid_from_dict({"variant": "cographic",
-                              "edges": [list(e) for e in inst.edges]})
-    if spec.vertices != inst.vertices:
-        raise ValidationError("graph must be connected (reliability law undefined otherwise)")
-    return spec
+    if not inst.edges and inst.vertices == 1:
+        raise ValidationError("graph has no edges: one vertex leaves no edge set to sample")
+    inst.require_connected()
+    return MatroidSpec("cographic", n_elements=inst.m, edges=inst.edges,
+                       vertices=inst.vertices)
 
 
 def rel_sample(inst: NetworkInstance, eps: float, seed: int) -> list[int]:
@@ -222,8 +225,7 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
         raise ValidationError(f"delta must lie in (0,1), got {delta}")
     if not (0.0 < c0 < math.inf):
         raise ValidationError(f"c0 must be finite and > 0, got {c0}")
-    if not inst.is_connected():
-        raise ValidationError("graph must be connected")
+    inst.require_connected()
     m0 = inst.m
     if m0 == 0:
         return ReliabilityEstimate(1.0, 0.0, eps, delta, 0, 0, [])

@@ -20,7 +20,7 @@ class WeightedIndex:
     """Per-element nonnegative weights with O(log n) weighted draws.
 
     Weight 0 marks an inactive element; `sample` never returns one for
-    u strictly inside (0, total).
+    u in (0, total].
     """
 
     __slots__ = ("n", "weight", "total", "active_count", "_tree", "_size",
@@ -77,7 +77,7 @@ class WeightedIndex:
             self.rebuild()
 
     def sample(self, u: float) -> int:
-        """Element whose cumulative-weight interval contains u ∈ (0, total).
+        """Element whose cumulative-weight interval contains u ∈ (0, total].
 
         Returns the smallest i with weight_{0..i} summing to >= u, so
         boundary ties resolve to the lower-indexed element and the draw is a
@@ -88,16 +88,30 @@ class WeightedIndex:
             raise EmptySelectionError("all weights are zero")
         k = 1
         size = self._size
+        x = u
         while k < size:
             k *= 2
             left = tree[k]
-            if u > left:
-                u -= left
+            if x > left:
+                x -= left
                 k += 1
         i = k - size
         if i >= self.n:  # u beyond the last cumulative sum: clamp
             i = self.n - 1
+        if self.weight[i] == 0.0:  # float residue in a subtree of zero weights
+            return self._sample_exact(u)
         return i
+
+    def _sample_exact(self, u: float) -> int:
+        """sample(u) by one pass over the weights, after an exact rebuild."""
+        self.rebuild()
+        if self.total <= 0.0:
+            raise EmptySelectionError("all weights are zero")
+        for i, w in enumerate(self.weight):
+            u -= w
+            if w and u <= 0.0:
+                return i
+        return max(i for i, w in enumerate(self.weight) if w)
 
     def rebuild(self) -> None:
         """Recompute all partial sums exactly from the stored weights."""

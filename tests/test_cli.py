@@ -177,10 +177,28 @@ def test_exit_2_on_validation(tri_graph, free2):
                    "--graph", tri_graph).returncode == 2
     assert run_cli("sample", "--model", "independent", "--matroid", free2,
                    "--num-samples", "0").returncode == 2
-    for bad_steps in (["--mix-constant", "inf"], ["--mix-constant", "1e308"],
-                      ["--eps", "5e-324"]):
+    for bad_steps in (["--steps", "0"], ["--eps", "5e-324"], ["--mix-constant", "4"]):
         assert run_cli("sample", "--model", "independent", "--matroid", free2,
                        *bad_steps).returncode == 2
+
+
+@pytest.mark.parametrize("n,path", [(12, "vectorized"), (18, "sequential")])
+def test_steps_sets_the_chain_length(tmp_path, n, path):
+    spec = tmp_path / "u.json"
+    spec.write_text(json.dumps({"variant": "uniform", "n": n, "k": n // 2}))
+    man = tmp_path / "m.json"
+    r = run_cli("sample", "--model", "independent", "--matroid", str(spec),
+                "--steps", "7", "--num-samples", "3", "--stats", str(man),
+                "--out", str(tmp_path / "s.ndjson"))
+    assert r.returncode == 0, r.stderr
+    manifest = json.loads(man.read_text())
+    assert manifest["config"]["method_used"] == path
+    assert manifest["config"]["steps_per_sample"] == 7
+    assert manifest["stats"]["steps"] == 21
+    r = run_cli("sample", "--model", "independent", "--matroid", str(spec),
+                "--steps", "0")
+    assert r.returncode == 2
+    assert "--steps must be >= 1" in r.stderr, r.stderr
 
 
 @pytest.mark.parametrize("c0", ["nan", "inf", "0", "-1"])
@@ -237,6 +255,23 @@ def test_exit_2_on_edgeless_connected_spanning_graph(tmp_path, header, message):
     r = run_cli("sample", "--model", "connected-spanning", "--graph", str(p))
     assert r.returncode == 2
     assert message in r.stderr and "'edges'" not in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "4 2\n0 1 0.5\n2 3 0.5\n",
+    "5 3\n0 1 0.5\n1 2 0.5\n0 2 0.5\n",
+], ids=["two-components", "isolated-vertex"])
+@pytest.mark.parametrize("command", [
+    ["sample", "--model", "connected-spanning"],
+    ["estimate-reliability"],
+], ids=["sample", "estimate"])
+def test_exit_2_on_disconnected_graph(tmp_path, text, command):
+    p = tmp_path / "split.graph"
+    p.write_text(text)
+    r = run_cli(*command, "--graph", str(p))
+    assert r.returncode == 2
+    assert "graph must be connected" in r.stderr and "cographic spec" not in r.stderr, \
+        r.stderr
 
 
 def test_bench_subcommand_is_gone():

@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from matroid_mcmc import ContractError, dyn_graph
+from matroid_mcmc import ContractError, ValidationError, dyn_graph
+
+HDT_GROWTH_OPS = 40_000
 
 
 @pytest.fixture(params=["naive", "hdt"])
@@ -233,23 +235,22 @@ def test_workload_checksums_agree():
     assert w1 > 0 and w2 > 0
 
 
-def test_auto_backend_picks_by_size():
-    small = dyn_graph(8, backend="auto")
-    large = dyn_graph(200, backend="auto")
-    assert type(small).__name__ != type(large).__name__
+def test_backend_must_be_named():
+    # the size rule behind "auto" belongs to matroids.build_oracle
+    for name in ("auto", "union-find"):
+        with pytest.raises(ValidationError):
+            dyn_graph(8, name)
 
 
 def test_hdt_amortized_growth_bound():
     """Mean per-op cost may grow no faster than c*log^2(n) across sizes.
 
     Benchmark assertion with a generous constant (4x the log^2 ratio), not a
-    microbenchmark gate; MATROID_MCMC_BENCH_OPS=1000000 runs the full-size
-    workload.
+    microbenchmark gate.
     """
     import math
-    import os
 
-    ops = int(os.environ.get("MATROID_MCMC_BENCH_OPS", "40000"))
+    ops = HDT_GROWTH_OPS
     sizes = (100, 1000, 10000)
     dyncon_workload(100, 2000, "hdt", seed=1)  # warm-up
     per_op = {}

@@ -131,6 +131,8 @@ MULTI = {
 MULTI.update({
     "loops-only": (1, [(0, 0), (0, 0)]),  # no simple edge at all
     "three-copies": (2, [(0, 1), (1, 0), (0, 1)]),  # the dual is a triangle
+    # a spanning tree (one face) with a parallel copy and a loop
+    "tree-loop-parallel": (6, [(0, 1), (1, 2), (1, 3), (2, 2), (3, 4), (4, 5), (3, 1)]),
 })
 NONPLANAR = {
     "k5": complete(5),
@@ -227,8 +229,8 @@ def test_nonplanar_graphs_keep_hdt(name):
 
 
 def test_oracle_choice_by_size_and_backend():
-    """auto picks the dual forest only above dyncon's naive threshold; a
-    pinned backend always keeps the connectivity oracle."""
+    """auto picks the dual forest only above 32 vertices; a pinned backend
+    always keeps the connectivity oracle."""
     small = matroid_from_dict({"variant": "cographic",
                                "edges": [list(e) for e in wheel(31)[1]]})
     large = matroid_from_dict({"variant": "cographic",
@@ -241,10 +243,9 @@ def test_oracle_choice_by_size_and_backend():
 
 
 def test_graphic_oracle_choice_by_size_kind_and_backend(monkeypatch):
-    """The graphic twin: auto gives independence queries above dyncon's naive
-    threshold the forest over the primal edges, planar or not, and never
-    embeds the graph; rank queries and a pinned backend keep the dynamic
-    graph."""
+    """The graphic twin: above 32 vertices auto gives independence queries
+    the forest over the primal edges, planar or not, and never embeds the
+    graph; rank queries and a pinned backend keep the dynamic graph."""
     small, large = (matroid_from_dict({"variant": "graphic",
                                        "edges": [list(e) for e in wheel(k)[1]]})
                     for k in (31, 32))
@@ -289,7 +290,8 @@ def test_euler_mismatch_raises(monkeypatch):
 # the forest oracle
 
 
-ORACLE_GRAPHS = ["k4", "loop-parallel", "grid-diagonals", "wheel-all", "shuffled-grid-all"]
+ORACLE_GRAPHS = ["k4", "loop-parallel", "grid-diagonals", "wheel-all", "shuffled-grid-all",
+                 "tree-loop-parallel"]
 
 
 def _forest_oracle(graph, variant="cographic"):

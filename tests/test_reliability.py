@@ -97,6 +97,10 @@ def test_instance_validation():
         NetworkInstance(2, [(0, 1)], [1.5])
     with pytest.raises(ValidationError):
         cographic_spec(NetworkInstance(3, [(0, 1)], [0.5]))  # disconnected
+    with pytest.raises(ValidationError):
+        cographic_spec(NetworkInstance(2, [(0.0, 1.0)], [0.5]))
+    spec = cographic_spec(NetworkInstance(2, [(np.int64(0), np.int64(1))], [0.5]))
+    assert spec.edges == [(0, 1)] and type(spec.edges[0][0]) is int
 
 
 # ---------------------------------------------------------------------------

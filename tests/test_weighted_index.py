@@ -47,6 +47,26 @@ def test_sample_on_zero_total_raises():
         w.sample(0.5)
 
 
+def test_residue_in_zeroed_subtree_never_selected():
+    # zeroing 0.1 and 0.2 by deltas leaves about 2.8e-17 in their subtree
+    w = WeightedIndex([0.1, 0.2, 0.5])
+    w.set(0, 0.0)
+    w.set(1, 0.0)
+    assert w.sample(1e-18) == 2
+    w = WeightedIndex([0.1, 0.2])
+    w.set(0, 0.0)
+    w.set(1, 0.0)
+    assert w.total > 0.0  # the residue
+    with pytest.raises(EmptySelectionError):
+        w.sample(1e-18)
+    # at u = total the descent ends on the zeroed element 3; the retry must
+    # start from the caller's u, not from what the descent left of it
+    w = WeightedIndex([0.001, 0.1, 0.3, 0.1])
+    w.set(1, 0.0)
+    w.set(3, 0.0)
+    assert w.sample(w.total) == 2
+
+
 def test_bad_weights_rejected():
     w = WeightedIndex([1.0, 1.0])
     with pytest.raises(ValidationError):
