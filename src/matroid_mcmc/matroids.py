@@ -89,6 +89,12 @@ class MatroidSpec:
     def rank_capable(self) -> bool:
         return self.variant != "cographic"
 
+    def require_rank(self) -> None:
+        """Raise UnsupportedOperationError unless the variant answers rank queries."""
+        if not self.rank_capable:
+            raise UnsupportedOperationError(
+                f"variant {self.variant!r} supports independence queries only")
+
 
 def _as_edge_list(raw, what: str):
     if not isinstance(raw, list) or not raw:
@@ -553,9 +559,8 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
     """
     if kind not in ("independence", "rank"):
         raise ValidationError(f"oracle kind must be 'independence' or 'rank', got {kind!r}")
-    if kind == "rank" and not spec.rank_capable:
-        raise UnsupportedOperationError(
-            f"variant {spec.variant!r} supports independence queries only")
+    if kind == "rank":
+        spec.require_rank()
     if spec.variant in ("graphic", "cographic"):
         if dyncon_backend == "auto":
             dyncon_backend = "naive" if spec.vertices <= _AUTO_NAIVE_MAX_VERTICES else "hdt"

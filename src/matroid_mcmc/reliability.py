@@ -30,6 +30,14 @@ REL_EXACT_MAX_EDGES = 24
 DEFAULT_C0 = 8.0
 
 
+class EdgeRuleError(ValidationError):
+    """Edge `edge` of a NetworkInstance breaks `rule` (a message without the index)."""
+
+    def __init__(self, edge: int, rule: str):
+        super().__init__(f"edge {edge}: {rule}")
+        self.edge, self.rule = edge, rule
+
+
 @dataclass
 class NetworkInstance:
     vertices: int
@@ -37,22 +45,22 @@ class NetworkInstance:
     p: list[float]
 
     def __post_init__(self):
-        if self.vertices < 1:
-            raise ValidationError("graph needs at least one vertex")
         try:
+            self.vertices = operator.index(self.vertices)
             self.edges = [(operator.index(u), operator.index(v)) for u, v in self.edges]
         except TypeError:
-            raise ValidationError("edge endpoints must be integers") from None
-        for idx, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.vertices and 0 <= v < self.vertices):
-                raise ValidationError(f"edge {idx} endpoint outside [0, {self.vertices})")
+            raise ValidationError("vertex count and edge endpoints must be integers") from None
+        if self.vertices < 1:
+            raise ValidationError("graph needs at least one vertex")
         if isinstance(self.p, (int, float)):
             self.p = [float(self.p)] * len(self.edges)
         if len(self.p) != len(self.edges):
             raise ValidationError("need one failure probability per edge")
-        for idx, pe in enumerate(self.p):
+        for idx, ((u, v), pe) in enumerate(zip(self.edges, self.p)):
+            if not (0 <= u < self.vertices and 0 <= v < self.vertices):
+                raise EdgeRuleError(idx, f"vertex ids must lie in [0, {self.vertices})")
             if not (0.0 < pe < 1.0):
-                raise ValidationError(f"edge {idx}: failure probability must be in (0,1), got {pe}")
+                raise EdgeRuleError(idx, f"failure probability must lie in (0, 1), got {pe}")
 
     @property
     def m(self) -> int:
@@ -118,16 +126,15 @@ def parse_graph_file(path: str) -> NetworkInstance:
             pe = float(parts[2])
         except ValueError:
             raise ValidationError(f"{path}:{ln + 1}: edge line must be 'u v p'") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"{path}:{ln + 1}: vertex ids must lie in [0, {n})")
-        if not (0.0 < pe < 1.0):
-            raise ValidationError(f"{path}:{ln + 1}: p must lie strictly in (0, 1)")
         edges.append((u, v))
         p.append(pe)
     for ln in range(1 + m, len(lines)):
         if lines[ln].strip():
             raise ValidationError(f"{path}:{ln + 1}: unexpected content after {m} edge lines")
-    return NetworkInstance(n, edges, p)
+    try:
+        return NetworkInstance(n, edges, p)
+    except EdgeRuleError as e:  # edge idx is on line idx + 2
+        raise ValidationError(f"{path}:{e.edge + 2}: {e.rule}") from None
 
 
 def failure_fields(inst: NetworkInstance) -> Fields:

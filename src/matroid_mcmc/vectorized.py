@@ -2,8 +2,11 @@
 
 Both walks touch only bitmask state, so for small n every query the oracles
 answer can be precomputed into dense tables over all 2^n subsets
-(independence or rank).  These are filled by the same incremental oracles the
-sequential chains use, walked once through all 2^n masks in Gray-code order.
+(independence or rank).  These are filled by one walk of the same
+incremental independence oracle the sequential chains use over the
+independent sets only (see _independent_sizes), so the fill tracks the
+independent sets, not 2^n; a mask's rank is the subset maximum of |S| over
+the independent sets S inside it.
 From them each runner builds the re-add law of every post-drop mask: the
 masses the sequential rejection loop accepts from, as one Walker alias table
 per mask (Walker 1977; Vose 1991).  A batch of chains then advances as numpy
@@ -33,13 +36,17 @@ import numpy as np
 
 from .config import ChainConfig, StepStats, debug_asserts_enabled
 from .errors import SizeLimitError, ValidationError
-from .matroids import Fields, MatroidSpec, build_oracle, greedy_basis
+from .matroids import Fields, MatroidSpec, build_oracle
 
 VECTORIZED_MAX_N = 16
 
 
 class SmallTables:
-    """Dense per-mask tables for one spec/fields pair."""
+    """Dense per-mask tables for one spec/fields pair: indep[m] (bool) for
+    need "polarized", rank[m] (int64) for need "rc" (rank-capable specs).
+    Both come from one walk over the independent sets (_independent_sizes),
+    so the build costs O(1) oracle calls per independent set and per
+    rejected extension, not per mask."""
 
     def __init__(self, spec: MatroidSpec, fields: Fields, need: str):
         n = spec.n
@@ -48,20 +55,22 @@ class SmallTables:
                 f"vectorized tables enumerate 2^n masks; n <= {VECTORIZED_MAX_N}")
         if len(fields) != n:
             raise ValidationError("fields length must match ground set size")
+        if need == "rc":
+            spec.require_rank()
         self.n = n
-        size = 1 << n
-        masks = np.arange(size, dtype=np.int64)
         # random-cluster: the walk runs on complements, weights 1/λ
         self.weight = np.asarray(fields.proposal_weights(inverse=need == "rc"), dtype=float)
-        gray = masks ^ (masks >> 1)
+        sizes = _independent_sizes(spec)
         if need == "polarized":
-            self.indep = np.empty(size, dtype=bool)
-            self.indep[gray] = np.fromiter(_gray_walk(spec, "independence"),
-                                           dtype=bool, count=size)
+            self.indep = sizes >= 0
         else:
-            self.rank = np.empty(size, dtype=np.int64)
-            self.rank[gray] = np.fromiter(_gray_walk(spec, "rank"),
-                                          dtype=np.int64, count=size)
+            # pass j lets each mask with bit j take the maximum of the mask
+            # without it, so after all n passes rank[m] is the max over S ⊆ m
+            rank = sizes.astype(np.int64)
+            for j in range(n):
+                halves = rank.reshape(-1, 2, 1 << j)
+                np.maximum(halves[:, 1], halves[:, 0], out=halves[:, 1])
+            self.rank = rank
 
     def minor(self, contract: bool) -> "SmallTables":
         """Independence tables of the minor that contracts element 0 (contract
@@ -78,24 +87,30 @@ class SmallTables:
         return tb
 
 
-def _gray_walk(spec: MatroidSpec, kind: str):
-    """One oracle's answers on all 2^n masks; answer k is on mask k ^ (k >> 1).
+def _independent_sizes(spec: MatroidSpec) -> np.ndarray:
+    """|S| for every independent mask S, -1 for every dependent one (int8).
 
-    That is the Gray-code order: step k flips element ctz(k), so each mask
-    costs one insert or delete and one query.
+    A depth-first walk of the independence oracle: each independent set is
+    extended by each element above its largest one, and an extension the
+    oracle rejects is not extended further (its supersets are dependent
+    too).  Each independent set but the empty one, and each rejected
+    extension, costs one insert, one query and one delete.
     """
-    oracle = build_oracle(spec, kind)
-    query = oracle.is_independent if kind == "independence" else oracle.rank
-    yield query()
-    held = 0
-    for k in range(1, 1 << spec.n):
-        low = k & -k
-        if held & low:
-            oracle.delete(low.bit_length() - 1)
-        else:
-            oracle.insert(low.bit_length() - 1)
-        held ^= low
-        yield query()
+    oracle = build_oracle(spec, "independence")
+    insert, delete, query = oracle.insert, oracle.delete, oracle.is_independent
+    n = spec.n
+    sizes = np.full(1 << n, -1, dtype=np.int8)
+
+    def extend(mask: int, start: int, k: int) -> None:
+        sizes[mask] = k
+        for i in range(start, n):
+            insert(i)
+            if query():
+                extend(mask | 1 << i, i + 1, k + 1)
+            delete(i)
+
+    extend(0, 0, 0)
+    return sizes
 
 
 _ROW_BLOCK = 2048  # re-add rows converted to alias tables at a time
@@ -289,8 +304,11 @@ def run_rc_batch(spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
         raise ValidationError(f"q must lie in [0, 1], got {q}")
     tb = SmallTables(spec, fields, need="rc")
     if initial_mask is None:
-        basis = greedy_basis(build_oracle(spec, "rank"), spec.n) if q == 0.0 else []
-        initial_mask = sum(1 << i for i in basis)
+        initial_mask = 0
+        if q == 0.0:  # a basis by index-order greedy: keep i iff the rank grows
+            for i in range(tb.n):
+                if tb.rank[initial_mask | 1 << i] > tb.rank[initial_mask]:
+                    initial_mask |= 1 << i
     initial_mask = _check_start(initial_mask, tb.n)
     full = (1 << tb.n) - 1
     masks, stats = _run_lockstep(readd_tables(tb, q), cfg, count, full ^ initial_mask)

@@ -18,6 +18,20 @@ LOOP_PARALLEL_EDGES = [(0, 1), (1, 1), (0, 1), (1, 2), (2, 3), (3, 0)]
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
+def grid_edges(rows, cols):
+    """The rows x cols grid, vertex r·cols + c; each vertex's right edge, then
+    its down edge, in row-major order (the benchmark's grid order)."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append([v, v + 1])
+            if r + 1 < rows:
+                edges.append([v, v + cols])
+    return edges
+
+
 def cli_env():
     """Environment for a ``python -m matroid_mcmc`` child process.
 

@@ -13,6 +13,7 @@ from collections import Counter, deque
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from matroid_mcmc import (
     ChainConfig,
@@ -246,6 +247,7 @@ def test_criterion_5_rc_correctness():
 # 6. reliability: exact values and the FPRAS hitting its error bar
 
 
+@pytest.mark.slow
 def test_criterion_6_reliability_values():
     single = NetworkInstance(2, [(0, 1)], [0.3])
     tri = NetworkInstance(3, TRIANGLE_EDGES, 0.5)
@@ -441,6 +443,7 @@ def _scaling_row(family, spec, backend, steps):
             "rejections": st.rejections}
 
 
+@pytest.mark.slow
 def test_criterion_8_scaling_artifact(tmp_path):
     out = tmp_path / "bench_scaling.csv"
     with criterion(8, "non-gating scaling CSV: naive vs HDT vs auto per-step "

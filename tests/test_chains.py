@@ -18,7 +18,7 @@ from matroid_mcmc import (
 from matroid_mcmc.exact import exact_rc
 from matroid_mcmc.matroids import ForestOracle
 
-from conftest import LOOP_PARALLEL_EDGES, TRIANGLE_EDGES, ones, spec_of
+from conftest import LOOP_PARALLEL_EDGES, TRIANGLE_EDGES, grid_edges, ones, spec_of
 
 
 def test_fresh_chain_stats_zero(uniform42):
@@ -287,24 +287,12 @@ def test_rc_sequential_matches_exact_law():
     assert tv <= 0.02
 
 
-def _grid_edges(k):
-    edges = []
-    for r in range(k):
-        for c in range(k):
-            v = k * r + c
-            if c + 1 < k:
-                edges.append([v, v + 1])
-            if r + 1 < k:
-                edges.append([v, v + k])
-    return edges
-
-
 def test_polarized_cographic_grid_hdt_matches_naive():
     """Oracle answers are exact, so every backend gives one trajectory; on
     this 144-vertex grid, auto is the forest oracle, over the plane dual
     (cographic) or over the grid itself (graphic)."""
     for variant in ("cographic", "graphic"):
-        spec = matroid_from_dict({"variant": variant, "edges": _grid_edges(12)})
+        spec = matroid_from_dict({"variant": variant, "edges": grid_edges(12, 12)})
         fields = Fields([0.5 + (i % 7) / 4 for i in range(spec.n)])
         cfg = ChainConfig(seed=21, step_override=4000)
         chains = [PolarizedChain(spec, fields, cfg, dyncon_backend=b)
@@ -323,7 +311,7 @@ def test_polarized_planar_multigraph_dual_matches_hdt(monkeypatch):
     alike on both graph variants, with both oracles' invariants checked
     after every mutation."""
     monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
-    edges = _grid_edges(7)
+    edges = grid_edges(7, 7)
     edges += [edges[i] for i in (0, 5, 5, 40, 83)] + [[3, 3], [24, 24], [24, 24]]
     edges += [[48, 49], [49, 49]]
     for variant in ("cographic", "graphic"):
@@ -342,7 +330,7 @@ def test_polarized_planar_multigraph_dual_matches_hdt(monkeypatch):
 def test_rc_graphic_grid_hdt_matches_naive(q):
     """The random-cluster twin: rank_drops_on_delete (and, at q = 0, the
     greedy start's rank()) answer alike on both backends."""
-    spec = matroid_from_dict({"variant": "graphic", "edges": _grid_edges(10)})
+    spec = matroid_from_dict({"variant": "graphic", "edges": grid_edges(10, 10)})
     fields = Fields([0.5 + (i % 7) / 4 for i in range(spec.n)])
     cfg = ChainConfig(seed=22, step_override=4000)
     chains = [RandomClusterChain(spec, fields, q, cfg, dyncon_backend=b)

@@ -8,6 +8,8 @@ import pytest
 
 from matroid_mcmc import ContractError, ValidationError, dyn_graph
 
+from conftest import grid_edges
+
 HDT_GROWTH_OPS = 40_000
 
 
@@ -262,18 +264,6 @@ def test_hdt_amortized_growth_bound():
         assert per_op[nv] / per_op[100] <= allowed, (per_op, nv, allowed)
 
 
-def _grid_edges(rows, cols):
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return edges
-
-
 def test_differential_hdt_vs_naive_deep_levels(monkeypatch):
     """Delete-heavy churn on a 16x16 grid with parallel edges and self-loops.
 
@@ -284,7 +274,7 @@ def test_differential_hdt_vs_naive_deep_levels(monkeypatch):
     monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
     nv = 256
     rng = np.random.default_rng(5)
-    base = _grid_edges(16, 16)
+    base = grid_edges(16, 16)
     hdt = dyn_graph(nv, backend="hdt")
     naive = dyn_graph(nv, backend="naive")
     assert hdt._debug

@@ -103,6 +103,31 @@ def test_instance_validation():
     assert spec.edges == [(0, 1)] and type(spec.edges[0][0]) is int
 
 
+@pytest.mark.parametrize("vertices", [2.5, 2.0, "2", None])
+def test_instance_vertex_count_must_be_an_integer(vertices):
+    with pytest.raises(ValidationError, match="vertex count and edge endpoints must be integers"):
+        NetworkInstance(vertices, [(0, 1)], [0.5])
+    inst = NetworkInstance(np.int64(2), [(0, 1)], [0.5])
+    assert inst.vertices == 2 and type(inst.vertices) is int
+
+
+@pytest.mark.parametrize("edges,p,idx,rule", [
+    ([(0, 1), (0, 2)], [0.5, 0.5], 1, "vertex ids must lie in [0, 2)"),
+    ([(0, 1), (1, 0)], [0.5, 1.0], 1, "failure probability must lie in (0, 1), got 1.0"),
+], ids=["endpoint", "probability"])
+def test_edge_rules_are_stated_once(tmp_path, edges, p, idx, rule):
+    """The endpoint and probability rules live in NetworkInstance; a parsed
+    file reports the same rule at the edge's line (edge idx on line idx + 2)."""
+    with pytest.raises(ValidationError) as exc:
+        NetworkInstance(2, edges, p)
+    assert str(exc.value) == f"edge {idx}: {rule}"
+    text = f"2 {len(edges)}\n" + "".join(f"{u} {v} {pe}\n" for (u, v), pe in zip(edges, p))
+    path = _write(tmp_path, text)
+    with pytest.raises(ValidationError) as exc:
+        parse_graph_file(path)
+    assert str(exc.value) == f"{path}:{idx + 2}: {rule}"
+
+
 # ---------------------------------------------------------------------------
 # exact reliability
 

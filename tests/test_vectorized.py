@@ -1,9 +1,12 @@
 """Batch (table-driven) execution vs the sequential chains: same law, same caps."""
 
 import ast
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matroid_mcmc import (
     ChainConfig,
@@ -39,6 +42,7 @@ from conftest import (
     LOOP_PARALLEL_EDGES,
     REPO_ROOT,
     TRIANGLE_EDGES,
+    grid_edges,
     masks_of,
     ones,
     sequential_samples,
@@ -86,6 +90,63 @@ def test_tables_match_brute(name):
             want = len(out) + sum((1.0 if ref.rank(a ^ 1 << j) == ref.rank(a) else 0.5)
                                   / f.lam[j] for j in out)
             assert acc_r[m] == pytest.approx(want, rel=1e-12), m
+
+
+def test_table_fill_walks_only_the_independent_sets(monkeypatch):
+    """The fill walks the independent sets, not all 2^n masks.  The 2x5
+    grid's cographic matroid (m = 13, 2^13 = 8,192 masks) has 479 independent
+    sets; the walk asks 1,292 independence queries, each between one insert
+    and one delete, and no rank query."""
+    calls = Counter()
+    kinds = []
+    real = vectorized.build_oracle
+
+    def counting(spec, kind="independence", *args, **kwargs):
+        kinds.append(kind)
+        oracle = real(spec, kind, *args, **kwargs)
+        for name in ("insert", "delete", "is_independent", "rank"):
+            method = getattr(oracle, name)
+
+            def counted(*a, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(*a)
+
+            setattr(oracle, name, counted)
+        return oracle
+
+    monkeypatch.setattr(vectorized, "build_oracle", counting)
+    spec = spec_of({"variant": "cographic", "edges": grid_edges(2, 5)})
+    tb = SmallTables(spec, ones(spec.n), need="polarized")
+    assert int(tb.indep.sum()) == 479
+    assert kinds == ["independence"]
+    assert calls == {"is_independent": 1292, "insert": 1292, "delete": 1292}
+
+
+@st.composite
+def multigraph_specs(draw):
+    """A graphic or cographic spec on a random multigraph with at most 10
+    edges, self-loops and parallel edges included; a cographic one gets a
+    spanning path among its edges, so its graph is connected."""
+    variant = draw(st.sampled_from(["graphic", "cographic"]))
+    vertices = draw(st.integers(1, 5))
+    path = [[v, v + 1] for v in range(vertices - 1)] if variant == "cographic" else []
+    end = st.integers(0, vertices - 1)
+    extra = draw(st.lists(st.lists(end, min_size=2, max_size=2),
+                          min_size=1, max_size=10 - len(path)))
+    return {"variant": variant, "edges": draw(st.permutations(path + extra))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraph_specs())
+def test_tables_match_brute_on_random_multigraphs(d):
+    spec = matroid_from_dict(d)
+    ref = BruteMatroid(spec)
+    every = range(1 << spec.n)
+    tb = SmallTables(spec, ones(spec.n), need="polarized")
+    assert tb.indep.tolist() == [ref.is_independent(m) for m in every]
+    if spec.rank_capable:
+        tb = SmallTables(spec, ones(spec.n), need="rc")
+        assert tb.rank.tolist() == [ref.rank(m) for m in every]
 
 
 LAW_FIELDS = {
