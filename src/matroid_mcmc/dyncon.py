@@ -22,7 +22,6 @@ non-negative ints not live already (`insert_edge(key, u, v)`, `delete_edge(key)`
   and the scaling baseline.
 
 Both accept multigraphs; self-loops are stored but never affect connectivity.
-`matroids.ForestOracle` reuses the splay Euler-tour primitives below.
 """
 from __future__ import annotations
 

@@ -9,9 +9,11 @@ its own state in step.  Each variant adds only that state and its queries
 raise).  GraphicOracle keeps S in a naive or HDT dynamic graph, each edge
 (self-loops too) keyed by its element; CographicOracle swaps its hooks, so
 that graph holds E \\ S.  ForestOracle keeps S as a spanning forest of its
-edges, or of their plane dual for cographic independence on a planar graph;
-build_oracle says which graph oracle serves which input.  The others use
-counters, table lookup, or GF(2) elimination at desk scale.
+edges, or of their plane dual for cographic independence on a planar graph,
+in Euler-tour splay trees of its own: they keep no aggregates, so its debug
+check is structural.  build_oracle says which graph oracle serves which
+input.  The others use counters, table lookup, or GF(2) elimination at desk
+scale.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from . import planar
 from .config import debug_asserts_enabled
-from .dyncon import _check_subtree, _ett_cut, _ett_link, _Node, _root, _same_tree, dyn_graph
+from .dyncon import dyn_graph
 from .errors import ContractError, UnsupportedOperationError, ValidationError
 
 EXPLICIT_MAX_N = 24
@@ -419,6 +421,198 @@ class CographicOracle(GraphicOracle):
     rank = rank_drops_on_delete = _BaseOracle.rank
 
 
+# ---------------------------------------------------------------------------
+# Euler-tour forest for ForestOracle: splay trees with no aggregates
+# ---------------------------------------------------------------------------
+
+class _TourNode:
+    """One Euler-tour position: a vertex, or one of the two arcs of a tree edge.
+
+    A tour is the in-order sequence of a splay tree.  Nothing is summed over
+    a subtree, so a node is only its links.
+    """
+
+    __slots__ = ("parent", "left", "right")
+
+    def __init__(self):
+        self.parent = self.left = self.right = None
+
+
+def _splay(x: _TourNode) -> None:
+    """Move x to the root of its splay tree (Sleator & Tarjan), relinking each
+    zig, zig-zig or zig-zag step in place."""
+    p = x.parent
+    while p is not None:
+        g = p.parent
+        if g is None:  # zig
+            if p.left is x:
+                b = x.right
+                p.left = b
+                x.right = p
+            else:
+                b = x.left
+                p.right = b
+                x.left = p
+            if b is not None:
+                b.parent = p
+            p.parent = x
+            x.parent = None
+            return
+        gg = g.parent
+        if g.left is p:
+            if p.left is x:  # zig-zig: x(A, p(B, g(C, D)))
+                c = p.right
+                g.left = c
+                if c is not None:
+                    c.parent = g
+                b = x.right
+                p.left = b
+                if b is not None:
+                    b.parent = p
+                p.right = g
+                g.parent = p
+                x.right = p
+                p.parent = x
+            else:  # zig-zag: x(p(A, B), g(C, D))
+                b = x.left
+                c = x.right
+                p.right = b
+                if b is not None:
+                    b.parent = p
+                g.left = c
+                if c is not None:
+                    c.parent = g
+                x.left = p
+                p.parent = x
+                x.right = g
+                g.parent = x
+        else:
+            if p.right is x:  # zig-zig, mirrored
+                c = p.left
+                g.right = c
+                if c is not None:
+                    c.parent = g
+                b = x.left
+                p.right = b
+                if b is not None:
+                    b.parent = p
+                p.left = g
+                g.parent = p
+                x.left = p
+                p.parent = x
+            else:  # zig-zag, mirrored
+                b = x.right
+                c = x.left
+                p.left = b
+                if b is not None:
+                    b.parent = p
+                g.right = c
+                if c is not None:
+                    c.parent = g
+                x.right = p
+                p.parent = x
+                x.left = g
+                g.parent = x
+        x.parent = gg
+        if gg is not None:
+            if gg.left is g:
+                gg.left = x
+            else:
+                gg.right = x
+        p = gg
+
+
+def _join(a: _TourNode | None, b: _TourNode | None) -> _TourNode | None:
+    """Concatenate the tours rooted at a and b (a first); returns the new root."""
+    if a is None:
+        return b
+    if b is not None:
+        while a.right is not None:
+            a = a.right
+        _splay(a)
+        a.right = b
+        b.parent = a
+    return a
+
+
+def _reroot(x: _TourNode) -> _TourNode:
+    """Rotate x's circular tour so it starts at x; returns the new root."""
+    _splay(x)
+    l = x.left
+    if l is None:
+        return x
+    l.parent = x.left = None
+    return _join(x, l)
+
+
+def _same_tree(a: _TourNode, b: _TourNode) -> bool:
+    if a is b:
+        return True
+    _splay(a)
+    _splay(b)
+    # after splaying b, a can only have a parent if both live in one tree
+    return a.parent is not None
+
+
+def _tour_link(u: _TourNode, v: _TourNode, arc: _TourNode, twin: _TourNode) -> None:
+    """Join the tours of u and v as  tour(u) + arc + tour(v) + twin."""
+    tu = _reroot(u)
+    tv = _reroot(v)
+    arc.left = tu
+    tu.parent = arc
+    arc.right = tv
+    tv.parent = arc
+    twin.left = arc
+    arc.parent = twin
+
+
+def _split(x: _TourNode) -> tuple[_TourNode | None, _TourNode | None]:
+    """Take x out of its tour; returns the roots of the parts before and after it."""
+    _splay(x)
+    l, r = x.left, x.right
+    x.left = x.right = None
+    if l is not None:
+        l.parent = None
+    if r is not None:
+        r.parent = None
+    return l, r
+
+
+def _tour_cut(arc: _TourNode, twin: _TourNode) -> None:
+    """Remove both arcs of a tree edge, splitting its tour in two: the part
+    strictly between the arcs (in circular order) and the rest."""
+    before, after = _split(arc)
+    r = twin  # is twin after arc?  Walk up: twin is splayed next anyway
+    while r.parent is not None:
+        r = r.parent
+    mid_l, mid_r = _split(twin)
+    if r is after:  # [before] arc [mid_l] twin [mid_r]: mid_l is one tree
+        _join(before, mid_r)
+    else:  # [mid_l] twin [mid_r] arc [after]: mid_r is one tree
+        _join(mid_l, after)
+
+
+def _tour_root(x: _TourNode) -> _TourNode:
+    while x.parent is not None:
+        x = x.parent
+    return x
+
+
+def _tour_size(root: _TourNode) -> int:
+    """Assert that every child under `root` links back to its parent; returns
+    the node count."""
+    count = 0
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        count += 1
+        for ch in (x.left, x.right):
+            if ch is not None:
+                assert ch.parent is x
+                stack.append(ch)
+    return count
+
+
 class ForestOracle(_BaseOracle):
     """Independence oracle: a spanning forest over `ends`, with no levels.
 
@@ -427,29 +621,30 @@ class ForestOracle(_BaseOracle):
     For a graphic spec the ends are the primal graph's; for a cographic spec
     on a connected plane graph they are the plane dual's (planar.dual_graph),
     since by Whitney duality M*(G) = M(G*).  Each node is a vertex of a
-    forest of Euler tours (dyncon's splay trees).  Its tree edges are the
-    elements of S except the "extras": elements whose two nodes were already
-    joined when they came in (a self-loop, or a copy of a tree edge, is
-    always one).  S is independent iff there is no extra.  delete cuts the
-    tree edge, then relinks the first extra that now joins two trees, so the
-    trees always span the components of S, with no replacement search.  The
-    walk holds at most one extra, and only between its insert and its delete.
+    forest of Euler tours (the splay trees above, which keep no aggregates).
+    Its tree edges are the elements of S except the "extras": elements whose
+    two nodes were already joined when they came in (a self-loop, or a copy
+    of a tree edge, is always one).  S is independent iff there is no extra.
+    delete cuts the tree edge, then relinks the first extra that now joins
+    two trees, so the trees always span the components of S, with no
+    replacement search.  The walk holds at most one extra, and only between
+    its insert and its delete.
     """
 
     def __init__(self, n: int, ends: tuple[int, list[int]]):
         super().__init__(n)
         nodes, self._end = ends
-        self._nodes = [_Node(vertex=v) for v in range(nodes)]
-        self._arcs: dict[int, tuple[_Node, _Node]] = {}
+        self._nodes = [_TourNode() for _ in range(nodes)]
+        self._arcs: dict[int, tuple[_TourNode, _TourNode]] = {}
         self._extras: dict[int, None] = {}  # an insertion-ordered set
         self._debug = debug_asserts_enabled()
 
-    def _ends(self, i: int) -> tuple[_Node, _Node]:
+    def _ends(self, i: int) -> tuple[_TourNode, _TourNode]:
         return self._nodes[self._end[2 * i]], self._nodes[self._end[2 * i + 1]]
 
-    def _link(self, i: int, a: _Node, b: _Node) -> None:
-        arcs = self._arcs[i] = (_Node(edge=i), _Node(edge=i))
-        _ett_link(a, b, *arcs)
+    def _link(self, i: int, a: _TourNode, b: _TourNode) -> None:
+        arcs = self._arcs[i] = (_TourNode(), _TourNode())
+        _tour_link(a, b, *arcs)
 
     def _add(self, i: int) -> None:
         a, b = self._ends(i)
@@ -465,7 +660,7 @@ class ForestOracle(_BaseOracle):
         if arcs is None:
             del self._extras[i]
         else:
-            _ett_cut(*arcs)
+            _tour_cut(*arcs)
             for j in self._extras:
                 a, b = self._ends(j)
                 if not _same_tree(a, b):
@@ -479,25 +674,26 @@ class ForestOracle(_BaseOracle):
         return not self._extras
 
     def _check_invariants(self) -> None:
-        """Assert the forest invariants (MATROID_MCMC_DEBUG_ASSERTS=1); O(nodes
+        """Assert the forest's structure (MATROID_MCMC_DEBUG_ASSERTS=1); O(nodes
         + |S|), run after each mutation.
 
-        The tree arcs are exactly the non-extra elements of S, each in the
-        tree of its two nodes; each extra's two nodes lie in one tree; the
-        trees number nodes - arcs; every splay node's aggregates match.
+        Every child links back to its parent; the tree arcs are exactly the
+        non-extra elements of S, each pair in the tree of its two nodes; the
+        trees number nodes - arcs and hold nodes + 2 arcs positions; each
+        extra's two nodes lie in one tree.
         """
         arcs, extras, nodes = self._arcs, self._extras, self._nodes
         assert arcs.keys() | extras.keys() == self.current \
             and not arcs.keys() & extras.keys()
-        roots = {id(r): r for r in map(_root, nodes)}
+        roots = {id(r): r for r in map(_tour_root, nodes)}
         assert len(roots) == len(nodes) - len(arcs), (len(roots), len(nodes), len(arcs))
-        assert sum(map(_check_subtree, roots.values())) == len(nodes) + 2 * len(arcs)
+        assert sum(map(_tour_size, roots.values())) == len(nodes) + 2 * len(arcs)
         for i, (p, q) in arcs.items():
             a, b = self._ends(i)
-            assert p.edge == q.edge == i and _root(p) is _root(q) is _root(a) is _root(b), i
+            assert _tour_root(p) is _tour_root(q) is _tour_root(a) is _tour_root(b), i
         for j in extras:
             a, b = self._ends(j)
-            assert _root(a) is _root(b), j
+            assert _tour_root(a) is _tour_root(b), j
 
 
 class BinaryLinearOracle(_BaseOracle):

@@ -50,8 +50,7 @@ class NetworkInstance:
             self.edges = [(operator.index(u), operator.index(v)) for u, v in self.edges]
         except TypeError:
             raise ValidationError("vertex count and edge endpoints must be integers") from None
-        if self.vertices < 1:
-            raise ValidationError("graph needs at least one vertex")
+        self.require_vertices(self.vertices)
         if isinstance(self.p, (int, float)):
             self.p = [float(self.p)] * len(self.edges)
         if len(self.p) != len(self.edges):
@@ -61,6 +60,12 @@ class NetworkInstance:
                 raise EdgeRuleError(idx, f"vertex ids must lie in [0, {self.vertices})")
             if not (0.0 < pe < 1.0):
                 raise EdgeRuleError(idx, f"failure probability must lie in (0, 1), got {pe}")
+
+    @staticmethod
+    def require_vertices(n: int) -> None:
+        """The vertex-count rule, which `parse_graph_file` checks on the header."""
+        if n < 1:
+            raise ValidationError(f"need n >= 1 vertices, got {n}")
 
     @property
     def m(self) -> int:
@@ -111,8 +116,12 @@ def parse_graph_file(path: str) -> NetworkInstance:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ValidationError(f"{path}:1: header must be two integers 'n m'") from None
-    if n < 1 or m < 0:
-        raise ValidationError(f"{path}:1: need n >= 1 vertices and m >= 0 edges")
+    try:
+        NetworkInstance.require_vertices(n)
+    except ValidationError as e:
+        raise ValidationError(f"{path}:1: {e}") from None
+    if m < 0:
+        raise ValidationError(f"{path}:1: need m >= 0 edges, got {m}")
     edges: list[tuple[int, int]] = []
     p: list[float] = []
     for ln in range(1, 1 + m):

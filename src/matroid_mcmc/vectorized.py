@@ -55,6 +55,8 @@ class SmallTables:
                 f"vectorized tables enumerate 2^n masks; n <= {VECTORIZED_MAX_N}")
         if len(fields) != n:
             raise ValidationError("fields length must match ground set size")
+        if need not in ("polarized", "rc"):
+            raise ValidationError(f"need must be 'polarized' or 'rc', got {need!r}")
         if need == "rc":
             spec.require_rank()
         self.n = n

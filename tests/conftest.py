@@ -1,5 +1,6 @@
 """Shared fixtures: small graphs, matroid specs, and exact-law helpers."""
 
+import ast
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +31,20 @@ def grid_edges(rows, cols):
             if r + 1 < rows:
                 edges.append([v, v + cols])
     return edges
+
+
+def imported_names(path):
+    """Every module and name the imports of the source file `path` name; a
+    relative one keeps its leading dots (`from .m import f` gives ".m" and
+    ".m.f")."""
+    for node in ast.walk(ast.parse(Path(path).read_text("utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            mod = "." * node.level + (node.module or "")
+            yield mod
+            sep = "" if mod.endswith(".") else "."
+            yield from (mod + sep + a.name for a in node.names)
 
 
 def cli_env():

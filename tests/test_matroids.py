@@ -1,6 +1,7 @@
 """Matroid specs and incremental oracles vs the brute-force reference."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -15,9 +16,9 @@ from matroid_mcmc import (
     matroid_from_dict,
 )
 from matroid_mcmc.exact import BruteMatroid, independent_masks, is_matroid_family
-from matroid_mcmc.matroids import CographicOracle, GraphicOracle
+from matroid_mcmc.matroids import CographicOracle, ForestOracle, GraphicOracle, _same_tree
 
-from conftest import K4_EDGES, TRIANGLE_EDGES, spec_of
+from conftest import K4_EDGES, REPO_ROOT, TRIANGLE_EDGES, imported_names, spec_of
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +345,80 @@ def test_axioms_hold_on_fixture_specs():
         spec = matroid_from_dict(d)
         if spec.n <= 8:
             assert is_matroid_family(spec.n, independent_masks(spec))
+
+
+# ---------------------------------------------------------------------------
+# the forest oracle's Euler-tour forest
+
+
+def test_matroids_imports_no_private_dyncon_name():
+    """ForestOracle owns its Euler-tour forest: matroids takes only the public
+    dyn_graph from dyncon, none of HDT's aggregated splay internals."""
+    path = REPO_ROOT / "src" / "matroid_mcmc" / "matroids.py"
+    taken = [name for name in imported_names(path)
+             if name.startswith((".dyncon.", "matroid_mcmc.dyncon."))]
+    assert taken == [".dyncon.dyn_graph"]
+    assert "dyncon._" not in path.read_text("utf-8")
+
+
+def test_tour_forest_matches_union_find(monkeypatch):
+    """Mixed links, cuts and same-tree queries on 200 nodes, each checked
+    against a union-find of the live edges, with the structural check after
+    every operation.  An element is a path edge or a random chord, and only
+    one that joins two trees is inserted, so each insert is a link and each
+    delete a cut.  The path is linked first, in random order, into one tour
+    of 200 nodes and 398 arcs, so reroots start deep in long tours."""
+    monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
+    nodes = 200
+    rng = random.Random(41)
+    pairs = [(v, v + 1) for v in range(nodes - 1)]
+    pairs += [tuple(rng.sample(range(nodes), 2)) for _ in range(400)]
+    oracle = ForestOracle(len(pairs), (nodes, [x for e in pairs for x in e]))
+    assert oracle._debug
+
+    def components():
+        """Each node's union-find root over the live edges, recomputed."""
+        up = list(range(nodes))
+
+        def find(x):
+            while up[x] != x:
+                up[x] = up[up[x]]
+                x = up[x]
+            return x
+
+        for i in oracle.current:
+            a, b = pairs[i]
+            up[find(a)] = find(b)
+        return [find(x) for x in range(nodes)]
+
+    path = list(range(nodes - 1))
+    rng.shuffle(path)
+    for i in path:
+        oracle.insert(i)
+    done = {"link": 0, "cut": 0, "query": 0}
+    comp = components()
+    for step in range(4000):
+        op = rng.choice(["link", "cut", "query", "query"])
+        if op == "link":
+            joins = [i for i, (a, b) in enumerate(pairs)
+                     if i not in oracle.current and comp[a] != comp[b]]
+            if not joins:
+                continue
+            oracle.insert(rng.choice(joins))
+        elif op == "cut":
+            if not oracle.current:
+                continue
+            oracle.delete(rng.choice(sorted(oracle.current)))
+        else:
+            # one random pair, and a pair far apart on the path
+            v = rng.randrange(nodes // 2)
+            for a, b in ((rng.randrange(nodes), rng.randrange(nodes)), (v, v + nodes // 2)):
+                assert _same_tree(oracle._nodes[a], oracle._nodes[b]) == (comp[a] == comp[b]), \
+                    (step, a, b)
+                oracle._check_invariants()
+        done[op] += 1
+        # the structural check counts nodes - arcs trees; they are the components
+        comp = components()
+        assert oracle.is_independent()
+        assert len(oracle._arcs) == nodes - len(set(comp)), step
+    assert min(done.values()) >= 800, done

@@ -128,6 +128,20 @@ def test_edge_rules_are_stated_once(tmp_path, edges, p, idx, rule):
     assert str(exc.value) == f"{path}:{idx + 2}: {rule}"
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_vertex_rule_is_stated_once(tmp_path, n):
+    """NetworkInstance owns the n >= 1 rule; a parsed file reports the same
+    rule at its header, before any edge line is read (this file has none)."""
+    with pytest.raises(ValidationError) as exc:
+        NetworkInstance(n, [], [])
+    rule = str(exc.value)
+    assert rule == f"need n >= 1 vertices, got {n}"
+    path = _write(tmp_path, f"{n} 1\n")
+    with pytest.raises(ValidationError) as exc:
+        parse_graph_file(path)
+    assert str(exc.value) == f"{path}:1: {rule}"
+
+
 # ---------------------------------------------------------------------------
 # exact reliability
 

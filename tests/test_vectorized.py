@@ -1,6 +1,5 @@
 """Batch (table-driven) execution vs the sequential chains: same law, same caps."""
 
-import ast
 from collections import Counter
 
 import numpy as np
@@ -43,6 +42,7 @@ from conftest import (
     REPO_ROOT,
     TRIANGLE_EDGES,
     grid_edges,
+    imported_names,
     masks_of,
     ones,
     sequential_samples,
@@ -149,6 +149,14 @@ def test_tables_match_brute_on_random_multigraphs(d):
         assert tb.rank.tolist() == [ref.rank(m) for m in every]
 
 
+@pytest.mark.parametrize("need", ["polarised", "random-cluster", ""])
+def test_tables_reject_an_unknown_need(need):
+    """Only the two table kinds are built; a misspelt one is not read as "rc"."""
+    spec = matroid_from_dict({"variant": "uniform", "n": 4, "k": 2})
+    with pytest.raises(ValidationError, match="'polarized' or 'rc'"):
+        SmallTables(spec, Fields([1, 2, 3, 4]), need)
+
+
 LAW_FIELDS = {
     "moderate": [1, 2, 0.5, 1, 3, 0.25],
     # spans 1e±300, yet both Σλ and Σ1/λ stay finite
@@ -202,23 +210,11 @@ def test_alias_tables_rebuild_readd_law(name, lam_name):
             assert not set(zero) & set(alias[m].tolist()), (q, m)
 
 
-def _imported(tree):
-    """Every module an import names; a relative one keeps its leading dots."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            yield from (a.name for a in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            mod = "." * node.level + (node.module or "")
-            yield mod
-            sep = "" if mod.endswith(".") else "."
-            yield from (mod + sep + a.name for a in node.names)
-
-
 def test_only_cli_and_package_import_exact():
     """The brute-force module is a test reference: no sampler imports it."""
     importers = [
         path.name for path in sorted((REPO_ROOT / "src" / "matroid_mcmc").glob("*.py"))
-        if {".exact", "matroid_mcmc.exact"} & set(_imported(ast.parse(path.read_text("utf-8"))))]
+        if {".exact", "matroid_mcmc.exact"} & set(imported_names(path))]
     assert importers == ["__init__.py", "cli.py"]
 
 
