@@ -10,7 +10,7 @@ class ContractError(RuntimeError):
 
 
 class UnsupportedOperationError(ContractError):
-    """Operation not available for this object (e.g. rank of an independence-only oracle)."""
+    """Operation not available for this object (e.g. rank of a ForestOracle)."""
 
 
 class SizeLimitError(ValueError):

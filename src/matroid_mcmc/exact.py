@@ -82,9 +82,11 @@ class BruteMatroid:
                        for b, cap in zip(s.blocks, s.caps))
         if s.variant == "graphic":
             return s.vertices - self._components(mask)
-        if s.variant == "binary-linear":
-            return self._gf2_rank(mask)
-        raise UnsupportedOperationError("no brute rank for cographic specs")
+        if s.variant == "cographic":
+            # the dual rank |S| + rk(E \ S) - rk(E), with rk = |V| - components
+            full = (1 << self.n) - 1
+            return _popcount(mask) + self._components(full) - self._components(full ^ mask)
+        return self._gf2_rank(mask)
 
     # -- per-variant helpers -------------------------------------------------
 
@@ -212,19 +214,6 @@ def exact_pi(spec: MatroidSpec, fields: Fields) -> ExactDistribution:
     return ExactDistribution(support, weights)
 
 
-def pi_x_marginal(spec: MatroidSpec, fields: Fields) -> ExactDistribution:
-    """Marginal of exact_pi on the A component (for the identity vs exact_mu)."""
-    dist = exact_pi(spec, fields)
-    n = spec.n
-    acc: dict[int, float] = {}
-    xmask = (1 << n) - 1
-    for atom, p in zip(dist.support, dist.prob):
-        a = atom & xmask
-        acc[a] = acc.get(a, 0.0) + float(p)
-    items = sorted(acc.items())
-    return ExactDistribution([m for m, _ in items], [p for _, p in items])
-
-
 def exact_rc(spec: MatroidSpec, fields: Fields, q: float) -> ExactDistribution:
     """Random cluster law over all subsets: P(S) ∝ q^{-rk(S)} Π λ_i, q ∈ [0,1];
     q = 0 keeps exactly the maximum-rank subsets, weighted by Π λ_i."""
@@ -258,17 +247,6 @@ def tv_distance(a, b) -> float:
     db = b.as_dict() if isinstance(b, ExactDistribution) else dict(b)
     keys = set(da) | set(db)
     return 0.5 * sum(abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in keys)
-
-
-def empirical_distribution(samples) -> dict[int, float]:
-    """Histogram of bitmask samples as a {mask: frequency} dict."""
-    counts: dict[int, int] = {}
-    total = 0
-    for m in samples:
-        m = int(m)
-        counts[m] = counts.get(m, 0) + 1
-        total += 1
-    return {m: c / total for m, c in counts.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -367,76 +345,7 @@ def _rc_kernel(spec: MatroidSpec, fields: Fields, q: float):
     return states, P
 
 
-def labeled_polarized_kernel(spec: MatroidSpec, fields: Fields):
-    """Transition kernel over labeled states (A, B) — validates the collapse.
-
-    States encoded amask | (bmask << n), matching exact_pi.
-    """
-    n = spec.n
-    dist = exact_pi(spec, fields)  # enforces the size guard
-    states = list(dist.support)
-    index = {s: i for i, s in enumerate(states)}
-    ind = set(independent_masks(spec))
-    lam = fields.lam
-    xmask = (1 << n) - 1
-    P = np.zeros((len(states), len(states)))
-
-    def up_law(am: int, bm: int):
-        k = _popcount(am)
-        cands = []
-        for j in range(n):
-            if not bm >> j & 1:
-                cands.append((am, bm | (1 << j), 1.0 / math.comb(n, k)))
-        for i in range(n):
-            if not am >> i & 1:
-                a2 = am | (1 << i)
-                if a2 in ind:
-                    cands.append((a2, bm, lam[i] / math.comb(n, k + 1)))
-        z = sum(w for _, _, w in cands)
-        return [(a2, b2, w / z) for a2, b2, w in cands]
-
-    for s in states:
-        am, bm = s & xmask, s >> n
-        row = index[s]
-        for i in range(n):
-            if am >> i & 1:
-                for a2, b2, pu in up_law(am ^ (1 << i), bm):
-                    P[row, index[a2 | (b2 << n)]] += (1 / n) * pu
-            if bm >> i & 1:
-                for a2, b2, pu in up_law(am, bm ^ (1 << i)):
-                    P[row, index[a2 | (b2 << n)]] += (1 / n) * pu
-    return states, P
-
-
 def stationary_residual(P: np.ndarray, probs) -> float:
     """max |sᵀP - sᵀ| for a candidate stationary vector s."""
     s = np.asarray(probs, dtype=float)
     return float(np.max(np.abs(s @ P - s)))
-
-
-def is_matroid_family(n: int, masks) -> bool:
-    """Check the matroid axioms exhaustively (∅, downward closure, exchange)."""
-    fam = set(masks)
-    if 0 not in fam:
-        return False
-    for m in fam:
-        mm = m
-        while mm:
-            bit = mm & -mm
-            if (m ^ bit) not in fam:
-                return False
-            mm ^= bit
-    for s in fam:
-        for t in fam:
-            if _popcount(s) < _popcount(t):
-                extra = t & ~s
-                ok = False
-                while extra:
-                    bit = extra & -extra
-                    if (s | bit) in fam:
-                        ok = True
-                        break
-                    extra ^= bit
-                if not ok:
-                    return False
-    return True

@@ -4,16 +4,16 @@ A MatroidSpec names one of six concrete matroid variants; build_oracle turns
 it into a stateful oracle over a mutable set S.  _BaseOracle owns the
 contract: the checked insert / delete of one element, is_independent as
 rank(S) == |S|, and the _add / _remove hooks through which a variant keeps
-its own state in step.  Each variant adds only that state and its queries
-(rank and rank_drops_on_delete on rank-capable variants; elsewhere they
-raise).  GraphicOracle keeps S in a naive or HDT dynamic graph, each edge
-(self-loops too) keyed by its element; CographicOracle swaps its hooks, so
-that graph holds E \\ S.  ForestOracle keeps S as a spanning forest of its
-edges, or of their plane dual for cographic independence on a planar graph,
-in Euler-tour splay trees of its own: they keep no aggregates, so its debug
-check is structural.  build_oracle says which graph oracle serves which
-input.  The others use counters, table lookup, or GF(2) elimination at desk
-scale.
+its own state in step.  Each variant adds only that state and its queries,
+rank and rank_drops_on_delete among them.  GraphicOracle keeps S in a naive
+or HDT dynamic graph, each edge (self-loops too) keyed by its element;
+CographicOracle swaps its hooks, so that graph holds E \\ S.  ForestOracle
+answers independence only: it keeps S as a spanning forest of its edges, or
+of their plane dual for cographic independence on a planar graph, in
+Euler-tour splay trees of its own: they keep no aggregates, so its debug
+check is structural.  build_oracle says which oracle answers which
+question.  The others use counters, table lookup, or GF(2) elimination at
+desk scale.
 """
 from __future__ import annotations
 
@@ -29,8 +29,7 @@ from .errors import ContractError, UnsupportedOperationError, ValidationError
 EXPLICIT_MAX_N = 24
 _AUTO_NAIVE_MAX_VERTICES = 32
 
-RANK_CAPABLE_VARIANTS = ("explicit", "uniform", "partition", "graphic", "binary-linear")
-ALL_VARIANTS = RANK_CAPABLE_VARIANTS + ("cographic",)
+VARIANTS = ("explicit", "uniform", "partition", "graphic", "binary-linear", "cographic")
 
 
 class Fields:
@@ -87,16 +86,6 @@ class MatroidSpec:
     def n(self) -> int:
         return self.n_elements
 
-    @property
-    def rank_capable(self) -> bool:
-        return self.variant != "cographic"
-
-    def require_rank(self) -> None:
-        """Raise UnsupportedOperationError unless the variant answers rank queries."""
-        if not self.rank_capable:
-            raise UnsupportedOperationError(
-                f"variant {self.variant!r} supports independence queries only")
-
 
 def _as_edge_list(raw, what: str):
     if not isinstance(raw, list) or not raw:
@@ -115,9 +104,9 @@ def matroid_from_dict(d: dict) -> MatroidSpec:
     if not isinstance(d, dict):
         raise ValidationError("matroid spec must be a JSON object")
     variant = d.get("variant")
-    if variant not in ALL_VARIANTS:
+    if variant not in VARIANTS:
         raise ValidationError(
-            f"unknown matroid variant {variant!r}; expected one of {', '.join(ALL_VARIANTS)}")
+            f"unknown matroid variant {variant!r}; expected one of {', '.join(VARIANTS)}")
 
     if variant == "explicit":
         n = d.get("n")
@@ -401,10 +390,13 @@ class GraphicOracle(_BaseOracle):
 
 
 class CographicOracle(GraphicOracle):
-    """Independence-only oracle: S independent iff G[E \\ S] stays connected.
+    """Cographic oracle: S is independent iff G[E \\ S] stays connected.
 
     The graphic oracle with its hooks swapped: its graph holds E \\ S, so
-    oracle insert deletes an edge and oracle delete re-inserts it.
+    oracle insert deletes an edge and oracle delete re-inserts it.  On a
+    connected G the dual rank is rk*(S) = |S| + rk(E \\ S) - rk(E) =
+    |S| + 1 - kappa(E \\ S), so deleting i from S drops it iff i is a
+    self-loop or its ends are already joined in E \\ S.
     """
 
     _add = GraphicOracle._remove
@@ -415,10 +407,13 @@ class CographicOracle(GraphicOracle):
         for i, (u, v) in enumerate(spec.edges):
             self._g.insert_edge(i, u, v)
 
-    def is_independent(self) -> bool:
-        return self._g.component_count() == 1
+    def rank(self) -> int:
+        return len(self.current) + 1 - self._g.component_count()
 
-    rank = rank_drops_on_delete = _BaseOracle.rank
+    def rank_drops_on_delete(self, i: int) -> bool:
+        self._check_present(i)
+        u, v = self._edges[i]
+        return u == v or self._g.connected(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -746,29 +741,28 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
                  dyncon_backend: str = "auto"):
     """Oracle with current = empty set; kind is "independence" or "rank".
 
-    dyncon_backend "hdt" or "naive" pins a graph oracle's connectivity
-    backend.  "auto" picks naive up to _AUTO_NAIVE_MAX_VERTICES vertices and
-    HDT above, except for independence queries on a graph above it: a graphic
-    spec gets ForestOracle over its edges (vertex ids relabelled densely, so
-    a sparse id costs nothing), and a cographic spec on a planar graph gets
-    ForestOracle over the plane dual.
+    Under dyncon_backend "auto", independence on a graph is a spanning-forest
+    question at any size: a graphic spec gets ForestOracle over its edges
+    (vertex ids relabelled densely, so a sparse id costs nothing), and a
+    cographic spec on a planar graph gets ForestOracle over the plane dual.
+    Rank queries and non-planar cographic specs get the dynamic-graph oracle,
+    on the naive backend up to _AUTO_NAIVE_MAX_VERTICES vertices and HDT
+    above.  dyncon_backend "hdt" or "naive" pins that backend and always
+    builds the dynamic-graph oracle.
     """
     if kind not in ("independence", "rank"):
         raise ValidationError(f"oracle kind must be 'independence' or 'rank', got {kind!r}")
-    if kind == "rank":
-        spec.require_rank()
     if spec.variant in ("graphic", "cographic"):
         if dyncon_backend == "auto":
-            dyncon_backend = "naive" if spec.vertices <= _AUTO_NAIVE_MAX_VERTICES else "hdt"
-            if dyncon_backend == "hdt" and kind == "independence":
+            if kind == "independence":
                 if spec.variant == "graphic":
                     ids: dict[int, int] = {}
                     end = [ids.setdefault(x, len(ids)) for e in spec.edges for x in e]
-                    ends = len(ids), end
-                else:
-                    ends = planar.dual_graph(spec.vertices, spec.edges)
+                    return ForestOracle(spec.n, (len(ids), end))
+                ends = planar.dual_graph(spec.vertices, spec.edges)
                 if ends is not None:
                     return ForestOracle(spec.n, ends)
+            dyncon_backend = "naive" if spec.vertices <= _AUTO_NAIVE_MAX_VERTICES else "hdt"
         oracle = GraphicOracle if spec.variant == "graphic" else CographicOracle
         return oracle(spec, dyncon_backend)
     return {"explicit": ExplicitOracle, "uniform": UniformOracle, "partition": PartitionOracle,

@@ -49,7 +49,7 @@ class RandomClusterChain(PolarizedChain):
         """Remove j from A unless rk(A) drops; if it does, with probability q."""
         oracle = self.oracle
         q = self.q
-        if oracle.rank_drops_on_delete(j) and (q == 0.0 or (q < 1.0 and self.rng.u() >= q)):
+        if q < 1.0 and oracle.rank_drops_on_delete(j) and (q == 0.0 or self.rng.u() >= q):
             return False
         oracle.delete(j)
         return True

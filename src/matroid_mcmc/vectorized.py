@@ -43,7 +43,7 @@ VECTORIZED_MAX_N = 16
 
 class SmallTables:
     """Dense per-mask tables for one spec/fields pair: indep[m] (bool) for
-    need "polarized", rank[m] (int64) for need "rc" (rank-capable specs).
+    need "polarized", rank[m] (int64) for need "rc".
     Both come from one walk over the independent sets (_independent_sizes),
     so the build costs O(1) oracle calls per independent set and per
     rejected extension, not per mask."""
@@ -57,8 +57,6 @@ class SmallTables:
             raise ValidationError("fields length must match ground set size")
         if need not in ("polarized", "rc"):
             raise ValidationError(f"need must be 'polarized' or 'rc', got {need!r}")
-        if need == "rc":
-            spec.require_rank()
         self.n = n
         # random-cluster: the walk runs on complements, weights 1/λ
         self.weight = np.asarray(fields.proposal_weights(inverse=need == "rc"), dtype=float)

@@ -10,11 +10,12 @@ import sys
 
 import pytest
 
-from matroid_mcmc.exact import empirical_distribution, exact_mu, tv_distance
+from matroid_mcmc.exact import exact_mu, tv_distance
 from matroid_mcmc import Fields, matroid_from_dict
 from matroid_mcmc.cli import _build_parser
 
 from conftest import REPO_ROOT, cli_env, masks_of
+from reference import empirical_distribution
 
 CLI = [sys.executable, "-m", "matroid_mcmc"]
 
@@ -83,6 +84,25 @@ def test_sample_rc_q1_marginals(free3, tmp_path):
     for i, li in enumerate(lam):
         freq = sum(1 for s in samples if i in s) / len(samples)
         assert abs(freq - li / (1 + li)) <= 0.01, (i, freq)
+
+
+def test_rc_on_cographic_spec(tmp_path):
+    """Every variant answers rank, so the random-cluster walk takes a
+    cographic spec: the triangle's dual is U(1, 3), so at q = 0 (the
+    maximum-rank sets) each sample is a nonempty set of edges."""
+    spec = tmp_path / "cotri.json"
+    spec.write_text(json.dumps({"variant": "cographic", "edges": [[0, 1], [1, 2], [0, 2]]}))
+    r = run_cli("sample", "--model", "random-cluster", "--matroid", str(spec),
+                "--q", "0", "--num-samples", "50", "--seed", "5")
+    assert r.returncode == 0, r.stderr
+    samples = [json.loads(ln) for ln in r.stdout.strip().splitlines()]
+    assert len(samples) == 50
+    assert all(s and set(s) <= {0, 1, 2} for s in samples)
+    # and its exact law: the empty set weighs 1, each of the 7 others 1/q = 2
+    r = run_cli("exact", "rc", "--matroid", str(spec), "--q", "0.5")
+    assert r.returncode == 0, r.stderr
+    atoms = {tuple(a["set"]): a["prob"] for a in json.loads(r.stdout)["atoms"]}
+    assert len(atoms) == 8 and atoms[()] == pytest.approx(1 / 15)
 
 
 def test_sample_manifest(free2, tmp_path):

@@ -1,5 +1,6 @@
 """Exact reference distributions, kernels, and distance helpers."""
 
+import ast
 import math
 
 import numpy as np
@@ -17,14 +18,10 @@ from matroid_mcmc import (
     stationary_residual,
     tv_distance,
 )
-from matroid_mcmc.exact import (
-    empirical_distribution,
-    independent_masks,
-    labeled_polarized_kernel,
-    pi_x_marginal,
-)
+from matroid_mcmc.exact import BruteMatroid, independent_masks
 
-from conftest import TRIANGLE_EDGES, ones, spec_of
+from conftest import K4_EDGES, LOOP_PARALLEL_EDGES, REPO_ROOT, TRIANGLE_EDGES, ones, spec_of
+from reference import empirical_distribution, labeled_polarized_kernel, pi_x_marginal
 
 
 def test_exact_mu_free2_uniform():
@@ -39,6 +36,18 @@ def test_exact_mu_cographic_triangle_uniform():
     dist = exact_mu(spec, ones(3))
     assert sorted(dist.support) == [0b000, 0b001, 0b010, 0b100]
     assert np.allclose(dist.prob, 0.25)
+
+
+@pytest.mark.parametrize("edges", [K4_EDGES, LOOP_PARALLEL_EDGES], ids=["K4", "loop-parallel"])
+def test_brute_cographic_rank_is_largest_independent_subset(edges):
+    """The brute dual rank, counted from the complement's components, agrees
+    with the largest independent subset that the complement-connectivity
+    check finds, on every mask."""
+    spec = spec_of({"variant": "cographic", "edges": [list(e) for e in edges]})
+    ref = BruteMatroid(spec)
+    indep = independent_masks(spec)
+    for m in range(1 << spec.n):
+        assert ref.rank(m) == max(s.bit_count() for s in indep if not s & ~m), m
 
 
 def test_exact_mu_uniform31_weighted():
@@ -186,3 +195,33 @@ def test_size_guards():
 def test_independent_masks_counts():
     spec = spec_of({"variant": "uniform", "n": 5, "k": 2})
     assert len(independent_masks(spec)) == 1 + 5 + 10
+
+
+def _names_used(nodes):
+    """Every name the syntax trees `nodes` read, import, or take an attribute of."""
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name.rsplit(".", 1)[-1]
+
+
+def test_exact_holds_no_test_only_code():
+    """Each public function and class of exact.py is used somewhere in src/
+    outside its own definition; what only tests use lives in tests/."""
+    src = REPO_ROOT / "src" / "matroid_mcmc"
+    body = ast.parse((src / "exact.py").read_text("utf-8")).body
+    elsewhere = set()
+    for path in src.glob("*.py"):
+        if path.name != "exact.py":
+            elsewhere.update(_names_used(ast.parse(path.read_text("utf-8")).body))
+    public = [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    assert len(public) >= 9
+    unused = [node.name for node in public
+              if node.name not in elsewhere
+              and node.name not in _names_used(n for n in body if n is not node)]
+    assert unused == []

@@ -9,16 +9,16 @@ import pytest
 from matroid_mcmc import (
     ContractError,
     Fields,
-    UnsupportedOperationError,
     ValidationError,
     build_oracle,
     load_matroid,
     matroid_from_dict,
 )
-from matroid_mcmc.exact import BruteMatroid, independent_masks, is_matroid_family
+from matroid_mcmc.exact import BruteMatroid, independent_masks
 from matroid_mcmc.matroids import CographicOracle, ForestOracle, GraphicOracle, _same_tree
 
 from conftest import K4_EDGES, REPO_ROOT, TRIANGLE_EDGES, imported_names, spec_of
+from reference import is_matroid_family
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +138,42 @@ def test_cographic_independent_sets_enumeration():
     assert independent_masks(spec) == [0b000, 0b001, 0b010, 0b100]
 
 
-def test_cographic_rank_unsupported():
+def test_cographic_rank_examples():
+    """rk*(S) = |S| + 1 - kappa(E \\ S) on the triangle, whose dual is U(1, 3)."""
     spec = matroid_from_dict({"variant": "cographic",
                               "edges": [list(e) for e in TRIANGLE_EDGES]})
-    with pytest.raises(UnsupportedOperationError):
-        build_oracle(spec, kind="rank")
-    o = build_oracle(spec, kind="independence")
-    with pytest.raises(UnsupportedOperationError):
-        o.rank()
-    o.insert(0)
-    with pytest.raises(UnsupportedOperationError):
-        o.rank_drops_on_delete(0)
+    for backend in ("auto", "naive", "hdt"):
+        o = build_oracle(spec, "rank", backend)
+        assert type(o) is CographicOracle
+        assert o.rank() == 0
+        o.insert(0)
+        assert o.rank() == 1 and o.rank_drops_on_delete(0)  # {0} is a basis
+        o.insert(1)
+        assert o.rank() == 1 and not o.is_independent()
+        assert not o.rank_drops_on_delete(0)  # {1} is a basis too
+        o.insert(2)
+        assert o.rank() == 1
+        o.delete(0)
+        assert o.rank() == 1 and not o.rank_drops_on_delete(1)
+
+
+COGRAPHIC_RANK_GRAPHS = {
+    "triangle": TRIANGLE_EDGES,
+    "K4": K4_EDGES,
+    "K5": [(u, v) for u in range(5) for v in range(u + 1, 5)],
+    # a 4-cycle with a loop (a coloop of the dual), a parallel pair and a chord
+    "loop-multigraph": [(0, 1), (1, 2), (2, 3), (3, 0), (2, 2), (0, 1), (0, 2)],
+}
+
+
+@pytest.mark.parametrize("backend", ["naive", "hdt"])
+@pytest.mark.parametrize("name", list(COGRAPHIC_RANK_GRAPHS))
+def test_cographic_rank_matches_brute(name, backend):
+    """rank and rank_drops_on_delete of the cographic oracle against the brute
+    dual rank, over 600 random inserts and deletes."""
+    edges = COGRAPHIC_RANK_GRAPHS[name]
+    _run_differential({"variant": "cographic", "edges": [list(e) for e in edges]},
+                      ops=600, seed=43, dyncon_backend=backend)
 
 
 class _CountingGraph:
@@ -173,7 +198,8 @@ class _CountingGraph:
 @pytest.mark.parametrize("variant,kind,cls", [
     ("graphic", "rank", GraphicOracle), ("cographic", "independence", CographicOracle)])
 def test_graph_oracle_queries_do_not_mutate(variant, kind, cls):
-    """On the naive backend no query inserts or deletes a dynamic-graph edge."""
+    """On the naive backend no query inserts or deletes a dynamic-graph edge;
+    both graph oracles answer rank, whichever kind was asked for."""
     edges = [[0, 1], [1, 2], [2, 0], [2, 3], [3, 3], [0, 1]]  # a loop, a parallel copy
     o = build_oracle(spec_of({"variant": variant, "edges": edges}), kind, "naive")
     assert type(o) is cls
@@ -184,10 +210,9 @@ def test_graph_oracle_queries_do_not_mutate(variant, kind, cls):
         (o.delete if i in o.current else o.insert)(i)
         before = g.mutations
         o.is_independent()
-        if kind == "rank":
-            o.rank()
-            for j in o.current:
-                o.rank_drops_on_delete(j)
+        o.rank()
+        for j in o.current:
+            o.rank_drops_on_delete(j)
         assert g.mutations == before
     assert g.mutations == 300
 
@@ -207,16 +232,14 @@ CONTRACT_SPECS = {
 @pytest.mark.parametrize("name", list(CONTRACT_SPECS))
 def test_duplicate_insert_and_absent_delete(name):
     spec = matroid_from_dict(CONTRACT_SPECS[name])
-    o = build_oracle(spec, kind="rank" if spec.rank_capable else "independence")
+    o = build_oracle(spec, kind="rank")
     ref = BruteMatroid(spec)
     o.insert(0)
     o.insert(1)
     indep = o.is_independent()
     assert indep == ref.is_independent(0b011)
     bad = [lambda: o.insert(-1), lambda: o.insert(spec.n), lambda: o.insert(1),
-           lambda: o.delete(2)]
-    if spec.rank_capable:
-        bad.append(lambda: o.rank_drops_on_delete(2))
+           lambda: o.delete(2), lambda: o.rank_drops_on_delete(2)]
     for call in bad:
         with pytest.raises(ContractError):
             call()
@@ -226,8 +249,7 @@ def test_duplicate_insert_and_absent_delete(name):
     o.delete(1)
     o.insert(2)
     assert o.is_independent() == ref.is_independent(0b101)
-    if spec.rank_capable:
-        assert o.rank() == ref.rank(0b101)
+    assert o.rank() == ref.rank(0b101)
 
 
 def test_binary_linear_duplicate_columns():
@@ -296,9 +318,7 @@ def _explicit_from(spec_dict):
 
 def _run_differential(spec_dict, ops, seed, dyncon_backend="auto"):
     spec = matroid_from_dict(spec_dict)
-    rank_capable = spec.variant != "cographic"
-    oracle = build_oracle(spec, kind="rank" if rank_capable else "independence",
-                          dyncon_backend=dyncon_backend)
+    oracle = build_oracle(spec, kind="rank", dyncon_backend=dyncon_backend)
     ref = BruteMatroid(spec)
     rng = np.random.default_rng(seed)
     cur = 0
@@ -311,13 +331,12 @@ def _run_differential(spec_dict, ops, seed, dyncon_backend="auto"):
             oracle.insert(i)
             cur |= 1 << i
         assert oracle.is_independent() == ref.is_independent(cur), (spec_dict, step)
-        if rank_capable:
-            assert oracle.rank() == ref.rank(cur), (spec_dict, step)
-            if cur and step % 3 == 0:
-                members = [j for j in range(spec.n) if cur >> j & 1]
-                j = members[int(rng.integers(len(members)))]
-                want = ref.rank(cur) - ref.rank(cur ^ (1 << j)) == 1
-                assert oracle.rank_drops_on_delete(j) == want, (spec_dict, step, j)
+        assert oracle.rank() == ref.rank(cur), (spec_dict, step)
+        if cur and step % 3 == 0:
+            members = [j for j in range(spec.n) if cur >> j & 1]
+            j = members[int(rng.integers(len(members)))]
+            want = ref.rank(cur) - ref.rank(cur ^ (1 << j)) == 1
+            assert oracle.rank_drops_on_delete(j) == want, (spec_dict, step, j)
 
 
 @pytest.mark.parametrize("spec_dict", DIFFERENTIAL_SPECS,

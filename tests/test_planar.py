@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
-from matroid_mcmc import (ContractError, UnsupportedOperationError, ValidationError,
-                          build_oracle, matroid_from_dict)
+from matroid_mcmc import (ChainConfig, ContractError, Fields, MatroidSpec,
+                          UnsupportedOperationError, ValidationError, build_oracle,
+                          matroid_from_dict, sample_independent_sets)
 from matroid_mcmc import planar
 from matroid_mcmc.exact import BruteMatroid
 from matroid_mcmc.matroids import CographicOracle, ForestOracle, GraphicOracle
@@ -228,46 +229,58 @@ def test_nonplanar_graphs_keep_hdt(name):
     assert oracle._g.name == "hdt"
 
 
-def test_oracle_choice_by_size_and_backend():
-    """auto picks the dual forest only above 32 vertices; a pinned backend
-    always keeps the connectivity oracle."""
-    small = matroid_from_dict({"variant": "cographic",
-                               "edges": [list(e) for e in wheel(31)[1]]})
-    large = matroid_from_dict({"variant": "cographic",
-                               "edges": [list(e) for e in wheel(32)[1]]})
-    assert (small.vertices, large.vertices) == (32, 33)
-    assert build_oracle(small)._g.name == "naive"
-    assert type(build_oracle(large)) is ForestOracle
-    for backend in ("hdt", "naive"):
-        assert build_oracle(large, dyncon_backend=backend)._g.name == backend
+# what "auto" builds for an independence query on the graph with 32 and with
+# 33 vertices: the forest at any size, but for a non-planar cographic graph
+ORACLE_RULE = {
+    ("graphic", "wheel"): ("forest", "forest"),
+    ("graphic", "k5"): ("forest", "forest"),
+    ("graphic", "k33"): ("forest", "forest"),
+    ("cographic", "wheel"): ("forest", "forest"),
+    ("cographic", "k5"): ("naive", "hdt"),
+    ("cographic", "k33"): ("naive", "hdt"),
+}
 
 
-def test_graphic_oracle_choice_by_size_kind_and_backend(monkeypatch):
-    """The graphic twin: above 32 vertices auto gives independence queries
-    the forest over the primal edges, planar or not, and never embeds the
-    graph; rank queries and a pinned backend keep the dynamic graph."""
-    small, large = (matroid_from_dict({"variant": "graphic",
-                                       "edges": [list(e) for e in wheel(k)[1]]})
-                    for k in (31, 32))
-    assert (small.vertices, large.vertices) == (32, 33)
-    oracle = build_oracle(small)
-    assert type(oracle) is GraphicOracle and oracle._g.name == "naive"
-    assert type(build_oracle(large)) is ForestOracle
-    oracle = build_oracle(large, "rank")
-    assert type(oracle) is GraphicOracle and oracle._g.name == "hdt"
-    for backend in ("hdt", "naive"):
-        oracle = build_oracle(large, dyncon_backend=backend)
-        assert type(oracle) is GraphicOracle and oracle._g.name == backend
+@pytest.mark.parametrize("variant,graph", list(ORACLE_RULE),
+                         ids=[f"{v}-{g}" for v, g in ORACLE_RULE])
+def test_oracle_choice_by_question_and_backend(variant, graph, monkeypatch):
+    """auto answers independence with the forest (primal edges, or the plane
+    dual) whatever the size, and a non-planar cographic graph with the dynamic
+    graph.  Rank queries get the dynamic graph, naive up to 32 vertices and HDT
+    above, and a pinned backend always builds it.  A graphic spec is never
+    embedded."""
+    if variant == "graphic":
+        def no_embedding(*_):
+            raise AssertionError("a graphic spec is never embedded")
 
-    def no_embedding(*_):
-        raise AssertionError("a graphic spec is never embedded")
+        monkeypatch.setattr(planar, "dual_graph", no_embedding)
+    graph_cls = GraphicOracle if variant == "graphic" else CographicOracle
+    for vertices, want in zip((32, 33), ORACLE_RULE[variant, graph]):
+        n, edges = wheel(vertices - 1) if graph == "wheel" else padded(NONPLANAR[graph], vertices)
+        spec = matroid_from_dict({"variant": variant, "edges": [list(e) for e in edges]})
+        assert spec.vertices == n == vertices
+        oracle = build_oracle(spec)
+        if want == "forest":
+            assert type(oracle) is ForestOracle, vertices
+        else:
+            assert type(oracle) is graph_cls and oracle._g.name == want, vertices
+        oracle = build_oracle(spec, "rank")
+        assert type(oracle) is graph_cls
+        assert oracle._g.name == ("naive" if vertices <= 32 else "hdt")
+        for kind in ("independence", "rank"):
+            for backend in ("hdt", "naive"):
+                oracle = build_oracle(spec, kind, backend)
+                assert type(oracle) is graph_cls and oracle._g.name == backend
 
-    monkeypatch.setattr(planar, "dual_graph", no_embedding)
-    for name in NONPLANAR:
-        n, edges = padded(NONPLANAR[name])
-        spec = matroid_from_dict({"variant": "graphic", "edges": [list(e) for e in edges]})
-        assert spec.vertices > 32
-        assert type(build_oracle(spec)) is ForestOracle, name
+
+def test_disconnected_cographic_spec_reaches_the_embedder():
+    """A hand-built cographic spec skips matroid_from_dict's connectivity check;
+    its independence oracle is the dual forest, whose embedder rejects it."""
+    spec = MatroidSpec("cographic", n_elements=2, edges=[(0, 1), (2, 3)], vertices=4)
+    with pytest.raises(ValidationError, match="connected"):
+        build_oracle(spec)
+    with pytest.raises(ValidationError, match="connected"):
+        sample_independent_sets(spec, Fields([1.0, 1.0]), ChainConfig(seed=0), 3)
 
 
 def test_euler_mismatch_raises(monkeypatch):

@@ -22,11 +22,11 @@ from matroid_mcmc import (
     tv_distance,
 )
 from matroid_mcmc import reliability, vectorized
-from matroid_mcmc.exact import empirical_distribution
 from matroid_mcmc.sampling import sample_independent_sets
 from matroid_mcmc.vectorized import SmallTables
 
 from conftest import K4_EDGES, TRIANGLE_EDGES, masks_of
+from reference import empirical_distribution
 
 TRI = NetworkInstance(3, list(TRIANGLE_EDGES), 0.5)
 K4 = NetworkInstance(4, list(K4_EDGES), 0.5)

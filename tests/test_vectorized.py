@@ -18,13 +18,7 @@ from matroid_mcmc import (
     derive_seed,
     matroid_from_dict,
 )
-from matroid_mcmc.exact import (
-    BruteMatroid,
-    empirical_distribution,
-    exact_mu,
-    exact_rc,
-    tv_distance,
-)
+from matroid_mcmc.exact import BruteMatroid, exact_mu, exact_rc, tv_distance
 from matroid_mcmc.matroids import greedy_basis
 from matroid_mcmc import vectorized
 from matroid_mcmc.sampling import sample_independent_sets, sample_random_cluster
@@ -48,6 +42,7 @@ from conftest import (
     sequential_samples,
     spec_of,
 )
+from reference import empirical_distribution
 
 TABLE_CASES = {
     "graphic-K4": {"variant": "graphic", "edges": [list(e) for e in K4_EDGES]},
@@ -73,23 +68,21 @@ def test_tables_match_brute(name):
     f = Fields([1, 2, 0.5, 1, 3, 0.25])
     ref = BruteMatroid(spec)
     tp = SmallTables(spec, f, need="polarized")
-    tr = SmallTables(spec, f, need="rc") if spec.rank_capable else None
+    tr = SmallTables(spec, f, need="rc")
     acc_p = readd_tables(tp)[2]
-    acc_r = readd_tables(tr, 0.5)[2] if tr is not None else None
+    acc_r = readd_tables(tr, 0.5)[2]
     for m in range(1 << 6):
         assert bool(tp.indep[m]) == ref.is_independent(m), m
-        if tr is not None:
-            assert int(tr.rank[m]) == ref.rank(m), m
+        assert int(tr.rank[m]) == ref.rank(m), m
         # re-add row: n - |m| auxiliary slots plus the weight of every j that
         # may join m (rc: j leaves the cluster set ~m, at rate q if rk drops)
         out = [j for j in range(6) if not m >> j & 1]
         want = len(out) + sum(f.lam[j] for j in out if ref.is_independent(m | 1 << j))
         assert acc_p[m] == pytest.approx(want, rel=1e-12), m
-        if tr is not None:
-            a = m ^ 0b111111
-            want = len(out) + sum((1.0 if ref.rank(a ^ 1 << j) == ref.rank(a) else 0.5)
-                                  / f.lam[j] for j in out)
-            assert acc_r[m] == pytest.approx(want, rel=1e-12), m
+        a = m ^ 0b111111
+        want = len(out) + sum((1.0 if ref.rank(a ^ 1 << j) == ref.rank(a) else 0.5)
+                              / f.lam[j] for j in out)
+        assert acc_r[m] == pytest.approx(want, rel=1e-12), m
 
 
 def test_table_fill_walks_only_the_independent_sets(monkeypatch):
@@ -144,9 +137,8 @@ def test_tables_match_brute_on_random_multigraphs(d):
     every = range(1 << spec.n)
     tb = SmallTables(spec, ones(spec.n), need="polarized")
     assert tb.indep.tolist() == [ref.is_independent(m) for m in every]
-    if spec.rank_capable:
-        tb = SmallTables(spec, ones(spec.n), need="rc")
-        assert tb.rank.tolist() == [ref.rank(m) for m in every]
+    tb = SmallTables(spec, ones(spec.n), need="rc")
+    assert tb.rank.tolist() == [ref.rank(m) for m in every]
 
 
 @pytest.mark.parametrize("need", ["polarised", "random-cluster", ""])
@@ -191,9 +183,8 @@ def test_alias_tables_rebuild_readd_law(name, lam_name):
     lam = LAW_FIELDS[lam_name]
     f = Fields(lam)
     ref = BruteMatroid(spec)
-    laws = [None] + ([0.0, 0.5, 1.0] if spec.rank_capable else [])
     width, full = 7, (1 << 6) - 1
-    for q in laws:
+    for q in (None, 0.0, 0.5, 1.0):
         tb = SmallTables(spec, f, need="polarized" if q is None else "rc")
         prob, alias, accepted, _ = readd_tables(tb, q)
         assert prob.dtype == np.float64 and alias.dtype == np.int8
