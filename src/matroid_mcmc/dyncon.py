@@ -14,12 +14,14 @@ non-negative ints not live already (`insert_edge(key, u, v)`, `delete_edge(key)`
   each edge is inspected O(log n) times; insert/delete/query are O(log^2 n)
   amortized; only a tree `skip` is cut, and relinked, to answer a query.
 * ``naive`` — stores the edge multiset as per-vertex neighbour counts, so a
-  mutation is O(1); `connected` searches level by level from one endpoint
-  and stops as soon as the other is adjacent (O(n + m) at worst, a few
-  levels when the endpoints are close), and `component_count` traverses the
-  whole graph; a parallel copy of `skip` answers at once, else one search
-  runs from u's other neighbours.  Used as the differential-testing oracle
-  and the scaling baseline.
+  mutation is O(1); `connected` grows a search from each endpoint, one
+  vertex of each side in turn, and stops when the sides meet (joined) or
+  either side runs out (not joined), so a bridge costs about twice its
+  smaller side whatever the graph's size (Even & Shiloach's search, "An
+  on-line edge-deletion problem", J. ACM 1981), and O(n + m) at worst; a
+  parallel copy of `skip` answers at once, and `skip` itself is never
+  crossed.  `component_count` traverses the whole graph.  Used as the
+  differential-testing oracle and the scaling baseline.
 
 Both accept multigraphs; self-loops are stored but never affect connectivity.
 """
@@ -534,7 +536,11 @@ class _NaiveBackend:
     """Search-per-query twin of the hdt backend (same interface).
 
     `_adj[x]` maps each neighbour of x to the number of edges joining them;
-    a self-loop lives only in `_edges`.
+    a self-loop lives only in `_edges`.  `connected` expands one vertex of
+    u's side, then one of v's, and so on: the sides meeting means joined,
+    and a side with nothing left to expand is its endpoint's whole
+    component, so the ends are apart.  A bridge costs about twice its
+    smaller side.
     """
 
     name = "naive"
@@ -579,26 +585,36 @@ class _NaiveBackend:
         if u == v:
             return True
         adj = self._adj
-        seen = {u}
-        level = [u]
-        if skip is not None:
-            nu = adj[u]
-            if nu[v] > 1:  # a parallel copy of skip joins them
-                return True
-            level = [y for y in nu if y != v]
-            seen.update(level)
-        while level:
-            nxt = []
-            for x in level:
-                nb = adj[x]
-                if v in nb:
-                    return True
-                for y in nb:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            level = nxt
-        return False
+        if adj[u].get(v, 0) > (skip is not None):  # a u-v edge other than skip
+            return True
+        # the only u-v edge left, if any, is skip: the hop u -> v is never crossed
+        a, seen_a, i = [u], {u}, 0
+        b, seen_b, j = [v], {v}, 0
+        while True:
+            x = a[i]
+            for y in adj[x]:
+                if y not in seen_a:
+                    if y in seen_b:
+                        if x != u or y != v:
+                            return True
+                    else:
+                        seen_a.add(y)
+                        a.append(y)
+            i += 1
+            if i == len(a):  # u's side is all of u's component
+                return False
+            x = b[j]
+            for y in adj[x]:
+                if y not in seen_b:
+                    if y in seen_a:
+                        if x != v or y != u:
+                            return True
+                    else:
+                        seen_b.add(y)
+                        b.append(y)
+            j += 1
+            if j == len(b):
+                return False
 
     def component_count(self) -> int:
         adj = self._adj

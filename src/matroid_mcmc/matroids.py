@@ -99,6 +99,10 @@ def _as_edge_list(raw, what: str):
     return edges
 
 
+_COGRAPHIC_NEEDS_CONNECTED = ("cographic spec requires a connected ambient graph "
+                              "(connected-spanning-subgraph law is undefined otherwise)")
+
+
 def matroid_from_dict(d: dict) -> MatroidSpec:
     """Validate a MatroidSpec JSON object and build the spec."""
     if not isinstance(d, dict):
@@ -173,9 +177,7 @@ def matroid_from_dict(d: dict) -> MatroidSpec:
         edges = _as_edge_list(d.get("edges"), variant)
         vertices = max(max(e) for e in edges) + 1
         if variant == "cographic" and not edges_connected(vertices, edges):
-            raise ValidationError(
-                "cographic spec requires a connected ambient graph "
-                "(connected-spanning-subgraph law is undefined otherwise)")
+            raise ValidationError(_COGRAPHIC_NEEDS_CONNECTED)
         return MatroidSpec(variant, n_elements=len(edges), edges=edges, vertices=vertices)
 
     # binary-linear
@@ -396,7 +398,8 @@ class CographicOracle(GraphicOracle):
     oracle insert deletes an edge and oracle delete re-inserts it.  On a
     connected G the dual rank is rk*(S) = |S| + rk(E \\ S) - rk(E) =
     |S| + 1 - kappa(E \\ S), so deleting i from S drops it iff i is a
-    self-loop or its ends are already joined in E \\ S.
+    self-loop or its ends are already joined in E \\ S.  A disconnected G
+    is rejected at build, as matroid_from_dict rejects it.
     """
 
     _add = GraphicOracle._remove
@@ -406,6 +409,8 @@ class CographicOracle(GraphicOracle):
         super().__init__(spec, dyncon_backend)
         for i, (u, v) in enumerate(spec.edges):
             self._g.insert_edge(i, u, v)
+        if self._g.component_count() != 1:
+            raise ValidationError(_COGRAPHIC_NEEDS_CONNECTED)
 
     def rank(self) -> int:
         return len(self.current) + 1 - self._g.component_count()

@@ -9,6 +9,12 @@ carry aggregate mass |A|, element j ∈ A carries mass 1/λ_j): that is the
 walk's weighted re-add to S, accepted unless the removal would drop the rank
 of A, and then only with probability q.  The stationary law of A is ∝ q^{-rk(A)} Π_{j∈A} λ_j;
 at q = 0 the support is the maximum-rank subsets.
+
+The q coin is drawn before the rank question is asked: a removal is rejected
+iff the coin lands >= q and the rank drops, and the coin is independent of
+the graph, so the order leaves the law as it is while a fraction q of the
+proposals (0 < q < 1) skips the query.  At q = 1 no query is asked, at q = 0
+no coin is drawn.
 """
 from __future__ import annotations
 
@@ -46,10 +52,14 @@ class RandomClusterChain(PolarizedChain):
         return [i for i in range(self.n) if w[i] != 0.0]
 
     def _accepts(self, j: int) -> bool:
-        """Remove j from A unless rk(A) drops; if it does, with probability q."""
+        """Remove j from A unless rk(A) drops; if it does, with probability q.
+
+        The coin comes first: a coin < q accepts whatever the rank does, so
+        the rank question is asked only when the coin would reject.
+        """
         oracle = self.oracle
         q = self.q
-        if q < 1.0 and oracle.rank_drops_on_delete(j) and (q == 0.0 or self.rng.u() >= q):
+        if q < 1.0 and (q == 0.0 or self.rng.u() >= q) and oracle.rank_drops_on_delete(j):
             return False
         oracle.delete(j)
         return True

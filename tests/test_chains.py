@@ -171,6 +171,35 @@ def test_rc_asks_the_bridge_question_only_below_q1(triangle_graphic, q):
     assert (len(asked) > 0) == (q < 1.0), len(asked)
 
 
+def test_rc_draws_the_coin_before_the_bridge_question():
+    """The q coin is drawn first, so the rank question is asked only when the
+    coin would reject: at q = 0 on every proposal of an element of A, at
+    q = 1 on none, and at q = 0.5 on about half of them."""
+    spec = spec_of({"variant": "graphic", "edges": grid_edges(3, 4)})
+    asked = {}
+    for q in (0.0, 0.5, 1.0):
+        chain = RandomClusterChain(spec, ones(spec.n), q, ChainConfig(seed=8, step_override=3000))
+        proposed, queried = [], []
+        accepts, drops = chain._accepts, chain.oracle.rank_drops_on_delete
+
+        def propose(j):
+            assert j in chain.oracle.current  # the down step proposes only elements of A
+            proposed.append(j)
+            return accepts(j)
+
+        chain._accepts = propose
+        chain.oracle.rank_drops_on_delete = lambda j: queried.append(j) or drops(j)
+        chain.run()
+        assert len(proposed) > 1000, (q, len(proposed))
+        asked[q] = len(queried)
+        if q == 0.0:
+            assert queried == proposed
+        elif q == 0.5:
+            assert 0.4 < len(queried) / len(proposed) < 0.6, (len(queried), len(proposed))
+    assert asked[1.0] == 0
+    assert asked[0.5] < 0.75 * asked[0.0], asked
+
+
 def test_debug_asserts_smoke(monkeypatch, triangle_graphic, triangle_cographic):
     monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
     cfg = ChainConfig(seed=6, step_override=300)

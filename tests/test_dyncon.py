@@ -187,6 +187,101 @@ def test_skip_differential_hdt_vs_naive(monkeypatch):
         assert seen == {(True, True), (True, False), (False, True)}, seen
 
 
+def _bfs_component(vertex_count, live, s, skip=None):
+    """Plain BFS reference: the vertices joined to s by the live edges but skip."""
+    adj = [[] for _ in range(vertex_count)]
+    for key, (a, b) in live.items():
+        if key != skip:
+            adj[a].append(b)
+            adj[b].append(a)
+    seen = {s}
+    queue = [s]
+    for x in queue:
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
+class _CountingAdj(list):
+    """The naive backend's adjacency list, counting the vertices a query reads."""
+
+    reads = 0
+
+    def __getitem__(self, x):
+        self.reads += 1
+        return super().__getitem__(x)
+
+
+def test_naive_two_sided_search_against_bfs():
+    """Seeded multigraph churn with parallel copies and self-loops: every
+    naive answer, with skip given and absent, matches a plain BFS, and a
+    query that finds the ends apart reads at most one vertex more than
+    twice the smaller of the two components it separates."""
+    seen = set()
+    for nv, ops, seed in [(2, 300, 0), (5, 1500, 1), (12, 3000, 2), (30, 3000, 3)]:
+        g = dyn_graph(nv, backend="naive")
+        g._adj = _CountingAdj(g._adj)
+        rng = np.random.default_rng(seed)
+        live = {}  # key -> (u, v)
+        for key in range(ops):
+            r = rng.random()
+            if len(live) < 2 or r < 0.35:
+                if live and r < 0.1:  # a parallel copy of a live edge
+                    u, v = live[list(live)[int(rng.integers(len(live)))]]
+                else:
+                    u = int(rng.integers(nv))
+                    v = u if rng.random() < 0.05 else int(rng.integers(nv))
+                g.insert_edge(key, u, v)
+                live[key] = (u, v)
+                continue
+            if r < 0.55:
+                dead = list(live)[int(rng.integers(len(live)))]
+                del live[dead]
+                g.delete_edge(dead)
+                continue
+            if r < 0.75:
+                skip = None
+                u, v = int(rng.integers(nv)), int(rng.integers(nv))
+            else:
+                skip = list(live)[int(rng.integers(len(live)))]
+                u, v = live[skip]
+                if rng.random() < 0.5:
+                    u, v = v, u
+            cu = _bfs_component(nv, live, u, skip)
+            g._adj.reads = 0
+            got = g.connected(u, v, skip)
+            assert got == (v in cu), (seed, key, u, v, skip)
+            parallel = skip is not None and sum(e in ((u, v), (v, u)) for e in live.values()) > 1
+            if got:
+                seen.add("parallel copy of skip" if parallel else "joined")
+                continue
+            cv = _bfs_component(nv, live, v, skip)
+            assert g._adj.reads <= 2 * min(len(cu), len(cv)) + 1, (seed, key)
+            if len(cu) != len(cv):
+                seen.add("u's side runs out" if len(cu) < len(cv) else "v's side runs out")
+    assert seen == {"joined", "parallel copy of skip", "u's side runs out",
+                    "v's side runs out"}, seen
+
+
+def test_naive_bridge_costs_its_smaller_side():
+    """A pendant edge on a 30 x 30 grid is answered from the leaf's side,
+    whichever end the query names first."""
+    g = dyn_graph(901, backend="naive")
+    for key, (u, v) in enumerate(grid_edges(30, 30)):
+        g.insert_edge(key, u, v)
+    pendant = 10_000
+    g.insert_edge(pendant, 450, 900)  # the leaf 900 hangs off vertex 450
+    g._adj = _CountingAdj(g._adj)
+    for u, v in ((450, 900), (900, 450)):
+        g._adj.reads = 0
+        assert not g.connected(u, v, pendant)
+        assert g._adj.reads <= 3, (u, v, g._adj.reads)
+    g.insert_edge(pendant + 1, 900, 0)  # now the leaf is on a cycle through the grid
+    assert g.connected(450, 900, pendant) and g.connected(900, 450, pendant)
+
+
 @pytest.mark.parametrize("replaced", [True, False], ids=["replacement", "bridge"])
 def test_hdt_skip_query_leaves_graph(replaced):
     """A skip query on a tree edge cuts and relinks inside the backend; the

@@ -7,7 +7,8 @@ import pytest
 
 from matroid_mcmc import (ChainConfig, ContractError, Fields, MatroidSpec,
                           UnsupportedOperationError, ValidationError, build_oracle,
-                          matroid_from_dict, sample_independent_sets)
+                          matroid_from_dict, sample_independent_sets,
+                          sample_random_cluster)
 from matroid_mcmc import planar
 from matroid_mcmc.exact import BruteMatroid
 from matroid_mcmc.matroids import CographicOracle, ForestOracle, GraphicOracle
@@ -281,6 +282,25 @@ def test_disconnected_cographic_spec_reaches_the_embedder():
         build_oracle(spec)
     with pytest.raises(ValidationError, match="connected"):
         sample_independent_sets(spec, Fields([1.0, 1.0]), ChainConfig(seed=0), 3)
+
+
+def test_disconnected_dense_cographic_spec_is_rejected():
+    """A disconnected cographic spec too dense to embed (K7 with a separate
+    looped vertex) skips the embedder; the cographic oracle rejects it at
+    build on every backend, with matroid_from_dict's wording."""
+    n, edges = complete(7)
+    spec = MatroidSpec("cographic", n_elements=22, edges=edges + [(7, 7)], vertices=8)
+    assert planar.dual_graph(spec.vertices, spec.edges) is None
+    wording = "cographic spec requires a connected ambient graph"
+    for kind in ("independence", "rank"):
+        for backend in ("auto", "naive", "hdt"):
+            with pytest.raises(ValidationError, match=wording):
+                build_oracle(spec, kind, backend)
+    fields = Fields([1.0] * 22)
+    with pytest.raises(ValidationError, match=wording):
+        sample_independent_sets(spec, fields, ChainConfig(seed=0, step_override=200), 3)
+    with pytest.raises(ValidationError, match=wording):
+        sample_random_cluster(spec, fields, 0.5, ChainConfig(seed=0, step_override=200), 3)
 
 
 def test_euler_mismatch_raises(monkeypatch):
