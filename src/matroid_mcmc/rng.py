@@ -6,6 +6,12 @@ can be replayed chain-by-chain regardless of how the chains were scheduled,
 and nearby seeds do not share streams.  The lockstep runner
 (vectorized._run_lockstep) does not use SeedStream: a whole lockstep batch
 draws from one SFC64 stream seeded with its key.
+
+A SeedStream hands out Python floats, not numpy scalars: the block of doubles
+numpy draws is turned into a list once per refill, so the arithmetic of a
+sequential step (drop index, proposal point, q coin, the WeightedIndex
+descent) runs on plain floats.  The doubles are the generator's own, in its
+order, so the bytes of every stream are those of ``Generator.random``.
 """
 from __future__ import annotations
 
@@ -50,5 +56,5 @@ class SeedStream:
         buf = self._buf
         if not buf:
             # reversed so pop() from the tail replays in draw order
-            buf.extend(self._gen.random(_BUFFER)[::-1])
+            buf.extend(self._gen.random(_BUFFER)[::-1].tolist())
         return buf.pop()

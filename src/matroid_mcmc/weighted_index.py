@@ -56,7 +56,8 @@ class WeightedIndex:
     def set(self, i: int, x: float) -> None:
         """Set weight_i = x, updating total and active_count."""
         x = float(x)
-        _check_weight(i, x)
+        if not 0.0 <= x < math.inf:  # negative, infinite or nan: this raises
+            _check_weight(i, x)
         if not 0 <= i < self.n:
             raise IndexError(f"element {i} outside universe [0, {self.n})")
         old = self.weight[i]

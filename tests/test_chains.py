@@ -1,5 +1,7 @@
 """Chain behavior: realized transition law vs enumerated kernels, stats, guards."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from matroid_mcmc import (
     Fields,
     PolarizedChain,
     RandomClusterChain,
+    StepStats,
     ValidationError,
     exact_kernel,
     matroid_from_dict,
@@ -401,3 +404,47 @@ def test_rc_graphic_grid_hdt_matches_naive(q):
     assert hdt.run() == naive.run()
     assert hdt.stats == naive.stats
     assert hdt.stats.rejections > 0
+
+
+def _pinned_fields(n):
+    return Fields([0.5 + 0.25 * (i % 5) for i in range(n)])
+
+
+def _pinned_chain(case):
+    cfg = ChainConfig(seed=2301, step_override=4000)
+    if case == "cographic-forest":
+        spec = spec_of({"variant": "cographic", "edges": grid_edges(5, 6)})
+        chain = PolarizedChain(spec, _pinned_fields(spec.n), cfg)
+        assert type(chain.oracle) is ForestOracle
+        return chain
+    if case == "graphic":
+        spec = spec_of({"variant": "graphic", "edges": grid_edges(4, 5)})
+        return PolarizedChain(spec, _pinned_fields(spec.n), replace(cfg, seed=2302))
+    spec = spec_of({"variant": "graphic", "edges": grid_edges(4, 6)})
+    backend = case.removeprefix("rc-")
+    chain = RandomClusterChain(spec, _pinned_fields(spec.n), 0.5, replace(cfg, seed=2303),
+                               dyncon_backend=backend)
+    assert chain.oracle._g.name == backend
+    return chain
+
+
+_RC_PINNED = ([1, 2, 3, 4, 5, 9, 11, 12, 13, 14, 15, 17, 19, 21, 22, 26, 27, 28, 29, 31,
+               32, 33, 34, 35, 37], StepStats(proposals=4900, rejections=900, steps=4000))
+# final A and stats of each case, recorded before the sequential step ran on
+# Python floats
+_PINNED = {
+    "cographic-forest": ([1, 7, 8, 12, 13, 15, 20, 23, 24, 27, 31, 36, 39, 46, 47, 48],
+                         StepStats(proposals=5228, rejections=1228, steps=4000)),
+    "graphic": ([0, 1, 8, 9, 12, 13, 14, 16, 20, 23, 24, 26, 29],
+                StepStats(proposals=4446, rejections=446, steps=4000)),
+    "rc-naive": _RC_PINNED,
+    "rc-hdt": _RC_PINNED,
+}
+
+
+@pytest.mark.parametrize("case", list(_PINNED))
+def test_pinned_sequential_outputs(case):
+    """Seeded sequential chains keep the final set and counts they had when
+    the values were recorded: a speed-up of the step must not move a byte."""
+    chain = _pinned_chain(case)
+    assert (chain.run(), chain.stats) == _PINNED[case]

@@ -1,6 +1,9 @@
 """Seeded stream determinism and per-chain seed derivation."""
 
+import numpy as np
+
 from matroid_mcmc import SeedStream, derive_seed
+from matroid_mcmc.rng import _BUFFER
 
 
 def test_same_seed_same_stream():
@@ -29,6 +32,17 @@ def test_buffer_refill_is_seamless():
     xs = [a.u() for _ in range(3 * 4096 + 17)]
     ys = [b.u() for _ in range(3 * 4096 + 17)]
     assert xs == ys
+
+
+def test_draws_are_python_floats_in_generator_order():
+    """A stream hands out plain floats, the Philox generator's doubles in its
+    own order, across three refills of the buffer."""
+    key = derive_seed(23, 1)
+    s = SeedStream(key)
+    draws = [s.u() for _ in range(3 * _BUFFER)]
+    assert {type(u) for u in draws} == {float}
+    ref = np.random.Generator(np.random.Philox(key=key)).random(3 * _BUFFER)
+    assert draws == ref.tolist()
 
 
 def test_derive_seed_distinct_and_stable():

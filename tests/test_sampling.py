@@ -8,11 +8,12 @@ from matroid_mcmc import (
     PolarizedChain,
     RandomClusterChain,
     ValidationError,
+    planar,
     sampling,
 )
 from matroid_mcmc.sampling import sample_independent_sets, sample_random_cluster
 
-from conftest import ones, sequential_samples, spec_of
+from conftest import grid_edges, ones, sequential_samples, spec_of
 
 
 def test_method_dispatch(monkeypatch):
@@ -123,3 +124,26 @@ def test_overflowing_proposal_total_rejected(triangle_graphic, model, lam, path)
             sample_independent_sets(u31, Fields(lam), cfg, 10)
         else:
             sample_random_cluster(triangle_graphic, Fields(lam), 0.5, cfg, 10)
+
+
+def test_planar_cographic_embedded_once_per_call(monkeypatch):
+    """Above the lockstep size a planar cographic call embeds its graph once,
+    not once per chain, and its samples are those of chains that each embed
+    the graph themselves."""
+    spec = spec_of({"variant": "cographic", "edges": grid_edges(5, 6)})
+    assert sampling.execution_path(spec.n) == "sequential"
+    fields = Fields([0.5 + 0.25 * (i % 5) for i in range(spec.n)])
+    cfg = ChainConfig(seed=11, step_override=300)
+    calls = []
+    embed = planar.dual_graph
+
+    def spy(*args):
+        calls.append(args)
+        return embed(*args)
+
+    monkeypatch.setattr(planar, "dual_graph", spy)
+    got = sample_independent_sets(spec, fields, cfg, 5)
+    assert len(calls) == 1
+    per_chain = sequential_samples(lambda c: PolarizedChain(spec, fields, c), cfg, 5)
+    assert len(calls) == 1 + 5
+    assert got == per_chain

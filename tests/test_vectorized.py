@@ -209,6 +209,15 @@ def test_only_cli_and_package_import_exact():
     assert importers == ["__init__.py", "cli.py"]
 
 
+def test_only_array_modules_import_numpy():
+    """The sequential walk (chains, WeightedIndex, oracles, dyncon, planar,
+    sampling) runs on Python scalars: only these modules import numpy."""
+    importers = [
+        path.name for path in sorted((REPO_ROOT / "src" / "matroid_mcmc").glob("*.py"))
+        if any(name.split(".")[0] == "numpy" for name in imported_names(path))]
+    assert importers == ["cli.py", "exact.py", "reliability.py", "rng.py", "vectorized.py"]
+
+
 def test_greedy_basis_is_max_rank():
     spec = spec_of({"variant": "graphic", "edges": [list(e) for e in K4_EDGES]})
     oracle = build_oracle(spec, "rank")

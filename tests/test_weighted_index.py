@@ -76,9 +76,20 @@ def test_bad_weights_rejected():
     with pytest.raises(ValidationError):
         w.set(0, float("inf"))
     with pytest.raises(ValidationError):
+        w.set(0, float("-inf"))
+    with pytest.raises(ValidationError):
         WeightedIndex([1.0, -2.0])
     with pytest.raises(IndexError):
         w.set(5, 1.0)
+
+
+@pytest.mark.parametrize("x", [0, 0.0, -0.0, 3, 2.5, 1e308, 5e-324])
+def test_good_weights_accepted(x):
+    w = WeightedIndex([1.0, 1.0])
+    w.set(0, x)
+    assert w.weight[0] == x and type(w.weight[0]) is float
+    assert w.total == 1.0 + x
+    assert w.active_count == (2 if x else 1)
 
 
 def test_differential_total_vs_fresh_sum():
