@@ -11,15 +11,18 @@ CographicOracle swaps its hooks, so that graph holds E \\ S.  ForestOracle
 answers independence only: it keeps S as a spanning forest of its edges, or
 of their plane dual for cographic independence on a planar graph, in
 Euler-tour splay trees of its own: they keep no aggregates, so its debug
-check is structural.  build_oracle says which oracle answers which
+check is structural.  A spec embeds its graph at most once
+(MatroidSpec.plane_dual).  build_oracle says which oracle answers which
 question.  The others use counters, table lookup, or GF(2) elimination at
-desk scale.
+desk scale.  greedy_basis is the one index-order greedy basis, found with
+independence queries alone.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import planar
 from .config import debug_asserts_enabled
@@ -69,7 +72,7 @@ class Fields:
         return cls([value] * n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatroidSpec:
     variant: str
     # variant-specific payload (unused fields stay None)
@@ -85,6 +88,16 @@ class MatroidSpec:
     @property
     def n(self) -> int:
         return self.n_elements
+
+    @cached_property
+    def plane_dual(self) -> tuple[int, list[int]] | None:
+        """The plane dual of a cographic spec's graph, in ForestOracle's
+        (node count, end) form (planar.dual_graph); None for a non-planar
+        graph or another variant.  Kept once computed, so a spec is embedded
+        at most once, whoever builds oracles on it."""
+        if self.variant != "cographic":
+            return None
+        return planar.dual_graph(self.vertices, self.edges)
 
 
 def _as_edge_list(raw, what: str):
@@ -619,7 +632,7 @@ class ForestOracle(_BaseOracle):
     `ends` is (node count, end): element i joins nodes end[2i] and
     end[2i + 1], and S is independent iff its edges form a forest there.
     For a graphic spec the ends are the primal graph's; for a cographic spec
-    on a connected plane graph they are the plane dual's (planar.dual_graph),
+    on a connected plane graph they are the plane dual's (spec.plane_dual),
     since by Whitney duality M*(G) = M(G*).  Each node is a vertex of a
     forest of Euler tours (the splay trees above, which keep no aggregates).
     Its tree edges are the elements of S except the "extras": elements whose
@@ -728,14 +741,15 @@ class BinaryLinearOracle(_BaseOracle):
 def greedy_basis(oracle, n: int) -> list[int]:
     """A basis of the ground set [0, n), found by index-order greedy insertion.
 
-    Takes an empty rank oracle, inserts each element in turn and keeps it iff
+    Takes an empty oracle, inserts each element in turn and keeps it iff the
+    set stays independent: for an independent S, S + i is independent iff
     the rank grows.  Returns the kept elements, ascending, and leaves exactly
     them in the oracle.
     """
     basis = []
     for i in range(n):
         oracle.insert(i)
-        if oracle.rank() > len(basis):
+        if oracle.is_independent():
             basis.append(i)
         else:
             oracle.delete(i)
@@ -749,7 +763,8 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
     Under dyncon_backend "auto", independence on a graph is a spanning-forest
     question at any size: a graphic spec gets ForestOracle over its edges
     (vertex ids relabelled densely, so a sparse id costs nothing), and a
-    cographic spec on a planar graph gets ForestOracle over the plane dual.
+    cographic spec on a planar graph gets ForestOracle over the plane dual
+    (spec.plane_dual, embedded once per spec).
     Rank queries and non-planar cographic specs get the dynamic-graph oracle,
     on the naive backend up to _AUTO_NAIVE_MAX_VERTICES vertices and HDT
     above.  dyncon_backend "hdt" or "naive" pins that backend and always
@@ -764,9 +779,8 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
                     ids: dict[int, int] = {}
                     end = [ids.setdefault(x, len(ids)) for e in spec.edges for x in e]
                     return ForestOracle(spec.n, (len(ids), end))
-                ends = planar.dual_graph(spec.vertices, spec.edges)
-                if ends is not None:
-                    return ForestOracle(spec.n, ends)
+                if spec.plane_dual is not None:
+                    return ForestOracle(spec.n, spec.plane_dual)
             dyncon_backend = "naive" if spec.vertices <= _AUTO_NAIVE_MAX_VERTICES else "hdt"
         oracle = GraphicOracle if spec.variant == "graphic" else CographicOracle
         return oracle(spec, dyncon_backend)

@@ -8,7 +8,8 @@ drop from S.  The down step removes per the weighted law (auxiliary slots
 carry aggregate mass |A|, element j ∈ A carries mass 1/λ_j): that is the
 walk's weighted re-add to S, accepted unless the removal would drop the rank
 of A, and then only with probability q.  The stationary law of A is ∝ q^{-rk(A)} Π_{j∈A} λ_j;
-at q = 0 the support is the maximum-rank subsets.
+at q = 0 the support is the maximum-rank subsets, and the walk starts from
+matroids.greedy_basis, taken on an independence oracle of the spec.
 
 The q coin is drawn before the rank question is asked: a removal is rejected
 iff the coin lands >= q and the rank drops, and the coin is independent of
@@ -39,9 +40,10 @@ class RandomClusterChain(PolarizedChain):
         self.weight = fields.proposal_weights(inverse=True)
         self.widx = WeightedIndex([0.0] * spec.n)  # 1/λ_j for j ∈ A, 0 on S = E \ A
         if q == 0.0:
-            # start from a maximal-rank A
-            basis = greedy_basis(self.oracle, spec.n)
+            # start from a maximal-rank A: a basis, found by independence queries
+            basis = greedy_basis(build_oracle(spec), spec.n)
             for i in basis:
+                self.oracle.insert(i)
                 self.widx.set(i, self.weight[i])
             self._max_rank = len(basis)
 

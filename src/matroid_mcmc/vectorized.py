@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import ChainConfig, StepStats, debug_asserts_enabled
 from .errors import SizeLimitError, ValidationError
-from .matroids import Fields, MatroidSpec, build_oracle
+from .matroids import Fields, MatroidSpec, build_oracle, greedy_basis
 
 VECTORIZED_MAX_N = 16
 
@@ -298,17 +298,16 @@ def run_rc_batch(spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
                  count: int, initial_mask: int | None = None):
     """Advance `count` up-down random-cluster chains in lockstep.
 
-    Runs the down-up walk on the complements of the cluster sets.
+    Runs the down-up walk on the complements of the cluster sets.  With no
+    initial_mask the chains start from the empty set, or at q = 0 from
+    matroids.greedy_basis, the sequential chains' start.
     """
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"q must lie in [0, 1], got {q}")
     tb = SmallTables(spec, fields, need="rc")
     if initial_mask is None:
-        initial_mask = 0
-        if q == 0.0:  # a basis by index-order greedy: keep i iff the rank grows
-            for i in range(tb.n):
-                if tb.rank[initial_mask | 1 << i] > tb.rank[initial_mask]:
-                    initial_mask |= 1 << i
+        basis = greedy_basis(build_oracle(spec), tb.n) if q == 0.0 else ()
+        initial_mask = sum(1 << i for i in basis)
     initial_mask = _check_start(initial_mask, tb.n)
     full = (1 << tb.n) - 1
     masks, stats = _run_lockstep(readd_tables(tb, q), cfg, count, full ^ initial_mask)

@@ -127,10 +127,12 @@ def test_overflowing_proposal_total_rejected(triangle_graphic, model, lam, path)
 
 
 def test_planar_cographic_embedded_once_per_call(monkeypatch):
-    """Above the lockstep size a planar cographic call embeds its graph once,
-    not once per chain, and its samples are those of chains that each embed
-    the graph themselves."""
-    spec = spec_of({"variant": "cographic", "edges": grid_edges(5, 6)})
+    """Above the lockstep size a planar cographic spec is embedded once, not
+    once per chain or per call, and its samples are those of chains that
+    each embed the graph themselves.  A q = 0 random-cluster call, whose
+    chains take their start basis from the dual forest, embeds at most once."""
+    d = {"variant": "cographic", "edges": grid_edges(5, 6)}
+    spec = spec_of(d)
     assert sampling.execution_path(spec.n) == "sequential"
     fields = Fields([0.5 + 0.25 * (i % 5) for i in range(spec.n)])
     cfg = ChainConfig(seed=11, step_override=300)
@@ -144,6 +146,12 @@ def test_planar_cographic_embedded_once_per_call(monkeypatch):
     monkeypatch.setattr(planar, "dual_graph", spy)
     got = sample_independent_sets(spec, fields, cfg, 5)
     assert len(calls) == 1
-    per_chain = sequential_samples(lambda c: PolarizedChain(spec, fields, c), cfg, 5)
+    assert sample_independent_sets(spec, fields, cfg, 5) == got
+    assert len(calls) == 1
+    # the reference builds each chain on a spec of its own, so each embeds
+    per_chain = sequential_samples(lambda c: PolarizedChain(spec_of(d), fields, c), cfg, 5)
     assert len(calls) == 1 + 5
     assert got == per_chain
+    calls.clear()
+    sample_random_cluster(spec_of(d), fields, 0.0, cfg, 5)
+    assert len(calls) <= 1

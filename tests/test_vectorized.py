@@ -229,6 +229,46 @@ def test_greedy_basis_is_max_rank():
     assert sorted(oracle.current) == basis
 
 
+K5_LOOP_PARALLEL = [[u, v] for u in range(5) for v in range(u + 1, 5)] + [[2, 2], [0, 1]]
+# every variant; the graph cases planar (K4, the looped 4-cycle) and not (K5)
+GREEDY_CASES = dict(TABLE_CASES, **{
+    f"{variant}-K5-loop-parallel": {"variant": variant, "edges": K5_LOOP_PARALLEL}
+    for variant in ("graphic", "cographic")})
+
+
+@pytest.mark.parametrize("name", list(GREEDY_CASES))
+def test_greedy_basis_is_brute_force_greedy(name, monkeypatch):
+    """greedy_basis keeps what an index-order greedy on brute-force rank keeps,
+    on every variant, either oracle kind and every backend; the q = 0
+    random-cluster starts, sequential and lockstep, are that basis."""
+    spec = spec_of(GREEDY_CASES[name])
+    ref = BruteMatroid(spec)
+    want = []
+    for i in range(spec.n):
+        if ref.rank(sum(1 << j for j in want + [i])) > len(want):
+            want.append(i)
+    for kind in ("independence", "rank"):
+        for backend in ("auto", "naive", "hdt"):
+            oracle = build_oracle(spec, kind, backend)
+            assert greedy_basis(oracle, spec.n) == want, (kind, backend)
+            assert sorted(oracle.current) == want
+    for backend in ("auto", "naive", "hdt"):
+        chain = RandomClusterChain(spec, ones(spec.n), 0.0, ChainConfig(seed=0),
+                                   dyncon_backend=backend)
+        assert chain.A == want and sorted(chain.oracle.current) == want, backend
+    starts = []
+    lockstep = vectorized._run_lockstep
+
+    def spy(tables, cfg, count, start):
+        starts.append(start)
+        return lockstep(tables, cfg, count, start)
+
+    monkeypatch.setattr(vectorized, "_run_lockstep", spy)
+    run_rc_batch(spec, ones(spec.n), 0.0, ChainConfig(seed=0, step_override=1), 2)
+    full = (1 << spec.n) - 1
+    assert starts == [full ^ sum(1 << i for i in want)]
+
+
 def test_size_cap_enforced():
     spec = matroid_from_dict({"variant": "uniform", "n": VECTORIZED_MAX_N + 1,
                               "k": 3})
