@@ -29,7 +29,7 @@ from . import __version__
 from .config import ChainConfig
 from .errors import ContractError, SizeLimitError, ValidationError
 from .exact import exact_kernel, exact_mu, exact_pi, exact_rc, stationary_residual
-from .matroids import Fields, load_matroid, set_bits
+from .matroids import Fields, check_q, load_matroid, set_bits
 from .reliability import (
     DEFAULT_C0,
     cographic_spec,
@@ -109,12 +109,6 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(path: str, manifest: dict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # sample
 
@@ -129,8 +123,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.model == "random-cluster":
         if q is None:
             raise ValidationError("--q is required with --model random-cluster")
-        if not (0.0 <= q <= 1.0):
-            raise ValidationError("--q must lie in [0, 1]")
+        check_q(q)
     elif q is not None:
         raise ValidationError("--q is only valid with --model random-cluster")
 
@@ -204,7 +197,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 "rejection_rate": stats.rejection_rate,
             },
         }
-        _write_manifest(args.stats, manifest)
+        _emit_json(manifest, args.stats)
     return 0
 
 
@@ -340,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=None,
                     help="per-sample transition count, in place of the one --eps sets")
     sp.add_argument("--out", help="NDJSON output path (default: stdout)")
-    sp.add_argument("--stats", help="write a JSON run manifest here")
+    sp.add_argument("--stats", help="write a JSON run manifest here ('-' for stdout)")
     sp.set_defaults(func=_cmd_sample)
 
     ep = sub.add_parser("estimate-reliability",

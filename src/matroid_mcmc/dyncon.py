@@ -9,8 +9,10 @@ non-negative ints not live already (`insert_edge(key, u, v)`, `delete_edge(key)`
   forest answering queries), and each forest is stored as Euler tours in
   splay trees with parent pointers.  A splay node packs its own flags into
   one int and ORs them over its subtree next to a vertex count; a splay step
-  refreshes only the nodes it moves down.  Deleting a tree edge searches the
-  smaller half for a replacement, promoting inspected edges one level up so
+  refreshes only the nodes it moves down.  The tours are cut as
+  matroids.ForestOracle cuts its own: one split takes an arc out of its
+  tour, so a cut is two splits and a join.  Deleting a tree edge searches
+  the smaller half for a replacement, promoting inspected edges one level up so
   each edge is inspected O(log n) times; insert/delete/query are O(log^2 n)
   amortized; only a tree `skip` is cut, and relinked, to answer a query.
 * ``naive`` — stores the edge multiset as per-vertex neighbour counts, so a
@@ -188,26 +190,17 @@ def _join(a: _Node | None, b: _Node | None) -> _Node | None:
     return r
 
 
-def _split_before(x: _Node):
-    """Split x's tour into (positions before x, positions from x on)."""
+def _split(x: _Node) -> tuple[_Node | None, _Node | None]:
+    """Take x out of its tour; returns the roots of the parts before and after
+    it.  x keeps its old aggregates: it is an arc, and is dropped."""
     _splay(x)
-    l = x.left
+    l, r = x.left, x.right
+    x.left = x.right = None
     if l is not None:
         l.parent = None
-        x.left = None
-        _update(x)
-    return l, x
-
-
-def _split_after(x: _Node):
-    """Split x's tour into (positions up to and including x, the rest)."""
-    _splay(x)
-    r = x.right
     if r is not None:
         r.parent = None
-        x.right = None
-        _update(x)
-    return x, r
+    return l, r
 
 
 def _same_tree(a: _Node, b: _Node) -> bool:
@@ -221,10 +214,13 @@ def _same_tree(a: _Node, b: _Node) -> bool:
 
 def _reroot(x: _Node) -> _Node:
     """Rotate the circular tour so it starts at x; returns the tree root."""
-    l, r = _split_before(x)
+    _splay(x)
+    l = x.left
     if l is None:
-        return r
-    return _join(r, l)
+        return x
+    l.parent = x.left = None
+    _update(x)
+    return _join(x, l)
 
 
 def _ett_link(nu: _Node, nv: _Node, arc_a: _Node, arc_b: _Node) -> None:
@@ -243,29 +239,18 @@ def _ett_link(nu: _Node, nv: _Node, arc_a: _Node, arc_b: _Node) -> None:
 
 
 def _ett_cut(arc_a: _Node, arc_b: _Node) -> None:
-    """Remove both arcs of a tree edge, splitting the tour in two.
-
-    The segment strictly between the two arcs (in circular order) is one
-    resulting tree; the rest is the other.  Neither side is ever empty: each
-    contains at least one endpoint's vertex node.
-    """
-    left, _ = _split_before(arc_a)
-    # is b before a?  Walk up instead of splaying: b is splayed next anyway
-    r = arc_b
+    """Remove both arcs of a tree edge, splitting the tour in two: the part
+    strictly between the arcs (in circular order) and the rest.  Neither part
+    is ever empty: each holds at least one endpoint's vertex node."""
+    before, after = _split(arc_a)
+    r = arc_b  # is b after a?  Walk up: b is splayed next anyway
     while r.parent is not None:
         r = r.parent
-    if r is not left:
-        # order: [left] a [mid] b [tail]
-        _, rest = _split_after(arc_a)
-        mid, _ = _split_before(arc_b)
-        _, tail = _split_after(arc_b)
-        _join(left, tail)
-    else:
-        # order: [l1] b [l2] a [tail] — the circular middle is l2
-        lb, _l2 = _split_after(arc_b)
-        l1, _ = _split_before(arc_b)
-        _, tail = _split_after(arc_a)
-        _join(l1, tail)
+    mid_l, mid_r = _split(arc_b)
+    if r is after:  # [before] a [mid_l] b [mid_r]: mid_l is one tree
+        _join(before, mid_r)
+    else:  # [mid_l] b [mid_r] a [after]: mid_r is one tree
+        _join(mid_l, after)
 
 
 def _find_flagged(x: _Node, flag: int) -> _Node:

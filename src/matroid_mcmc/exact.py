@@ -1,9 +1,12 @@
 """Brute-force ground truth: exhaustive distributions, exact transition
 kernels, and TV distance.
 
-Everything here recomputes from scratch (fresh union-find / BFS / GF(2)
-elimination per query) so it shares no code with the incremental oracles it
-is used to validate.  All functions enforce desk-scale size guards.
+Everything here recomputes from scratch (a fresh union-find or GF(2)
+elimination per rank query) so it shares no code with the incremental
+oracles it is used to validate.  BruteMatroid computes rank per variant, and
+a set is independent iff its rank is its size, the rule the oracles' base
+class uses; only an explicit spec looks independence up in its family.  All
+functions enforce desk-scale size guards.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SizeLimitError, UnsupportedOperationError, ValidationError
-from .matroids import Fields, MatroidSpec
+from .matroids import Fields, MatroidSpec, check_q
 
 MU_MAX_N = 20
 PI_MAX_N = 10
@@ -46,46 +49,37 @@ class ExactDistribution:
 
 
 class BruteMatroid:
-    """Mask-level is_independent / rank for a spec, recomputed per call."""
+    """Mask-level rank for a spec, recomputed per call; a mask is independent
+    iff its rank is its size (an explicit spec looks it up in its family)."""
 
     def __init__(self, spec: MatroidSpec):
         self.spec = spec
         self.n = spec.n
         self._family = frozenset(spec.independent_sets) if spec.variant == "explicit" else None
+        if spec.variant == "partition":
+            self._blocks = [sum(1 << i for i in b) for b in spec.blocks]
+        if spec.variant == "cographic":
+            self._full_components = self._components((1 << self.n) - 1)
 
     def is_independent(self, mask: int) -> bool:
-        s = self.spec
-        if s.variant == "explicit":
+        if self._family is not None:
             return mask in self._family
-        if s.variant == "uniform":
-            return _popcount(mask) <= s.k
-        if s.variant == "partition":
-            for b, cap in zip(s.blocks, s.caps):
-                if sum(1 for i in b if mask >> i & 1) > cap:
-                    return False
-            return True
-        if s.variant == "graphic":
-            return self._graphic_forest(mask)
-        if s.variant == "cographic":
-            return self._complement_connected(mask)
-        return self._gf2_rank(mask) == _popcount(mask)
+        return self.rank(mask) == mask.bit_count()
 
     def rank(self, mask: int) -> int:
         s = self.spec
         if s.variant == "explicit":
-            fam = s.independent_sets
-            return max((_popcount(f) for f in fam if f & ~mask == 0), default=0)
+            return max((f.bit_count() for f in s.independent_sets if f & ~mask == 0), default=0)
         if s.variant == "uniform":
-            return min(_popcount(mask), s.k)
+            return min(mask.bit_count(), s.k)
         if s.variant == "partition":
-            return sum(min(sum(1 for i in b if mask >> i & 1), cap)
-                       for b, cap in zip(s.blocks, s.caps))
+            return sum(min((mask & b).bit_count(), cap) for b, cap in zip(self._blocks, s.caps))
         if s.variant == "graphic":
             return s.vertices - self._components(mask)
         if s.variant == "cographic":
             # the dual rank |S| + rk(E \ S) - rk(E), with rk = |V| - components
             full = (1 << self.n) - 1
-            return _popcount(mask) + self._components(full) - self._components(full ^ mask)
+            return mask.bit_count() + self._full_components - self._components(full ^ mask)
         return self._gf2_rank(mask)
 
     # -- per-variant helpers -------------------------------------------------
@@ -110,33 +104,6 @@ class BruteMatroid:
                     comp -= 1
         return comp
 
-    def _graphic_forest(self, mask: int) -> bool:
-        s = self.spec
-        for i, (u, v) in enumerate(s.edges):
-            if mask >> i & 1 and u == v:
-                return False
-        return s.vertices - self._components(mask) == _popcount(mask)
-
-    def _complement_connected(self, mask: int) -> bool:
-        s = self.spec
-        adj = [[] for _ in range(s.vertices)]
-        for i, (u, v) in enumerate(s.edges):
-            if not (mask >> i & 1) and u != v:
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = [False] * s.vertices
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count == s.vertices
-
     def _gf2_rank(self, mask: int) -> int:
         basis: list[int] = []
         for i in range(self.n):
@@ -149,10 +116,6 @@ class BruteMatroid:
                     basis.append(c)
                     basis.sort(reverse=True)
         return len(basis)
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def _lam_prod(fields: Fields, mask: int) -> float:
@@ -187,6 +150,7 @@ def exact_mu(spec: MatroidSpec, fields: Fields) -> ExactDistribution:
     """The weighted independent-set distribution: P(A) ∝ Π_{i∈A} λ_i."""
     if spec.n > MU_MAX_N:
         raise SizeLimitError(f"exact_mu enumerates independent sets; n <= {MU_MAX_N}")
+    fields.require_size(spec.n)
     masks = independent_masks(spec)
     return ExactDistribution(masks, [_lam_prod(fields, m) for m in masks])
 
@@ -199,11 +163,12 @@ def exact_pi(spec: MatroidSpec, fields: Fields) -> ExactDistribution:
     """
     if spec.n > PI_MAX_N:
         raise SizeLimitError(f"exact_pi enumerates labeled pairs; n <= {PI_MAX_N}")
+    fields.require_size(spec.n)
     n = spec.n
     support = []
     weights = []
     for amask in independent_masks(spec):
-        a = _popcount(amask)
+        a = amask.bit_count()
         w = _lam_prod(fields, amask) / math.comb(n, a)
         for bset in combinations(range(n), n - a):
             bmask = 0
@@ -219,8 +184,8 @@ def exact_rc(spec: MatroidSpec, fields: Fields, q: float) -> ExactDistribution:
     q = 0 keeps exactly the maximum-rank subsets, weighted by Π λ_i."""
     if spec.n > RC_MAX_N:
         raise SizeLimitError(f"exact_rc enumerates all subsets; n <= {RC_MAX_N}")
-    if not 0.0 <= q <= 1.0:
-        raise UnsupportedOperationError(f"exact_rc needs q in [0,1], got {q}")
+    fields.require_size(spec.n)
+    check_q(q)
     brute = BruteMatroid(spec)
     n = spec.n
     ranks = [brute.rank(m) for m in range(1 << n)]
@@ -260,13 +225,15 @@ def exact_kernel(kind: str, spec: MatroidSpec, fields: Fields, q: float | None =
     probability of moving from states[i] to states[j] in one full transition
     (down+up for "polarized", up+down for "random-cluster").
     """
+    if kind not in ("polarized", "random-cluster"):
+        raise UnsupportedOperationError(f"unknown kernel kind {kind!r}")
+    fields.require_size(spec.n)
     if kind == "polarized":
         return _polarized_kernel(spec, fields)
-    if kind == "random-cluster":
-        if q is None:
-            raise UnsupportedOperationError("random-cluster kernel needs q")
-        return _rc_kernel(spec, fields, q)
-    raise UnsupportedOperationError(f"unknown kernel kind {kind!r}")
+    if q is None:
+        raise UnsupportedOperationError("random-cluster kernel needs q")
+    check_q(q)
+    return _rc_kernel(spec, fields, q)
 
 
 def _polarized_kernel(spec: MatroidSpec, fields: Fields):
@@ -280,7 +247,7 @@ def _polarized_kernel(spec: MatroidSpec, fields: Fields):
 
     def up_law(bmask: int):
         """Target re-add law from mid-state (B, y) with |B| + y = n - 1."""
-        k = _popcount(bmask)
+        k = bmask.bit_count()
         wy = (k + 1) / math.comb(n, k)  # aggregate over the k+1 free slots
         cands = [(bmask, wy)]
         for i in range(n):
@@ -293,7 +260,7 @@ def _polarized_kernel(spec: MatroidSpec, fields: Fields):
 
     for amask in states:
         row = index[amask]
-        a = _popcount(amask)
+        a = amask.bit_count()
         y = n - a
         if y:
             # drop one of the y auxiliary slots
@@ -318,7 +285,7 @@ def _rc_kernel(spec: MatroidSpec, fields: Fields, q: float):
 
     def down_law(bmask: int):
         """Realized removal law from mid-state (B, y) with |B| + y = n + 1."""
-        k = _popcount(bmask)
+        k = bmask.bit_count()
         cands = [(bmask, float(k))]  # remove a slot: aggregate mass |B|
         for j in range(n):
             if bmask >> j & 1:
@@ -333,7 +300,7 @@ def _rc_kernel(spec: MatroidSpec, fields: Fields, q: float):
 
     for bmask in states:
         row = bmask
-        a = _popcount(bmask)
+        a = bmask.bit_count()
         # up: add one uniform element of the complement (a slots, n - a elements)
         if a:
             for m2, pd in down_law(bmask):

@@ -52,6 +52,12 @@ class Fields:
     def __len__(self):
         return len(self.lam)
 
+    def require_size(self, n: int) -> None:
+        """Raise ValidationError unless there is one weight per element of [0, n)."""
+        if len(self.lam) != n:
+            raise ValidationError(
+                f"the fields vector has {len(self.lam)} weights; the ground set has {n} elements")
+
     def proposal_weights(self, inverse: bool = False) -> list[float]:
         """A walk's proposal weights: λ, or 1/λ with inverse=True.
 
@@ -70,6 +76,13 @@ class Fields:
     @classmethod
     def constant(cls, n: int, value: float = 1.0) -> "Fields":
         return cls([value] * n)
+
+
+def check_q(q: float) -> None:
+    """Raise ValidationError unless q, a random-cluster parameter, lies in [0, 1]
+    (nan does not)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValidationError(f"q must lie in [0, 1], got {q}")
 
 
 @dataclass(frozen=True)
@@ -772,6 +785,9 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
     """
     if kind not in ("independence", "rank"):
         raise ValidationError(f"oracle kind must be 'independence' or 'rank', got {kind!r}")
+    if dyncon_backend not in ("auto", "naive", "hdt"):
+        raise ValidationError(
+            f"dyncon_backend must be 'auto', 'naive' or 'hdt', got {dyncon_backend!r}")
     if spec.variant in ("graphic", "cographic"):
         if dyncon_backend == "auto":
             if kind == "independence":

@@ -16,7 +16,6 @@ complement of its cluster set.
 from __future__ import annotations
 
 from .config import ChainConfig, StepStats, debug_asserts_enabled
-from .errors import ValidationError
 from .matroids import Fields, MatroidSpec, build_oracle
 from .rng import SeedStream
 from .weighted_index import WeightedIndex
@@ -32,9 +31,7 @@ class PolarizedChain:
         self.widx = WeightedIndex(fields.lam)
 
     def _setup(self, spec: MatroidSpec, fields: Fields, cfg: ChainConfig) -> None:
-        if len(fields) != spec.n:
-            raise ValidationError(
-                f"fields length {len(fields)} != ground set size {spec.n}")
+        fields.require_size(spec.n)
         self.spec = spec
         self.fields = fields
         self.cfg = cfg

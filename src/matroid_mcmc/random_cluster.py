@@ -20,8 +20,7 @@ no coin is drawn.
 from __future__ import annotations
 
 from .config import ChainConfig
-from .errors import ValidationError
-from .matroids import Fields, MatroidSpec, build_oracle, greedy_basis
+from .matroids import Fields, MatroidSpec, build_oracle, check_q, greedy_basis
 from .polarized import PolarizedChain
 from .weighted_index import WeightedIndex
 
@@ -33,8 +32,7 @@ class RandomClusterChain(PolarizedChain):
     def __init__(self, spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
                  dyncon_backend: str = "auto"):
         self._setup(spec, fields, cfg)
-        if not 0.0 <= q <= 1.0:
-            raise ValidationError(f"q must lie in [0, 1], got {q}")
+        check_q(q)
         self.q = float(q)
         self.oracle = build_oracle(spec, "rank", dyncon_backend)  # holds A
         self.weight = fields.proposal_weights(inverse=True)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import ChainConfig, StepStats, debug_asserts_enabled
 from .errors import SizeLimitError, ValidationError
-from .matroids import Fields, MatroidSpec, build_oracle, greedy_basis
+from .matroids import Fields, MatroidSpec, build_oracle, check_q, greedy_basis
 
 VECTORIZED_MAX_N = 16
 
@@ -53,8 +53,7 @@ class SmallTables:
         if n > VECTORIZED_MAX_N:
             raise SizeLimitError(
                 f"vectorized tables enumerate 2^n masks; n <= {VECTORIZED_MAX_N}")
-        if len(fields) != n:
-            raise ValidationError("fields length must match ground set size")
+        fields.require_size(n)
         if need not in ("polarized", "rc"):
             raise ValidationError(f"need must be 'polarized' or 'rc', got {need!r}")
         self.n = n
@@ -302,8 +301,7 @@ def run_rc_batch(spec: MatroidSpec, fields: Fields, q: float, cfg: ChainConfig,
     initial_mask the chains start from the empty set, or at q = 0 from
     matroids.greedy_basis, the sequential chains' start.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValidationError(f"q must lie in [0, 1], got {q}")
+    check_q(q)
     tb = SmallTables(spec, fields, need="rc")
     if initial_mask is None:
         basis = greedy_basis(build_oracle(spec), tb.n) if q == 0.0 else ()

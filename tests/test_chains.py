@@ -1,5 +1,7 @@
 """Chain behavior: realized transition law vs enumerated kernels, stats, guards."""
 
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,8 +19,10 @@ from matroid_mcmc import (
     run_polarized_batch,
     run_rc_batch,
 )
-from matroid_mcmc.exact import exact_rc, tv_distance
+from matroid_mcmc.cli import main as cli_main
+from matroid_mcmc.exact import exact_mu, exact_pi, exact_rc, tv_distance
 from matroid_mcmc.matroids import ForestOracle
+from matroid_mcmc.vectorized import SmallTables
 
 from conftest import (K4_EDGES, LOOP_PARALLEL_EDGES, TRIANGLE_EDGES, grid_edges, masks_of,
                       ones, sequential_samples, spec_of)
@@ -50,6 +54,27 @@ def test_initial_state_is_empty(uniform42):
 def test_fields_length_checked(uniform42):
     with pytest.raises(ValidationError):
         PolarizedChain(uniform42, ones(3), ChainConfig(seed=0))
+
+
+@pytest.mark.parametrize("size", [3, 5], ids=["short", "long"])
+def test_fields_size_checked_everywhere(uniform42, size):
+    """Every entry point that takes a spec and its fields checks one weight
+    per element, with Fields.require_size's error: a short vector does not
+    reach an index, and a long one's extra weights are not dropped."""
+    f = ones(size)
+    cfg = ChainConfig(seed=0, step_override=1)
+    calls = [lambda: exact_mu(uniform42, f), lambda: exact_pi(uniform42, f),
+             lambda: exact_rc(uniform42, f, 0.5),
+             lambda: exact_kernel("polarized", uniform42, f),
+             lambda: exact_kernel("random-cluster", uniform42, f, q=0.5),
+             lambda: PolarizedChain(uniform42, f, cfg),
+             lambda: RandomClusterChain(uniform42, f, 0.5, cfg),
+             lambda: SmallTables(uniform42, f, need="polarized"),
+             lambda: run_polarized_batch(uniform42, f, cfg, count=2),
+             lambda: run_rc_batch(uniform42, f, 0.5, cfg, count=2)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="the fields vector has"):
+            call()
 
 
 def _set_polarized_state(chain, amask):
@@ -137,6 +162,26 @@ def test_rc_rejects_bad_q(triangle_graphic):
         RandomClusterChain(triangle_graphic, ones(3), 1.5, ChainConfig(seed=0))
     with pytest.raises(ValidationError):
         RandomClusterChain(triangle_graphic, ones(3), -0.1, ChainConfig(seed=0))
+
+
+@pytest.mark.parametrize("q", [-0.5, 1.5, math.nan])
+def test_q_rule_rejects_everywhere(q, uniform42, tmp_path, capsys):
+    """0 <= q <= 1 has one owner, matroids.check_q, and one error wherever a
+    q comes in (a kernel at q = -0.5 would have negative entries)."""
+    f = ones(4)
+    cfg = ChainConfig(seed=0, step_override=1)
+    calls = [lambda: RandomClusterChain(uniform42, f, q, cfg),
+             lambda: run_rc_batch(uniform42, f, q, cfg, count=2),
+             lambda: exact_rc(uniform42, f, q),
+             lambda: exact_kernel("random-cluster", uniform42, f, q=q)]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"q must lie in \[0, 1\]"):
+            call()
+    spec = tmp_path / "u42.json"
+    spec.write_text(json.dumps({"variant": "uniform", "n": 4, "k": 2}))
+    argv = ["sample", "--model", "random-cluster", "--matroid", str(spec), f"--q={q}"]
+    assert cli_main(argv) == 2  # the exit code of a ValidationError
+    assert "q must lie in [0, 1]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name,q,count,tol", [

@@ -202,6 +202,18 @@ def test_exit_2_on_validation(tri_graph, free2):
                        *bad_steps).returncode == 2
 
 
+def test_stats_dash_writes_the_manifest_to_stdout(free2, tmp_path):
+    """`--stats -` means stdout, as `--out -` does, not a file named '-'."""
+    out = tmp_path / "s.ndjson"
+    r = run_cli("sample", "--model", "independent", "--matroid", free2,
+                "--num-samples", "3", "--seed", "2", "--out", str(out), "--stats", "-",
+                cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["command"] == "sample"
+    assert not (tmp_path / "-").exists()
+    assert len(out.read_text().splitlines()) == 3
+
+
 @pytest.mark.parametrize("n,path", [(12, "vectorized"), (18, "sequential")])
 def test_steps_sets_the_chain_length(tmp_path, n, path):
     spec = tmp_path / "u.json"

@@ -50,6 +50,33 @@ def test_brute_cographic_rank_is_largest_independent_subset(edges):
         assert ref.rank(m) == max(s.bit_count() for s in indep if not s & ~m), m
 
 
+FANO = [[1, 0, 0, 1, 1, 0, 1], [0, 1, 0, 1, 0, 1, 1], [0, 0, 1, 0, 1, 1, 1]]
+C5_EDGES = [[i, (i + 1) % 5] for i in range(5)]
+
+
+@pytest.mark.parametrize("spec_dict,count,bases", [
+    # K4: 1 + 6 + 15 + 16 forests, and Cayley's formula gives 4^2 = 16
+    # spanning trees; K4 is its own plane dual, so it has as many connected
+    # spanning subgraphs (the complements of its cographic independent sets)
+    ({"variant": "graphic", "edges": [list(e) for e in K4_EDGES]}, 38, 16),
+    ({"variant": "cographic", "edges": [list(e) for e in K4_EDGES]}, 38, 16),
+    # C5: every proper subset is a forest; it stays connected minus <= 1 edge
+    ({"variant": "graphic", "edges": C5_EDGES}, 2 ** 5 - 1, 5),
+    ({"variant": "cographic", "edges": C5_EDGES}, 1 + 5, 5),
+    # Fano: every set of <= 2 points, and the 35 - 7 triples that are not lines
+    ({"variant": "binary-linear", "matrix": FANO}, 1 + 7 + 21 + 28, 28),
+    # one of three (or none) times any subset of two: 4 · 4
+    ({"variant": "partition", "blocks": [[0, 1, 2], [3, 4]], "caps": [1, 2]}, 16, 3),
+], ids=["graphic-K4", "cographic-K4", "graphic-C5", "cographic-C5", "fano", "partition"])
+def test_independent_set_counts_match_closed_forms(spec_dict, count, bases):
+    """The reference's independence is its rank, so check it against counts
+    that no code here produces: closed forms and classical values."""
+    masks = independent_masks(spec_of(spec_dict))
+    assert len(masks) == count
+    top = max(m.bit_count() for m in masks)
+    assert sum(m.bit_count() == top for m in masks) == bases
+
+
 def test_exact_mu_uniform31_weighted():
     spec = spec_of({"variant": "uniform", "n": 3, "k": 1})
     dist = exact_mu(spec, Fields([1.0, 2.0, 3.0]))

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from matroid_mcmc import (
+    ChainConfig,
     ContractError,
     Fields,
+    PolarizedChain,
     ValidationError,
     build_oracle,
     load_matroid,
@@ -250,6 +252,18 @@ def test_duplicate_insert_and_absent_delete(name):
     o.insert(2)
     assert o.is_independent() == ref.is_independent(0b101)
     assert o.rank() == ref.rank(0b101)
+
+
+@pytest.mark.parametrize("name", list(CONTRACT_SPECS))
+def test_unknown_dyncon_backend_rejected(name):
+    """The backend name is checked for every variant, not only on graphs,
+    so a chain built with a bad one fails at once."""
+    spec = matroid_from_dict(CONTRACT_SPECS[name])
+    for kind in ("independence", "rank"):
+        with pytest.raises(ValidationError, match="dyncon_backend"):
+            build_oracle(spec, kind, "bogus")
+    with pytest.raises(ValidationError, match="dyncon_backend"):
+        PolarizedChain(spec, Fields.constant(spec.n), ChainConfig(seed=0), dyncon_backend="bogus")
 
 
 def test_binary_linear_duplicate_columns():
