@@ -79,10 +79,12 @@ def _load_fields(spec_n: int, lam_arg: str | None) -> tuple[Fields, dict]:
             vals.append(float(text))
         except ValueError:
             raise ValidationError(f"{lam_arg}:{ln_no}: not a number: {text!r}") from None
-    if len(vals) != spec_n:
-        raise ValidationError(
-            f"{lam_arg}: expected {spec_n} weights, found {len(vals)}")
-    return Fields(vals), {"lambda_file": lam_arg, "lambda_digest": _sha256_file(lam_arg)}
+    fields = Fields(vals)
+    try:
+        fields.require_size(spec_n)
+    except ValidationError as e:
+        raise ValidationError(f"{lam_arg}: {e}") from None
+    return fields, {"lambda_file": lam_arg, "lambda_digest": _sha256_file(lam_arg)}
 
 
 def _open_out(path: str | None):

@@ -223,12 +223,15 @@ def exact_kernel(kind: str, spec: MatroidSpec, fields: Fields, q: float | None =
 
     Returns (states, P): states is a list of A-bitmasks, P[i, j] the
     probability of moving from states[i] to states[j] in one full transition
-    (down+up for "polarized", up+down for "random-cluster").
+    (down+up for "polarized", up+down for "random-cluster").  q is the
+    random-cluster kernel's, which needs it; the polarized kernel takes none.
     """
     if kind not in ("polarized", "random-cluster"):
         raise UnsupportedOperationError(f"unknown kernel kind {kind!r}")
     fields.require_size(spec.n)
     if kind == "polarized":
+        if q is not None:
+            raise UnsupportedOperationError("polarized kernel takes no q")
         return _polarized_kernel(spec, fields)
     if q is None:
         raise UnsupportedOperationError("random-cluster kernel needs q")

@@ -49,9 +49,6 @@ class Fields:
                 raise ValidationError(f"lambda[{i}] must be finite and > 0, got {x}")
         self.lam = lam
 
-    def __len__(self):
-        return len(self.lam)
-
     def require_size(self, n: int) -> None:
         """Raise ValidationError unless there is one weight per element of [0, n)."""
         if len(self.lam) != n:

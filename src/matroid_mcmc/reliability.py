@@ -9,7 +9,9 @@ the failure marginal of one edge from fresh chain samples and multiplies
 the corresponding telescoping factor, in log space so that a Z below
 float range still has a finite log.  The levels with at most 16 edges left
 run as lockstep batches on one independence table per estimate: it is built
-at the first of them, and each later level's table is a slice of it.
+at the first of them, and each later level's table is a slice of it.  A
+level reads only its samples and its step count, so the lockstep levels run
+without the rejection counts a sampling run draws.
 """
 from __future__ import annotations
 
@@ -232,8 +234,8 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
     sample.  The others run as one lockstep batch each, on the cographic
     tables built at the first of them; each level after that takes the
     tables of its minor (see _next_level), with no oracle call.  q is read
-    off the batch's masks.  The result carries the chain steps run
-    (chain_steps).
+    off the batch's masks, and the batch counts no rejections.  The result
+    carries the chain steps run (chain_steps).
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError(f"eps must lie in (0,1), got {eps}")
@@ -270,6 +272,7 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
             samples, stats = sample_independent_sets(
                 cographic_spec(cur), failure_fields(cur), lvl_cfg, n_samples)
             failed = sum(1 for s in samples if s and s[0] == 0)
+            level_steps = stats.steps
         else:
             if tb is None:
                 tb = vectorized.SmallTables(cographic_spec(cur), failure_fields(cur),
@@ -280,9 +283,10 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
                 for name in ("indep", "weight"):
                     assert np.array_equal(getattr(tb, name), getattr(fresh, name)), \
                         f"level {k}: the derived {name} table differs from a fresh build"
-            masks, stats = vectorized.run_polarized_tables(tb, lvl_cfg, n_samples)
+            masks, level_steps = vectorized.run_polarized_tables(tb, lvl_cfg, n_samples,
+                                                                 rejections=False)
             failed = int(np.count_nonzero(masks & 1))
-        steps += stats.steps
+        steps += level_steps
         q_hat = failed / n_samples
         delete = q_hat >= 0.5
         if delete:

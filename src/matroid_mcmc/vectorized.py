@@ -12,8 +12,10 @@ masses the sequential rejection loop accepts from, as one Walker alias table
 per mask (Walker 1977; Vose 1991).  A batch of chains then advances as numpy
 array operations: each chain step draws one uniform, whose integer part
 picks the drop and whose fractional part picks the alias column and its
-coin, so the exact re-add costs O(1) per chain and no rejection rounds run;
-the rejection counts are drawn from their exact law (see _run_lockstep).
+coin, so the exact re-add costs O(1) per chain and no rejection rounds run.
+A sampling run draws its rejection counts from their exact law at the end
+(see _run_lockstep); the reliability estimator's levels read only the masks
+and the step count, so they run without that bookkeeping (rejections=False).
 The tables take (n + 1)·2^n·9 bytes and are built in row blocks, so the
 masses of all rows never exist at once.  The
 transition law per chain is the sequential chains' and is validated against
@@ -115,7 +117,7 @@ def _independent_sizes(spec: MatroidSpec) -> np.ndarray:
 _ROW_BLOCK = 2048  # re-add rows converted to alias tables at a time
 
 
-def readd_tables(tb: SmallTables, q: float | None = None):
+def readd_tables(tb: SmallTables, q: float | None = None, *, rejections: bool = True):
     """The re-add law of every post-drop mask m, as alias tables.
 
     Adding j ∉ m is accepted with probability acc(m, j): indep[m | j] for
@@ -129,15 +131,17 @@ def readd_tables(tb: SmallTables, q: float | None = None):
     tables of row m (see _alias_block), which _run_lockstep reads with one
     uniform.  accepted[m] is row m's total, the accepted mass; rej[m] sums
     w_j·(1 - acc(m, j)) over j ∉ m, exactly 0 where no proposal can be
-    rejected.  The masses are built and converted _ROW_BLOCK rows at a time,
-    so they never exist for all rows at once beside prob.
+    rejected.  With rejections false rej is None: a run on these tables
+    draws no rejection counts.  The masses are built and converted
+    _ROW_BLOCK rows at a time, so they never exist for all rows at once
+    beside prob.
     """
     n = tb.n
     size, width = 1 << n, n + 1
     prob = np.empty(size * width)
     alias = np.empty(size * width, dtype=np.int8)
     accepted = np.empty(size)
-    rej = np.zeros(size)
+    rej = np.zeros(size) if rejections else None
     if q is not None:
         rank_c = tb.rank[::-1]  # rank_c[m] = rank of the complement of m
     for lo in range(0, size, _ROW_BLOCK):
@@ -152,7 +156,8 @@ def readd_tables(tb: SmallTables, q: float | None = None):
             else:
                 acc = np.where(rank_c[cand] < rank_c[rows], q, 1.0)
             mass[:, j + 1] = tb.weight[j] * (free * acc)
-            rej[rows] += tb.weight[j] * (free * (1.0 - acc))
+            if rejections:
+                rej[rows] += tb.weight[j] * (free * (1.0 - acc))
         accepted[rows] = mass.sum(axis=1)
         block = slice(lo * width, (lo + len(rows)) * width)
         _alias_block(mass, accepted[rows], prob[block], alias[block])
@@ -215,11 +220,15 @@ def _run_lockstep(tables, cfg: ChainConfig, count: int, start: int):
     from post-drop mask s it is geometric with success probability
     p_s = accepted[s] / (accepted[s] + rej[s]).  Sums of independent geometric
     counts with one p are negative binomial, so the rejections of all visits
-    to s are drawn at the end as one negative_binomial(visits_s, p_s).
+    to s are drawn at the end as one negative_binomial(visits_s, p_s), and
+    stats is a StepStats.  When rej is None nothing is counted or drawn, and
+    stats is the number of chain steps run (an int).
 
-    Memory: the tables take (n + 1)·2^n·9 bytes and each chain about 60
-    bytes; a count whose per-chain arrays cannot be allocated is a
-    ValidationError naming it.
+    Memory: the tables take (n + 1)·2^n·9 bytes and each chain about 55
+    bytes at its peak (four per-chain arrays and the step's temporaries);
+    counting rejections adds rej and a visit count, 16 bytes per mask.  A
+    count whose per-chain arrays cannot be allocated is a ValidationError
+    naming it.
     """
     prob, alias, accepted, rej = tables
     n = len(accepted).bit_length() - 1
@@ -228,11 +237,14 @@ def _run_lockstep(tables, cfg: ChainConfig, count: int, start: int):
     try:
         mask = np.full(count, int(start), dtype=np.int64)
         r = np.empty(count)
+        whole = np.empty(count)
         col = np.empty(count, dtype=np.int64)
     except (ValueError, MemoryError):
         raise ValidationError(f"cannot allocate the per-chain arrays of {count} "
                               "lockstep chains") from None
-    visits = np.zeros(1 << n, dtype=np.int64)
+    counting = rej is not None
+    if counting:
+        visits = np.zeros(1 << n, dtype=np.int64)
     ones = np.int64(1)
     # bit[k] is what column k adds: nothing for an auxiliary slot, else 1 << (k - 1)
     bit = np.concatenate(([0], ones << np.arange(n, dtype=np.int64)))
@@ -241,13 +253,18 @@ def _run_lockstep(tables, cfg: ChainConfig, count: int, start: int):
     for _ in range(steps):
         gen.random(out=r)
         r *= n
-        np.copyto(col, r, casting="unsafe")  # the drop index floor(r·n)
+        # whole parts go through a float buffer: r -= whole subtracts doubles,
+        # not int64s cast one by one, and gives the same fractional parts
+        np.floor(r, out=whole)
+        np.copyto(col, whole, casting="unsafe")  # the drop index floor(r·n)
         mask &= ~(ones << col)
-        visits += np.bincount(mask, minlength=1 << n)
-        r -= col
+        if counting:
+            visits += np.bincount(mask, minlength=1 << n)
+        r -= whole
         r *= width  # f < width: frac(r·n) <= 1 - 2^-53, and rounding keeps it below
-        np.copyto(col, r, casting="unsafe")
-        r -= col  # the coin
+        np.floor(r, out=whole)
+        np.copyto(col, whole, casting="unsafe")
+        r -= whole  # the coin
         cell = mask * width
         cell += col
         pick = np.take(alias, cell)
@@ -256,6 +273,8 @@ def _run_lockstep(tables, cfg: ChainConfig, count: int, start: int):
         col += pick
         mask |= np.take(bit, col)
 
+    if not counting:
+        return mask, steps * count
     # a post-drop mask is never full, so its accepted mass is at least 1
     seen = np.flatnonzero((visits > 0) & (rej > 0.0))
     acc = accepted[seen]
@@ -281,13 +300,16 @@ def run_polarized_batch(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,
 
 
 def run_polarized_tables(tb: SmallTables, cfg: ChainConfig, count: int,
-                         initial_mask: int = 0):
+                         initial_mask: int = 0, *, rejections: bool = True):
     """run_polarized_batch on independence tables already built (or derived
-    by SmallTables.minor); returns (masks, stats)."""
+    by SmallTables.minor); returns (masks, stats).  With rejections false
+    no rejection count is kept or drawn, and stats is the step count.
+    """
     initial_mask = _check_start(initial_mask, tb.n)
     if not tb.indep[initial_mask]:
         raise ValidationError("initial state must be independent")
-    masks, stats = _run_lockstep(readd_tables(tb), cfg, count, initial_mask)
+    masks, stats = _run_lockstep(readd_tables(tb, rejections=rejections), cfg, count,
+                                 initial_mask)
     if debug_asserts_enabled():
         assert tb.indep[masks].all(), "a lockstep chain left the independent sets"
     return masks, stats

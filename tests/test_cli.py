@@ -354,6 +354,20 @@ def test_exit_2_on_overflowing_lambda_sum(tmp_path):
     assert "overflows" in r.stderr
 
 
+
+def test_exit_2_on_short_lambda_file(tmp_path):
+    """A --lambda file one line short is refused with Fields.require_size's
+    message, named by the file."""
+    spec = tmp_path / "u3.json"
+    spec.write_text(json.dumps({"variant": "uniform", "n": 3, "k": 1}))
+    lam = tmp_path / "lam.txt"
+    lam.write_text("1\n2\n")
+    r = run_cli("sample", "--model", "independent", "--matroid", str(spec),
+                "--lambda", str(lam), "--num-samples", "4")
+    assert r.returncode == 2 and r.stdout == ""
+    assert f"{lam}: the fields vector has 2 weights; the ground set has 3 elements" \
+        in r.stderr, r.stderr
+
 @pytest.mark.parametrize("what,lam", [("mu", "1e308"), ("pi", "1e200")])
 def test_exit_2_on_overflowing_exact_total(tmp_path, what, lam):
     """The weights' total overflows a float: exit 2 naming it, not NaN or 0.0

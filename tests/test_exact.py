@@ -205,6 +205,14 @@ def test_kernel_needs_q_for_rc():
         exact_kernel("bogus", spec, ones(2))
 
 
+
+@pytest.mark.parametrize("q", [-7.0, 0.0, 0.5])
+def test_polarized_kernel_takes_no_q(q):
+    """The polarized kernel has no q: passing one is an error, not ignored."""
+    spec = spec_of({"variant": "uniform", "n": 3, "k": 2})
+    with pytest.raises(UnsupportedOperationError, match="polarized kernel takes no q"):
+        exact_kernel("polarized", spec, ones(3), q=q)
+
 def test_size_guards():
     big = matroid_from_dict({"variant": "uniform", "n": 21, "k": 21})
     with pytest.raises(SizeLimitError):

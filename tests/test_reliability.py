@@ -380,7 +380,8 @@ class _ForcedBranches:
         self.pos = k + 1
         return delete
 
-    def lockstep(self, tb, cfg, count, initial_mask=0):
+    def lockstep(self, tb, cfg, count, initial_mask=0, *, rejections=True):
+        assert not rejections, "an estimator level asked for rejection counts"
         k = self.m - tb.n
         self._advance(k)
         fresh = SmallTables(cographic_spec(self.cur), failure_fields(self.cur), "polarized")
@@ -388,8 +389,7 @@ class _ForcedBranches:
             assert np.array_equal(getattr(tb, name), getattr(fresh, name)), (k, name)
         self.tables_checked += 1
         delete = self._decide(k)
-        return (np.full(count, int(delete), dtype=np.int64),
-                StepStats(steps=count * cfg.steps(tb.n)))
+        return np.full(count, int(delete), dtype=np.int64), count * cfg.steps(tb.n)
 
     def sequential(self, spec, fields, cfg, count):
         k = self.m - spec.n
@@ -516,3 +516,31 @@ def test_estimate_counts_its_chain_steps(inst, c0):
     cfg = ChainConfig(epsilon=0.3 / (8 * inst.m))
     assert est.chain_steps == sum(n * cfg.steps(inst.m - k) for k in sampled)
     assert est.as_json_dict()["chain_steps"] == est.chain_steps
+
+
+def test_lockstep_levels_draw_no_rejection_counts(monkeypatch):
+    """A lockstep level is read for its masks and its step count only, so it
+    counts no visits and draws no negative binomial.  A sampling batch on the
+    same tables does both under the same spies, so the spies see the runner."""
+    drawn, counted = [], []
+
+    class SpyGenerator(np.random.Generator):
+        def negative_binomial(self, *args, **kwargs):
+            drawn.append(args)
+            return super().negative_binomial(*args, **kwargs)
+
+    bincount = np.bincount
+
+    def spy_bincount(*args, **kwargs):
+        counted.append(args)
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", SpyGenerator)
+    monkeypatch.setattr(np, "bincount", spy_bincount)
+    est = rel_estimate(K4, 0.5, 0.5, seed=1, c0=0.5)
+    assert est.chain_steps > 0 and est.trace[0]["branch"] != "loop"
+    assert drawn == [] and counted == []
+    masks, stats = vectorized.run_polarized_batch(
+        cographic_spec(K4), failure_fields(K4), ChainConfig(seed=1, step_override=3), 8)
+    assert len(drawn) == 1 and len(counted) == 3
+    assert stats.steps == 24 and stats.proposals == 24 + stats.rejections

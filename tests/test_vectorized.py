@@ -1,5 +1,6 @@
 """Batch (table-driven) execution vs the sequential chains: same law, same caps."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -27,6 +28,7 @@ from matroid_mcmc.vectorized import (
     SmallTables,
     readd_tables,
     run_polarized_batch,
+    run_polarized_tables,
     run_rc_batch,
 )
 
@@ -382,6 +384,38 @@ def test_batch_states_stay_independent():
         assert ref.is_independent(int(m))
 
 
+@pytest.mark.parametrize("q, digest, stats", [
+    (None, "f6b7681e5b676ba8", (71967, 11967, 60000)),
+    (0.0, "98cf2c0ed8d31c33", (79661, 19661, 60000)),
+    (0.5, "765f5203079a1fdb", (71102, 11102, 60000)),
+])
+def test_counting_path_pinned(q, digest, stats):
+    """Seeded sampling batches keep their exact masks and their exact-law
+    rejection counts (proposals, rejections, steps), pinned on K4."""
+    spec = spec_of({"variant": "graphic", "edges": [list(e) for e in K4_EDGES]})
+    f = Fields([1, 2, 0.5, 1, 3, 0.25])
+    cfg = ChainConfig(seed=11, step_override=30)
+    if q is None:
+        masks, st = run_polarized_batch(spec, f, cfg, 2000)
+    else:
+        masks, st = run_rc_batch(spec, f, q, cfg, 2000)
+    assert hashlib.sha256(masks.astype("<i8").tobytes()).hexdigest()[:16] == digest
+    assert (st.proposals, st.rejections, st.steps) == stats
+
+
+def test_uncounted_run_walks_the_counted_run():
+    """rejections=False changes what is kept, not the walk: the same masks,
+    and the step count in place of the StepStats."""
+    spec = spec_of(TABLE_CASES["graphic-loop-parallel"])
+    tb = SmallTables(spec, Fields([1, 2, 0.5, 1, 3, 0.25]), need="polarized")
+    cfg = ChainConfig(seed=4, step_override=20)
+    masks, stats = run_polarized_tables(tb, cfg, 500)
+    bare, steps = run_polarized_tables(tb, cfg, 500, rejections=False)
+    assert np.array_equal(bare, masks)
+    assert steps == stats.steps == 500 * 20 and stats.rejections > 0
+    assert readd_tables(tb, rejections=False)[3] is None
+
+
 def test_debug_asserts_pass_on_lockstep_runs(monkeypatch):
     monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
     spec = spec_of(TABLE_CASES["graphic-loop-parallel"])
@@ -397,8 +431,8 @@ def test_debug_asserts_catch_a_bad_readd_table(monkeypatch, runner):
     or below full rank (rc at q = 0); with the debug flag on, the runner says so."""
     real = vectorized.readd_tables
 
-    def leaky(tb, q=None):
-        prob, alias, accepted, rej = real(tb, q)
+    def leaky(tb, q=None, **kwargs):
+        prob, alias, accepted, rej = real(tb, q, **kwargs)
         prob[:] = 1.0  # every column kept, zero-mass ones included
         return prob, alias, accepted, rej
 
