@@ -29,7 +29,7 @@ from . import __version__
 from .config import ChainConfig
 from .errors import ContractError, SizeLimitError, ValidationError
 from .exact import exact_kernel, exact_mu, exact_pi, exact_rc, stationary_residual
-from .matroids import Fields, check_q, load_matroid, set_bits
+from .matroids import Fields, check_q, load_matroid, read_text, set_bits
 from .reliability import (
     DEFAULT_C0,
     cographic_spec,
@@ -71,8 +71,7 @@ def _load_fields(spec_n: int, lam_arg: str | None) -> tuple[Fields, dict]:
         if not math.isfinite(const) or const <= 0.0:
             raise ValidationError("constant weight must be positive and finite")
         return Fields.constant(spec_n, const), {"lambda": const}
-    with open(lam_arg, "r", encoding="utf-8") as f:
-        raw = [ln.strip() for ln in f if ln.strip()]
+    raw = [ln.strip() for ln in read_text(lam_arg).split("\n") if ln.strip()]
     vals = []
     for ln_no, text in enumerate(raw, start=1):
         try:

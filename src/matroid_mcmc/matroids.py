@@ -1,17 +1,18 @@
 """Matroid specifications, external fields, and incremental oracles.
 
-A MatroidSpec names one of six concrete matroid variants; build_oracle turns
-it into a stateful oracle over a mutable set S.  _BaseOracle owns the
-contract: the checked insert / delete of one element, is_independent as
-rank(S) == |S|, and the _add / _remove hooks through which a variant keeps
-its own state in step.  Each variant adds only that state and its queries,
-rank and rank_drops_on_delete among them.  GraphicOracle keeps S in a naive
-or HDT dynamic graph, each edge (self-loops too) keyed by its element;
-CographicOracle swaps its hooks, so that graph holds E \\ S.  ForestOracle
-answers independence only: it keeps S as a spanning forest of its edges, or
-of their plane dual for cographic independence on a planar graph, in
-Euler-tour splay trees of its own: they keep no aggregates, so its debug
-check is structural.  A spec embeds its graph at most once
+A MatroidSpec names one of six concrete matroid variants and checks its own
+rules where it is built (matroid_from_dict reads only the JSON's shape);
+build_oracle turns it into a stateful oracle over a mutable set S.
+_BaseOracle owns the contract: the checked insert / delete of one element,
+is_independent as rank(S) == |S|, and the _add / _remove hooks through which
+a variant keeps its own state in step.  Each variant adds only that state
+and its queries, rank and rank_drops_on_delete among them.  GraphicOracle
+keeps S in a naive or HDT dynamic graph, each edge (self-loops too) keyed by
+its element; CographicOracle swaps its hooks, so that graph holds E \\ S.
+ForestOracle answers independence only: it keeps S as a spanning forest of
+its edges, or of their plane dual for cographic independence on a planar
+graph, in Euler-tour splay trees of its own: they keep no aggregates, so its
+debug check is structural.  A spec embeds its graph at most once
 (MatroidSpec.plane_dual).  build_oracle says which oracle answers which
 question.  The others use counters, table lookup, or GF(2) elimination at
 desk scale.  greedy_basis is the one index-order greedy basis, found with
@@ -31,9 +32,6 @@ from .errors import ContractError, UnsupportedOperationError, ValidationError
 
 EXPLICIT_MAX_N = 24
 _AUTO_NAIVE_MAX_VERTICES = 32
-
-VARIANTS = ("explicit", "uniform", "partition", "graphic", "binary-linear", "cographic")
-
 
 class Fields:
     """External fields: one positive weight per ground-set element."""
@@ -82,10 +80,17 @@ def check_q(q: float) -> None:
         raise ValidationError(f"q must lie in [0, 1], got {q}")
 
 
+_PAYLOAD = {"explicit": ("independent_sets",), "uniform": ("k",), "partition": ("blocks", "caps"),
+            "graphic": ("edges",), "binary-linear": ("matrix",), "cographic": ("edges",)}
+CONNECTED_GRAPH_RULE = "graph must be connected (a connected-spanning or reliability law needs it)"
+
+
 @dataclass(frozen=True)
 class MatroidSpec:
+    """A matroid on [0, n_elements) that checks its own rules where it is built."""
+
     variant: str
-    # variant-specific payload (unused fields stay None)
+    # variant-specific payload (_PAYLOAD; unused fields stay None)
     n_elements: int = 0
     independent_sets: list[int] | None = None   # explicit: list of bitmasks
     k: int | None = None                        # uniform
@@ -94,6 +99,56 @@ class MatroidSpec:
     edges: list[tuple[int, int]] | None = None  # graphic / cographic
     vertices: int = 0                           # graphic / cographic (inferred)
     matrix: list[int] | None = None             # binary-linear: column bitmasks
+
+    def __post_init__(self):
+        v, n, nv = self.variant, self.n_elements, self.vertices
+        if type(v) is not str or v not in _PAYLOAD:
+            raise ValidationError(
+                f"unknown matroid variant {v!r}; expected one of {', '.join(_PAYLOAD)}")
+        for name in _PAYLOAD[v]:
+            if getattr(self, name) is None:
+                raise ValidationError(f"{v} spec needs '{name}'")
+        count = n  # the payload's element count
+        if v == "explicit":
+            if n > EXPLICIT_MAX_N:
+                raise ValidationError(f"explicit spec needs n <= {EXPLICIT_MAX_N}, got {n}")
+            family = set(self.independent_sets)
+            if 0 not in family:
+                raise ValidationError("explicit family must contain the empty set")
+            for m in family:
+                if m < 0 or m.bit_length() > n:
+                    raise ValidationError(f"explicit family has a set outside [0, {n})")
+                for i in set_bits(m):
+                    if (m ^ 1 << i) not in family:
+                        raise ValidationError(
+                            "explicit family is not downward closed "
+                            f"(set {set_bits(m)} present, without element {i} absent)")
+        elif v == "uniform":
+            if not 0 <= self.k <= n:
+                raise ValidationError(f"uniform spec needs 0 <= k <= n, got k = {self.k}, n = {n}")
+        elif v == "partition":
+            if len(self.caps) != len(self.blocks):
+                raise ValidationError("partition spec: 'caps' must match 'blocks' in length")
+            for bi, (b, cap) in enumerate(zip(self.blocks, self.caps)):
+                if not b or not 0 <= cap <= len(b):
+                    raise ValidationError(
+                        f"blocks[{bi}] must be nonempty, and caps[{bi}] in [0, {len(b)}]")
+            count = sum(map(len, self.blocks))
+            if {i for b in self.blocks for i in b} != set(range(n)):
+                raise ValidationError(f"blocks must partition the index range [0, {n})")
+        elif v == "binary-linear":
+            count = len(self.matrix)
+        else:
+            count = len(self.edges)
+            for i, (a, b) in enumerate(self.edges):
+                if not (0 <= a < nv and 0 <= b < nv):
+                    raise ValidationError(f"edge {i}: vertex ids must lie in [0, {nv})")
+            if v == "cographic" and not edges_connected(nv, self.edges):
+                raise ValidationError(CONNECTED_GRAPH_RULE)
+        if n != count:
+            raise ValidationError(f"n_elements is {n}, but the {v} payload has {count} elements")
+        if n < 1:
+            raise ValidationError(f"{v} spec has no elements")
 
     @property
     def n(self) -> int:
@@ -110,129 +165,84 @@ class MatroidSpec:
         return planar.dual_graph(self.vertices, self.edges)
 
 
-def _as_edge_list(raw, what: str):
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError(f"{what}: 'edges' must be a nonempty list of [u, v] pairs")
-    edges = []
-    for idx, e in enumerate(raw):
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(x, int) and x >= 0 for x in e)):
-            raise ValidationError(f"{what}: edge {idx} must be a pair of vertex ids >= 0")
-        edges.append((e[0], e[1]))
-    return edges
+def _int(x, what: str) -> int:
+    if type(x) is not int:  # JSON true and false are no integers
+        raise ValidationError(f"{what} must be an integer, got {json.dumps(x)}")
+    return x
 
 
-_COGRAPHIC_NEEDS_CONNECTED = ("cographic spec requires a connected ambient graph "
-                              "(connected-spanning-subgraph law is undefined otherwise)")
+def _list(x, what: str, item=_int, size=None) -> list:
+    if not isinstance(x, list) or size and len(x) != size:
+        raise ValidationError(f"{what} must be a list" + (f" of {size}" if size else ""))
+    try:  # no entry's name is formatted unless some entry is wrong
+        return [item(e, what) for e in x]
+    except ValidationError:
+        return [item(e, f"{what}[{i}]") for i, e in enumerate(x)]
+
+
+def _family(x, what: str) -> list[int]:
+    """Index lists (no index repeated in one) as sorted distinct bitmasks; an index outside
+    [0, EXPLICIT_MAX_N) sets bit EXPLICIT_MAX_N (never a huge bit), which MatroidSpec rejects."""
+    masks = set()
+    for idx, s in enumerate(_list(x, what, _list)):
+        if len(set(s)) != len(s):
+            raise ValidationError(f"{what}[{idx}] has repeated elements")
+        masks.add(sum(1 << (i if 0 <= i < EXPLICIT_MAX_N else EXPLICIT_MAX_N) for i in s))
+    return sorted(masks)
+
+
+def _columns(x, what: str) -> list[int]:
+    """Rows of 0/1 entries, each as wide as the first, as column bitmasks."""
+    rows = _list(x, what, _list)
+    width = len(rows[0]) if rows else 0
+    for ri, row in enumerate(rows):
+        if len(row) != width or not set(row) <= {0, 1}:
+            raise ValidationError(f"{what}[{ri}] must be {width} entries, each 0 or 1")
+    return [sum(row[j] << ri for ri, row in enumerate(rows)) for j in range(width)]
 
 
 def matroid_from_dict(d: dict) -> MatroidSpec:
-    """Validate a MatroidSpec JSON object and build the spec."""
+    """Build a MatroidSpec from its JSON object.  The readers above check only
+    the JSON's shape (true and false are no integers); a missing payload field
+    is passed on as None, and MatroidSpec checks every rule of the spec."""
     if not isinstance(d, dict):
         raise ValidationError("matroid spec must be a JSON object")
+
+    def given(key, read, *args):
+        return read(d[key], key, *args) if key in d else None
+
     variant = d.get("variant")
-    if variant not in VARIANTS:
-        raise ValidationError(
-            f"unknown matroid variant {variant!r}; expected one of {', '.join(VARIANTS)}")
-
     if variant == "explicit":
-        n = d.get("n")
-        if not isinstance(n, int) or not 1 <= n <= EXPLICIT_MAX_N:
-            raise ValidationError(f"explicit spec needs integer 'n' in [1, {EXPLICIT_MAX_N}]")
-        raw = d.get("independent_sets")
-        if not isinstance(raw, list):
-            raise ValidationError("explicit spec needs 'independent_sets': a list of index lists")
-        masks = set()
-        for idx, s in enumerate(raw):
-            if not isinstance(s, list) or not all(isinstance(i, int) and 0 <= i < n for i in s):
-                raise ValidationError(
-                    f"independent_sets[{idx}] must list element indices in [0, {n})")
-            if len(set(s)) != len(s):
-                raise ValidationError(f"independent_sets[{idx}] has repeated elements")
-            m = 0
-            for i in s:
-                m |= 1 << i
-            masks.add(m)
-        if 0 not in masks:
-            raise ValidationError("explicit family must contain the empty set")
-        for m in masks:
-            for i in set_bits(m):
-                if (m ^ 1 << i) not in masks:
-                    raise ValidationError(
-                        "explicit family is not downward closed "
-                        f"(set {set_bits(m)} present, without element {i} absent)")
-        return MatroidSpec("explicit", n_elements=n, independent_sets=sorted(masks))
-
+        return MatroidSpec(variant, _int(d.get("n", 0), "n"),
+                           independent_sets=given("independent_sets", _family))
     if variant == "uniform":
-        n, k = d.get("n"), d.get("k")
-        if not isinstance(n, int) or n < 1:
-            raise ValidationError("uniform spec needs integer 'n' >= 1")
-        if not isinstance(k, int) or not 0 <= k <= n:
-            raise ValidationError("uniform spec needs integer 'k' with 0 <= k <= n")
-        return MatroidSpec("uniform", n_elements=n, k=k)
-
+        return MatroidSpec(variant, _int(d.get("n", 0), "n"), k=given("k", _int))
     if variant == "partition":
-        blocks, caps = d.get("blocks"), d.get("caps")
-        if not isinstance(blocks, list) or not blocks or not isinstance(caps, list):
-            raise ValidationError("partition spec needs 'blocks' (list of index lists) and 'caps'")
-        if len(caps) != len(blocks):
-            raise ValidationError("partition spec: 'caps' must match 'blocks' in length")
-        seen: set[int] = set()
-        total = 0
-        for bi, b in enumerate(blocks):
-            if not isinstance(b, list) or not b or not all(isinstance(i, int) and i >= 0 for i in b):
-                raise ValidationError(f"blocks[{bi}] must be a nonempty list of element indices")
-            for i in b:
-                if i in seen:
-                    raise ValidationError(f"element {i} appears in more than one block")
-                seen.add(i)
-            total += len(b)
-            cap = caps[bi]
-            if not isinstance(cap, int) or not 0 <= cap <= len(b):
-                raise ValidationError(
-                    f"caps[{bi}] must be an integer in [0, {len(b)}] (block size)")
-        if seen != set(range(total)):
-            raise ValidationError("blocks must partition the dense index range 0..n-1")
-        return MatroidSpec("partition", n_elements=total,
-                           blocks=[list(b) for b in blocks], caps=list(caps))
-
+        blocks = given("blocks", _list, _list)
+        return MatroidSpec(variant, sum(map(len, blocks or ())), blocks=blocks,
+                           caps=given("caps", _list))
     if variant in ("graphic", "cographic"):
-        edges = _as_edge_list(d.get("edges"), variant)
-        vertices = max(max(e) for e in edges) + 1
-        if variant == "cographic" and not edges_connected(vertices, edges):
-            raise ValidationError(_COGRAPHIC_NEEDS_CONNECTED)
-        return MatroidSpec(variant, n_elements=len(edges), edges=edges, vertices=vertices)
+        edges = given("edges", _list, lambda e, what: tuple(_list(e, what, _int, 2)))
+        return MatroidSpec(variant, len(edges or ()), edges=edges,
+                           vertices=1 + max(map(max, edges or ()), default=-1))
+    cols = given("matrix", _columns) if variant == "binary-linear" else None
+    return MatroidSpec(variant, len(cols or ()), matrix=cols)  # rejects any other variant
 
-    # binary-linear
-    raw = d.get("matrix")
-    if not isinstance(raw, list) or not raw:
-        raise ValidationError("binary-linear spec needs a nonempty 'matrix' of 0/1 rows")
-    width = None
-    for ri, row in enumerate(raw):
-        if not isinstance(row, list) or not all(x in (0, 1) for x in row):
-            raise ValidationError(f"matrix row {ri} must be a list of 0/1 entries")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValidationError(f"matrix row {ri} has length {len(row)}, expected {width}")
-    if not width:
-        raise ValidationError("binary-linear matrix must have at least one column")
-    cols = []
-    for j in range(width):
-        c = 0
-        for ri, row in enumerate(raw):
-            if row[j]:
-                c |= 1 << ri
-        cols.append(c)
-    return MatroidSpec("binary-linear", n_elements=width, matrix=cols)
+
+def read_text(path: str) -> str:
+    """The text of an input file, which must be UTF-8: else ValidationError names it."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def load_matroid(path: str) -> MatroidSpec:
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            d = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+    try:
+        d = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON ({exc})") from None
     return matroid_from_dict(d)
 
 
@@ -247,9 +257,9 @@ def set_bits(mask: int) -> list[int]:
 
 
 def edges_connected(vertices: int, edges) -> bool:
-    """Whether the edges (self-loops allowed) span all of 0..vertices-1."""
-    if vertices - 1 > len(edges):  # fewer than a spanning tree: answer before allocating
-        return False
+    """Whether the edges (self-loops allowed) span all vertices 0..vertices-1, if any."""
+    if not 0 < vertices <= len(edges) + 1:  # no vertex, or fewer edges than a tree
+        return vertices == 0  # answered before allocating
     adj = [[] for _ in range(vertices)]
     for u, v in edges:
         if u != v:
@@ -421,8 +431,8 @@ class CographicOracle(GraphicOracle):
     oracle insert deletes an edge and oracle delete re-inserts it.  On a
     connected G the dual rank is rk*(S) = |S| + rk(E \\ S) - rk(E) =
     |S| + 1 - kappa(E \\ S), so deleting i from S drops it iff i is a
-    self-loop or its ends are already joined in E \\ S.  A disconnected G
-    is rejected at build, as matroid_from_dict rejects it.
+    self-loop or its ends are already joined in E \\ S.  G is connected:
+    MatroidSpec rejects a disconnected one.
     """
 
     _add = GraphicOracle._remove
@@ -432,8 +442,6 @@ class CographicOracle(GraphicOracle):
         super().__init__(spec, dyncon_backend)
         for i, (u, v) in enumerate(spec.edges):
             self._g.insert_edge(i, u, v)
-        if self._g.component_count() != 1:
-            raise ValidationError(_COGRAPHIC_NEEDS_CONNECTED)
 
     def rank(self) -> int:
         return len(self.current) + 1 - self._g.component_count()

@@ -24,7 +24,8 @@ import numpy as np
 from . import vectorized
 from .config import ChainConfig, debug_asserts_enabled
 from .errors import SizeLimitError, ValidationError
-from .matroids import Fields, MatroidSpec, edges_connected
+from .matroids import (CONNECTED_GRAPH_RULE, Fields, MatroidSpec, edges_connected,
+                       read_text)
 from .rng import derive_seed
 from .sampling import execution_path, sample_independent_sets
 
@@ -80,7 +81,7 @@ class NetworkInstance:
 
     def require_connected(self) -> None:
         if not self.is_connected():
-            raise ValidationError("graph must be connected (reliability law undefined otherwise)")
+            raise ValidationError(CONNECTED_GRAPH_RULE)
 
 
 @dataclass
@@ -107,8 +108,7 @@ class ReliabilityEstimate:
 
 def parse_graph_file(path: str) -> NetworkInstance:
     """Text format: header "n m", then m lines "u v p" (0-based vertices)."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ValidationError(f"{path}:1: empty file, expected 'n m' header")
     head = lines[0].split()
@@ -155,7 +155,6 @@ def failure_fields(inst: NetworkInstance) -> Fields:
 def cographic_spec(inst: NetworkInstance) -> MatroidSpec:
     if not inst.edges and inst.vertices == 1:
         raise ValidationError("graph has no edges: one vertex leaves no edge set to sample")
-    inst.require_connected()
     return MatroidSpec("cographic", n_elements=inst.m, edges=inst.edges,
                        vertices=inst.vertices)
 

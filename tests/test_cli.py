@@ -306,6 +306,26 @@ def test_exit_2_on_disconnected_graph(tmp_path, text, command):
         r.stderr
 
 
+@pytest.mark.parametrize("reader", ["matroid", "graph-sample", "graph-estimate", "lambda"])
+def test_exit_2_on_a_file_that_is_not_utf8(tmp_path, reader):
+    """Every input reader names a file that is not UTF-8 text and exits 2,
+    with no traceback."""
+    bad = tmp_path / "latin1.input"
+    bad.write_bytes(b"3 3\n0 1 0.5\n1 2 \xff\n")
+    spec = tmp_path / "u.json"
+    spec.write_text(json.dumps({"variant": "uniform", "n": 3, "k": 2}))
+    r = run_cli(*{
+        "matroid": ["sample", "--model", "independent", "--matroid", str(bad)],
+        "graph-sample": ["sample", "--model", "connected-spanning", "--graph", str(bad)],
+        "graph-estimate": ["estimate-reliability", "--graph", str(bad)],
+        "lambda": ["sample", "--model", "independent", "--matroid", str(spec),
+                   "--lambda", str(bad)],
+    }[reader])
+    assert r.returncode == 2, r.stderr
+    assert str(bad) in r.stderr and "UTF-8" in r.stderr and "Traceback" not in r.stderr, \
+        r.stderr
+
+
 def test_bench_subcommand_is_gone():
     r = run_cli("bench")
     assert r.returncode == 2
@@ -415,7 +435,7 @@ def test_huge_vertex_count_allocates_nothing_per_vertex(tmp_path, case):
         assert (out["z_rel"], out["log_z_rel"]) == (0.0, None)
     elif case == "cographic":
         assert r.returncode == 2, r.stderr
-        assert "cographic spec requires a connected ambient graph" in r.stderr
+        assert "graph must be connected" in r.stderr
     elif case == "sample":  # the forest oracle relabels the two ids densely
         assert r.returncode == 0, r.stderr
         assert [json.loads(ln) for ln in r.stdout.splitlines()] == [[], [0], []]

@@ -1,7 +1,9 @@
 """Matroid specs and incremental oracles vs the brute-force reference."""
 
+import ast
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from matroid_mcmc import (
     ChainConfig,
     ContractError,
     Fields,
+    MatroidSpec,
     PolarizedChain,
     ValidationError,
     build_oracle,
@@ -17,7 +20,8 @@ from matroid_mcmc import (
     matroid_from_dict,
 )
 from matroid_mcmc.exact import BruteMatroid, independent_masks
-from matroid_mcmc.matroids import CographicOracle, ForestOracle, GraphicOracle, _same_tree
+from matroid_mcmc.matroids import (CONNECTED_GRAPH_RULE, CographicOracle, ForestOracle,
+                                   GraphicOracle, _same_tree)
 
 from conftest import K4_EDGES, REPO_ROOT, TRIANGLE_EDGES, imported_names, spec_of
 from reference import is_matroid_family
@@ -60,6 +64,121 @@ def test_fields_validation():
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ValidationError):
         matroid_from_dict(bad)
+
+
+# hand-built specs that break one rule each; each raises at MatroidSpec(...)
+HAND_BUILT_BREAKS = {
+    # the sampler drew {2} a quarter of the time, exact_mu never (TV 0.25)
+    "partition-misses-an-element": (
+        dict(variant="partition", n_elements=3, blocks=[[0, 1]], caps=[1]),
+        "blocks must partition the index range [0, 3)"),
+    # the sampler drew the empty set, {0} and {1}; exact_mu only the empty set
+    "cographic-short-count": (
+        dict(variant="cographic", n_elements=2, edges=TRIANGLE_EDGES, vertices=3),
+        "n_elements is 2, but the cographic payload has 3 elements"),
+    "graphic-long-count": (
+        dict(variant="graphic", n_elements=4, edges=TRIANGLE_EDGES, vertices=3),
+        "n_elements is 4, but the graphic payload has 3 elements"),
+    "endpoint-past-vertices": (
+        dict(variant="graphic", n_elements=2, edges=[(0, 1), (1, 3)], vertices=3),
+        "edge 1: vertex ids must lie in [0, 3)"),
+    "explicit-without-empty-set": (
+        dict(variant="explicit", n_elements=2, independent_sets=[1, 2]),
+        "explicit family must contain the empty set"),
+    "explicit-not-closed": (
+        dict(variant="explicit", n_elements=2, independent_sets=[0, 1, 3]),
+        "explicit family is not downward closed"),
+    "explicit-mask-past-n": (
+        dict(variant="explicit", n_elements=2, independent_sets=[0, 1, 4]),
+        "explicit family has a set outside [0, 2)"),
+    "uniform-k-past-n": (
+        dict(variant="uniform", n_elements=3, k=4), "uniform spec needs 0 <= k <= n"),
+    "partition-repeats-an-element": (
+        dict(variant="partition", n_elements=3, blocks=[[0, 1], [1]], caps=[1, 1]),
+        "blocks must partition the index range [0, 3)"),
+    "missing-k": (dict(variant="uniform", n_elements=3), "uniform spec needs 'k'"),
+    "missing-caps": (dict(variant="partition", n_elements=2, blocks=[[0, 1]]),
+                     "partition spec needs 'caps'"),
+    "missing-edges": (dict(variant="cographic", n_elements=3, vertices=3),
+                      "cographic spec needs 'edges'"),
+}
+
+
+@pytest.mark.parametrize("name", list(HAND_BUILT_BREAKS))
+def test_hand_built_spec_checks_its_rules(name):
+    kwargs, message = HAND_BUILT_BREAKS[name]
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        MatroidSpec(**kwargs)
+
+
+@pytest.mark.parametrize("d,kwargs", [
+    ({"variant": "frobnicate"}, dict(variant="frobnicate")),
+    ({"variant": "uniform", "n": 3}, dict(variant="uniform", n_elements=3)),
+    ({"variant": "uniform", "n": 0, "k": 0}, dict(variant="uniform", n_elements=0, k=0)),
+    ({"variant": "uniform", "n": 3, "k": 4}, dict(variant="uniform", n_elements=3, k=4)),
+    ({"variant": "explicit", "n": 30, "independent_sets": [[]]},
+     dict(variant="explicit", n_elements=30, independent_sets=[0])),
+    ({"variant": "explicit", "n": 2, "independent_sets": [[0]]},
+     dict(variant="explicit", n_elements=2, independent_sets=[1])),
+    ({"variant": "explicit", "n": 2, "independent_sets": [[], [0, 1]]},
+     dict(variant="explicit", n_elements=2, independent_sets=[0, 3])),
+    ({"variant": "explicit", "n": 2, "independent_sets": [[], [2]]},
+     dict(variant="explicit", n_elements=2, independent_sets=[0, 4])),
+    ({"variant": "explicit", "n": 2, "independent_sets": [[], [-1], [10 ** 12]]},
+     dict(variant="explicit", n_elements=2, independent_sets=[0, 4])),
+    ({"variant": "partition", "blocks": [[0, 1]], "caps": [1, 1]},
+     dict(variant="partition", n_elements=2, blocks=[[0, 1]], caps=[1, 1])),
+    ({"variant": "partition", "blocks": [[0, 1]], "caps": [3]},
+     dict(variant="partition", n_elements=2, blocks=[[0, 1]], caps=[3])),
+    ({"variant": "partition", "blocks": [[0], []], "caps": [1, 0]},
+     dict(variant="partition", n_elements=1, blocks=[[0], []], caps=[1, 0])),
+    ({"variant": "partition", "blocks": [[0], [0]], "caps": [1, 1]},
+     dict(variant="partition", n_elements=2, blocks=[[0], [0]], caps=[1, 1])),
+    ({"variant": "partition", "blocks": [[0, 2]], "caps": [1]},
+     dict(variant="partition", n_elements=2, blocks=[[0, 2]], caps=[1])),
+    ({"variant": "graphic", "edges": [[0, -1]]},
+     dict(variant="graphic", n_elements=1, edges=[(0, -1)], vertices=1)),
+    ({"variant": "graphic", "edges": []},
+     dict(variant="graphic", n_elements=0, edges=[], vertices=0)),
+    ({"variant": "cographic", "edges": [[0, 1], [2, 3]]},
+     dict(variant="cographic", n_elements=2, edges=[(0, 1), (2, 3)], vertices=4)),
+    ({"variant": "binary-linear", "matrix": []},
+     dict(variant="binary-linear", n_elements=0, matrix=[])),
+], ids=["unknown-variant", "missing-field", "no-elements", "uniform-k", "explicit-n",
+        "explicit-empty-set", "explicit-closed", "explicit-range", "explicit-range-clamped",
+        "caps-length", "cap-range", "empty-block", "block-repeat", "block-gap", "endpoint",
+        "graph-no-edges", "cographic-connected", "no-columns"])
+def test_spec_rules_are_stated_once(d, kwargs):
+    """MatroidSpec owns every rule of a spec: the JSON spec and the
+    equivalent hand-built one break it with the same message."""
+    with pytest.raises(ValidationError) as exc:
+        MatroidSpec(**kwargs)
+    rule = str(exc.value)
+    with pytest.raises(ValidationError) as exc:
+        matroid_from_dict(d)
+    assert str(exc.value) == rule
+
+
+@pytest.mark.parametrize("d,message", [
+    ({"variant": "uniform", "n": 3, "k": True}, "k must be an integer, got true"),
+    ({"variant": "uniform", "n": True, "k": 1}, "n must be an integer, got true"),
+    ({"variant": "explicit", "n": 1, "independent_sets": [[], [True]]},
+     "independent_sets[1][0] must be an integer, got true"),
+    ({"variant": "graphic", "edges": [[0, True]]}, "edges[0][1] must be an integer, got true"),
+    ({"variant": "cographic", "edges": [[0, 1], [1, 2], [False, 2]]},
+     "edges[2][0] must be an integer, got false"),
+    ({"variant": "partition", "blocks": [[0, 1]], "caps": [True]},
+     "caps[0] must be an integer, got true"),
+    ({"variant": "partition", "blocks": [[0, True]], "caps": [1]},
+     "blocks[0][1] must be an integer, got true"),
+    ({"variant": "binary-linear", "matrix": [[1, True]]},
+     "matrix[0][1] must be an integer, got true"),
+], ids=["k", "n", "explicit-index", "endpoint", "endpoint-false", "cap", "block-index",
+        "matrix-entry"])
+def test_json_booleans_are_not_integers(d, message):
+    with pytest.raises(ValidationError) as exc:
+        matroid_from_dict(d)
+    assert str(exc.value) == message
 
 
 def test_load_matroid_rejects_bad_json(tmp_path):
@@ -392,6 +511,26 @@ def test_matroids_imports_no_private_dyncon_name():
              if name.startswith((".dyncon.", "matroid_mcmc.dyncon."))]
     assert taken == [".dyncon.dyn_graph"]
     assert "dyncon._" not in path.read_text("utf-8")
+
+
+def test_connectivity_wording_is_defined_once():
+    """The graph connectivity rule has one wording in src/, matroids'
+    CONNECTED_GRAPH_RULE, and no oracle class raises it: a spec's graph is
+    checked where the spec is built, NetworkInstance's with the same words."""
+    assert CONNECTED_GRAPH_RULE.startswith("graph must be connected")
+    assert "cographic spec" not in CONNECTED_GRAPH_RULE
+    found, raised = [], []
+    for path in sorted((REPO_ROOT / "src" / "matroid_mcmc").glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        found += [(path.name, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "graph must be connected" in node.value]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name.endswith("Oracle"):
+                raised += [cls.name for node in ast.walk(cls) if isinstance(node, ast.Raise)
+                           and "CONNECTED_GRAPH_RULE" in ast.unparse(node)]
+    assert found == [("matroids.py", CONNECTED_GRAPH_RULE)]
+    assert raised == []
 
 
 def test_tour_forest_matches_union_find(monkeypatch):

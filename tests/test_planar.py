@@ -5,10 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from matroid_mcmc import (ChainConfig, ContractError, Fields, MatroidSpec,
-                          UnsupportedOperationError, ValidationError, build_oracle,
-                          matroid_from_dict, sample_independent_sets,
-                          sample_random_cluster)
+from matroid_mcmc import (ContractError, MatroidSpec, UnsupportedOperationError,
+                          ValidationError, build_oracle, matroid_from_dict)
 from matroid_mcmc import planar
 from matroid_mcmc.exact import BruteMatroid
 from matroid_mcmc.matroids import CographicOracle, ForestOracle, GraphicOracle
@@ -274,33 +272,22 @@ def test_oracle_choice_by_question_and_backend(variant, graph, monkeypatch):
                 assert type(oracle) is graph_cls and oracle._g.name == backend
 
 
-def test_disconnected_cographic_spec_reaches_the_embedder():
-    """A hand-built cographic spec skips matroid_from_dict's connectivity check;
-    its independence oracle is the dual forest, whose embedder rejects it."""
-    spec = MatroidSpec("cographic", n_elements=2, edges=[(0, 1), (2, 3)], vertices=4)
-    with pytest.raises(ValidationError, match="connected"):
-        build_oracle(spec)
-    with pytest.raises(ValidationError, match="connected"):
-        sample_independent_sets(spec, Fields([1.0, 1.0]), ChainConfig(seed=0), 3)
+def test_disconnected_planar_cographic_spec_is_rejected_at_construction():
+    """A hand-built cographic spec on a disconnected plane graph never reaches
+    the embedder or an oracle: MatroidSpec rejects it where it is built, with
+    the one connectivity wording."""
+    with pytest.raises(ValidationError, match="^graph must be connected"):
+        MatroidSpec("cographic", n_elements=2, edges=[(0, 1), (2, 3)], vertices=4)
 
 
 def test_disconnected_dense_cographic_spec_is_rejected():
     """A disconnected cographic spec too dense to embed (K7 with a separate
-    looped vertex) skips the embedder; the cographic oracle rejects it at
-    build on every backend, with matroid_from_dict's wording."""
+    looped vertex), which the embedder would not catch, is rejected where it
+    is built, before any oracle or chain, with the one connectivity wording."""
     n, edges = complete(7)
-    spec = MatroidSpec("cographic", n_elements=22, edges=edges + [(7, 7)], vertices=8)
-    assert planar.dual_graph(spec.vertices, spec.edges) is None
-    wording = "cographic spec requires a connected ambient graph"
-    for kind in ("independence", "rank"):
-        for backend in ("auto", "naive", "hdt"):
-            with pytest.raises(ValidationError, match=wording):
-                build_oracle(spec, kind, backend)
-    fields = Fields([1.0] * 22)
-    with pytest.raises(ValidationError, match=wording):
-        sample_independent_sets(spec, fields, ChainConfig(seed=0, step_override=200), 3)
-    with pytest.raises(ValidationError, match=wording):
-        sample_random_cluster(spec, fields, 0.5, ChainConfig(seed=0, step_override=200), 3)
+    assert planar.dual_graph(8, edges + [(7, 7)]) is None
+    with pytest.raises(ValidationError, match="^graph must be connected"):
+        MatroidSpec("cographic", n_elements=22, edges=edges + [(7, 7)], vertices=8)
 
 
 def test_euler_mismatch_raises(monkeypatch):
