@@ -29,9 +29,8 @@ from . import __version__
 from .config import ChainConfig
 from .errors import ContractError, SizeLimitError, ValidationError
 from .exact import exact_kernel, exact_mu, exact_pi, exact_rc, stationary_residual
-from .matroids import Fields, check_q, load_matroid, read_text, set_bits
+from .matroids import Fields, load_matroid, read_text, set_bits
 from .reliability import (
-    DEFAULT_C0,
     cographic_spec,
     failure_fields,
     log_rel_exact,
@@ -41,6 +40,24 @@ from .reliability import (
 from .sampling import execution_path, sample_independent_sets, sample_random_cluster
 
 _MODELS = ("independent", "connected-spanning", "random-cluster")
+
+# The options each mode reads, by argparse dest, each True where the mode
+# requires it; every mode also reads the other options its parser has
+# (--eps, --seed, --out, ...).  `exact kernel` is keyed by its --chain.
+_FLAGS = {"matroid": "--matroid", "graph": "--graph", "lam": "--lambda", "q": "--q",
+          "chain": "--chain"}
+_READS = {
+    "sample --model independent": {"matroid": True, "lam": False},
+    "sample --model random-cluster": {"matroid": True, "lam": False, "q": True},
+    "sample --model connected-spanning": {"graph": True},
+    "exact mu": {"matroid": True, "lam": False},
+    "exact pi": {"matroid": True, "lam": False},
+    "exact rc": {"matroid": True, "lam": False, "q": True},
+    "exact kernel --chain polarized": {"matroid": True, "lam": False, "chain": False},
+    "exact kernel --chain random-cluster": {"matroid": True, "lam": False, "q": True,
+                                            "chain": True},
+    "exact reliability": {"graph": True},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +85,10 @@ def _load_fields(spec_n: int, lam_arg: str | None) -> tuple[Fields, dict]:
     except ValueError:
         const = None
     if const is not None:
-        if not math.isfinite(const) or const <= 0.0:
-            raise ValidationError("constant weight must be positive and finite")
-        return Fields.constant(spec_n, const), {"lambda": const}
+        try:
+            return Fields.constant(spec_n, const), {"lambda": const}
+        except ValidationError as e:
+            raise ValidationError(f"--lambda: {e}") from None
     raw = [ln.strip() for ln in read_text(lam_arg).split("\n") if ln.strip()]
     vals = []
     for ln_no, text in enumerate(raw, start=1):
@@ -84,6 +102,18 @@ def _load_fields(spec_n: int, lam_arg: str | None) -> tuple[Fields, dict]:
     except ValidationError as e:
         raise ValidationError(f"{lam_arg}: {e}") from None
     return fields, {"lambda_file": lam_arg, "lambda_digest": _sha256_file(lam_arg)}
+
+
+def _check_options(mode: str, args: argparse.Namespace) -> None:
+    """Raise ValidationError unless args set exactly the options `mode` reads
+    (_READS): each it does not read unset, each it requires set."""
+    reads = _READS[mode]
+    for dest, flag in _FLAGS.items():
+        if getattr(args, dest, None) is not None and dest not in reads:
+            raise ValidationError(f"{mode} does not take {flag}")
+    for dest, required in reads.items():
+        if required and getattr(args, dest) is None:
+            raise ValidationError(f"{mode} requires {_FLAGS[dest]}")
 
 
 def _open_out(path: str | None):
@@ -119,52 +149,31 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValidationError("--num-samples must be >= 1")
     if args.steps is not None and args.steps < 1:
         raise ValidationError("--steps must be >= 1")
+    _check_options(f"sample --model {args.model}", args)
     inputs: dict = {}
-    q = args.q
-    if args.model == "random-cluster":
-        if q is None:
-            raise ValidationError("--q is required with --model random-cluster")
-        check_q(q)
-    elif q is not None:
-        raise ValidationError("--q is only valid with --model random-cluster")
-
     if args.model in ("independent", "random-cluster"):
-        if args.matroid is None:
-            raise ValidationError(f"--model {args.model} requires --matroid")
-        if args.graph is not None:
-            raise ValidationError(f"--model {args.model} does not take --graph")
         spec = load_matroid(args.matroid)
         inputs["matroid"] = args.matroid
         inputs["matroid_digest"] = _sha256_file(args.matroid)
         fields, lam_info = _load_fields(spec.n, getattr(args, "lam"))
         inputs.update(lam_info)
-        complement_of = None
-    else:  # connected-spanning
-        if args.graph is None:
-            raise ValidationError("--model connected-spanning requires --graph")
-        if args.matroid is not None:
-            raise ValidationError("--model connected-spanning does not take --matroid")
-        if getattr(args, "lam") is not None:
-            raise ValidationError(
-                "--lambda is not valid with --model connected-spanning; "
-                "weights come from the per-edge probabilities in the graph file")
+    else:  # connected-spanning: weights come from the graph file's probabilities
         inst = parse_graph_file(args.graph)
         inputs["graph"] = args.graph
         inputs["graph_digest"] = _sha256_file(args.graph)
         spec = cographic_spec(inst)
         fields = failure_fields(inst)
-        complement_of = spec.n
 
     cfg = ChainConfig(epsilon=args.eps, seed=args.seed, step_override=args.steps)
     t0 = time.perf_counter()
     if args.model == "random-cluster":
-        samples, stats = sample_random_cluster(spec, fields, q, cfg, args.num_samples)
+        samples, stats = sample_random_cluster(spec, fields, args.q, cfg, args.num_samples)
     else:
         samples, stats = sample_independent_sets(spec, fields, cfg, args.num_samples)
     wall = time.perf_counter() - t0
 
-    if complement_of is not None:
-        samples = [sorted(set(range(complement_of)) - set(s)) for s in samples]
+    if args.model == "connected-spanning":  # the samples are failed edges: keep the rest
+        samples = [sorted(set(range(spec.n)) - set(s)) for s in samples]
 
     out, close = _open_out(args.out)
     try:
@@ -185,7 +194,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 "eps": args.eps,
                 "steps_override": args.steps,
                 "steps_per_sample": cfg.steps(spec.n),
-                "q": q,
+                "q": args.q,
                 "num_samples": args.num_samples,
                 "method_used": execution_path(spec.n),
             },
@@ -209,7 +218,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     inst = parse_graph_file(args.graph)
     t0 = time.perf_counter()
-    est = rel_estimate(inst, args.eps, args.delta, seed=args.seed, c0=args.c0)
+    est = rel_estimate(inst, args.eps, args.delta, seed=args.seed)
     wall = time.perf_counter() - t0
     payload = est.as_json_dict()
     payload["graph"] = args.graph
@@ -225,28 +234,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 # exact
 
 
-# the options each exact target reads, by argparse dest
-_EXACT_TAKES = {
-    "mu": ("matroid", "lam"),
-    "pi": ("matroid", "lam"),
-    "rc": ("matroid", "lam", "q"),
-    "kernel": ("matroid", "lam", "q", "chain"),
-    "reliability": ("graph",),
-}
-_EXACT_FLAGS = {"matroid": "--matroid", "graph": "--graph", "lam": "--lambda",
-                "q": "--q", "chain": "--chain"}
-
-
 def _cmd_exact(args: argparse.Namespace) -> int:
     what = args.what
-    for dest, flag in _EXACT_FLAGS.items():
-        if getattr(args, dest) is not None and dest not in _EXACT_TAKES[what]:
-            raise ValidationError(f"exact {what} does not take {flag}")
-    if what == "kernel" and args.chain != "random-cluster" and args.q is not None:
-        raise ValidationError("exact kernel --chain polarized does not take --q")
+    kind = args.chain or "polarized"  # the kernel's chain
+    _check_options(f"exact {what}" + (f" --chain {kind}" if what == "kernel" else ""), args)
     if what == "reliability":
-        if args.graph is None:
-            raise ValidationError("exact reliability requires --graph")
         inst = parse_graph_file(args.graph)
         log_z = log_rel_exact(inst)
         _emit_json({
@@ -257,8 +249,6 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         }, args.out)
         return 0
 
-    if args.matroid is None:
-        raise ValidationError(f"exact {what} requires --matroid")
     spec = load_matroid(args.matroid)
     fields, _ = _load_fields(spec.n, getattr(args, "lam"))
 
@@ -281,32 +271,26 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         _emit_json({"atoms": atoms}, args.out)
         return 0
     if what == "rc":
-        if args.q is None:
-            raise ValidationError("exact rc requires --q")
         dist = exact_rc(spec, fields, args.q)
         atoms = [{"set": set_bits(m), "prob": p}
                  for m, p in zip(dist.support, dist.prob)]
         _emit_json({"atoms": atoms, "q": args.q}, args.out)
         return 0
-    if what == "kernel":
-        kind = args.chain or "polarized"
-        if kind == "random-cluster" and args.q is None:
-            raise ValidationError("exact kernel --chain random-cluster requires --q")
-        states, P = exact_kernel(kind, spec, fields, q=args.q)
-        if kind == "polarized":
-            target = exact_mu(spec, fields)
-        else:
-            target = exact_rc(spec, fields, args.q)
-        probs = [target.prob_of(m) for m in states]
-        _emit_json({
-            "chain": kind,
-            "states": [set_bits(m) for m in states],
-            "matrix": [[float(x) for x in row] for row in P],
-            "stationary": probs,
-            "stationary_residual": stationary_residual(P, probs),
-        }, args.out)
-        return 0
-    raise ValidationError(f"unknown exact target {what!r}")
+    # kernel
+    states, P = exact_kernel(kind, spec, fields, q=args.q)
+    if kind == "polarized":
+        target = exact_mu(spec, fields)
+    else:
+        target = exact_rc(spec, fields, args.q)
+    probs = [target.prob_of(m) for m in states]
+    _emit_json({
+        "chain": kind,
+        "states": [set_bits(m) for m in states],
+        "matrix": [[float(x) for x in row] for row in P],
+        "stationary": probs,
+        "stationary_residual": stationary_residual(P, probs),
+    }, args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--eps", type=float, default=0.1, help="relative error target")
     ep.add_argument("--delta", type=float, default=0.05, help="failure probability")
     ep.add_argument("--seed", type=int, default=0)
-    ep.add_argument("--c0", type=float, default=DEFAULT_C0,
-                    help="sample-count multiplier per conditioning level")
     ep.add_argument("--out", help="JSON output path (default: stdout)")
     ep.set_defaults(func=_cmd_estimate)
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -10,7 +11,14 @@ from .errors import ValidationError
 MIX_CONSTANT = 4.0
 
 
-@dataclass
+def check_seed(seed) -> None:
+    """Raise ValidationError unless seed is an integer in [0, 2^64), the width of
+    every stream key (a seed outside it would replay one inside)."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
+        raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+
+
+@dataclass(frozen=True)  # so its checks hold for its life
 class ChainConfig:
     epsilon: float = 0.1
     seed: int = 0
@@ -21,6 +29,7 @@ class ChainConfig:
             raise ValidationError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if self.step_override is not None and self.step_override < 1:
             raise ValidationError("step_override must be >= 1")
+        check_seed(self.seed)
 
     def steps(self, n: int) -> int:
         """Transition count: step_override, else ceil(MIX_CONSTANT * n * ln(n/eps))."""

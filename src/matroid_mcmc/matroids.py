@@ -12,8 +12,8 @@ its element; CographicOracle swaps its hooks, so that graph holds E \\ S.
 ForestOracle answers independence only: it keeps S as a spanning forest of
 its edges, or of their plane dual for cographic independence on a planar
 graph, in Euler-tour splay trees of its own: they keep no aggregates, so its
-debug check is structural.  A spec embeds its graph at most once
-(MatroidSpec.plane_dual).  build_oracle says which oracle answers which
+debug check is structural.  A spec builds that forest's graph at most once
+(MatroidSpec.forest_graph).  build_oracle says which oracle answers which
 question.  The others use counters, table lookup, or GF(2) elimination at
 desk scale.  greedy_basis is the one index-order greedy basis, found with
 independence queries alone.
@@ -155,14 +155,18 @@ class MatroidSpec:
         return self.n_elements
 
     @cached_property
-    def plane_dual(self) -> tuple[int, list[int]] | None:
-        """The plane dual of a cographic spec's graph, in ForestOracle's
-        (node count, end) form (planar.dual_graph); None for a non-planar
-        graph or another variant.  Kept once computed, so a spec is embedded
-        at most once, whoever builds oracles on it."""
-        if self.variant != "cographic":
-            return None
-        return planar.dual_graph(self.vertices, self.edges)
+    def forest_graph(self) -> tuple[int, list[int]] | None:
+        """The graph whose forests are this spec's independent sets, in
+        ForestOracle's (node count, end) form: a graphic spec's edges on dense
+        vertex ids, or a cographic spec's plane dual (planar.dual_graph); None
+        for a non-planar graph or another variant.  Kept once computed."""
+        if self.variant == "cographic":
+            return planar.dual_graph(self.vertices, self.edges)
+        if self.variant == "graphic":
+            ids: dict[int, int] = {}  # a sparse vertex id costs nothing
+            end = [ids.setdefault(x, len(ids)) for e in self.edges for x in e]
+            return len(ids), end
+        return None
 
 
 def _int(x, what: str) -> int:
@@ -178,6 +182,12 @@ def _list(x, what: str, item=_int, size=None) -> list:
         return [item(e, what) for e in x]
     except ValidationError:
         return [item(e, f"{what}[{i}]") for i, e in enumerate(x)]
+
+
+def _pair(x, what: str) -> tuple[int, int]:
+    if type(x) is list and len(x) == 2 and type(x[0]) is int and type(x[1]) is int:
+        return x[0], x[1]
+    return tuple(_list(x, what, _int, 2))  # any other shape: _list words the error
 
 
 def _family(x, what: str) -> list[int]:
@@ -222,7 +232,7 @@ def matroid_from_dict(d: dict) -> MatroidSpec:
         return MatroidSpec(variant, sum(map(len, blocks or ())), blocks=blocks,
                            caps=given("caps", _list))
     if variant in ("graphic", "cographic"):
-        edges = given("edges", _list, lambda e, what: tuple(_list(e, what, _int, 2)))
+        edges = given("edges", _list, _pair)
         return MatroidSpec(variant, len(edges or ()), edges=edges,
                            vertices=1 + max(map(max, edges or ()), default=-1))
     cols = given("matrix", _columns) if variant == "binary-linear" else None
@@ -650,7 +660,7 @@ class ForestOracle(_BaseOracle):
     `ends` is (node count, end): element i joins nodes end[2i] and
     end[2i + 1], and S is independent iff its edges form a forest there.
     For a graphic spec the ends are the primal graph's; for a cographic spec
-    on a connected plane graph they are the plane dual's (spec.plane_dual),
+    on a connected plane graph they are the plane dual's (spec.forest_graph),
     since by Whitney duality M*(G) = M(G*).  Each node is a vertex of a
     forest of Euler tours (the splay trees above, which keep no aggregates).
     Its tree edges are the elements of S except the "extras": elements whose
@@ -779,10 +789,9 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
     """Oracle with current = empty set; kind is "independence" or "rank".
 
     Under dyncon_backend "auto", independence on a graph is a spanning-forest
-    question at any size: a graphic spec gets ForestOracle over its edges
-    (vertex ids relabelled densely, so a sparse id costs nothing), and a
-    cographic spec on a planar graph gets ForestOracle over the plane dual
-    (spec.plane_dual, embedded once per spec).
+    question at any size: a graphic spec, and a cographic spec on a planar
+    graph, get ForestOracle over spec.forest_graph (its edges or the plane
+    dual, built once per spec).
     Rank queries and non-planar cographic specs get the dynamic-graph oracle,
     on the naive backend up to _AUTO_NAIVE_MAX_VERTICES vertices and HDT
     above.  dyncon_backend "hdt" or "naive" pins that backend and always
@@ -795,13 +804,8 @@ def build_oracle(spec: MatroidSpec, kind: str = "independence",
             f"dyncon_backend must be 'auto', 'naive' or 'hdt', got {dyncon_backend!r}")
     if spec.variant in ("graphic", "cographic"):
         if dyncon_backend == "auto":
-            if kind == "independence":
-                if spec.variant == "graphic":
-                    ids: dict[int, int] = {}
-                    end = [ids.setdefault(x, len(ids)) for e in spec.edges for x in e]
-                    return ForestOracle(spec.n, (len(ids), end))
-                if spec.plane_dual is not None:
-                    return ForestOracle(spec.n, spec.plane_dual)
+            if kind == "independence" and spec.forest_graph is not None:
+                return ForestOracle(spec.n, spec.forest_graph)
             dyncon_backend = "naive" if spec.vertices <= _AUTO_NAIVE_MAX_VERTICES else "hdt"
         oracle = GraphicOracle if spec.variant == "graphic" else CographicOracle
         return oracle(spec, dyncon_backend)

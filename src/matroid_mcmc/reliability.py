@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vectorized
-from .config import ChainConfig, debug_asserts_enabled
+from .config import ChainConfig, check_seed, debug_asserts_enabled
 from .errors import SizeLimitError, ValidationError
 from .matroids import (CONNECTED_GRAPH_RULE, Fields, MatroidSpec, edges_connected,
                        read_text)
@@ -242,10 +242,12 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
         raise ValidationError(f"delta must lie in (0,1), got {delta}")
     if not (0.0 < c0 < math.inf):
         raise ValidationError(f"c0 must be finite and > 0, got {c0}")
-    inst.require_connected()
+    check_seed(seed)
     m0 = inst.m
     if m0 == 0:
+        inst.require_connected()
         return ReliabilityEstimate(1.0, 0.0, eps, delta, 0, 0, [])
+    first = cographic_spec(inst)  # checks the graph's connectivity, once
     try:
         n_samples = math.ceil(c0 * m0 * math.log(2 * m0 / delta) / (eps * eps))
     except (OverflowError, ZeroDivisionError):
@@ -267,15 +269,15 @@ def rel_estimate(inst: NetworkInstance, eps: float, delta: float, seed: int,
             continue
         lvl_cfg = ChainConfig(epsilon=sampler_eps, seed=derive_seed(seed, level))
         # the edge under study is element 0 of the level's ground set
+        if tb is None:
+            spec = first if cur is inst else cographic_spec(cur)
         if tb is None and execution_path(cur.m) == "sequential":
-            samples, stats = sample_independent_sets(
-                cographic_spec(cur), failure_fields(cur), lvl_cfg, n_samples)
+            samples, stats = sample_independent_sets(spec, failure_fields(cur), lvl_cfg, n_samples)
             failed = sum(1 for s in samples if s and s[0] == 0)
             level_steps = stats.steps
         else:
             if tb is None:
-                tb = vectorized.SmallTables(cographic_spec(cur), failure_fields(cur),
-                                            "polarized")
+                tb = vectorized.SmallTables(spec, failure_fields(cur), "polarized")
             elif debug:
                 fresh = vectorized.SmallTables(cographic_spec(cur), failure_fields(cur),
                                                "polarized")

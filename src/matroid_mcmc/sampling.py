@@ -4,8 +4,8 @@ Small ground sets (n <= VECTORIZED_MAX_N = 16) run as one vectorized
 lockstep batch; larger instances run one sequential chain per sample, chain
 i keyed derive_seed(seed, i).  Either way the output is ordered by chain
 index and is a deterministic function of (inputs, seed).  Every chain of a
-call is built on the caller's spec, so a planar cographic graph is embedded
-at most once (MatroidSpec.plane_dual), however many chains run on it.
+call is built on the caller's spec, so a graph is relabelled or embedded at
+most once (MatroidSpec.forest_graph), however many chains run on it.
 """
 from __future__ import annotations
 

@@ -233,7 +233,7 @@ def _run_lockstep(tables, cfg: ChainConfig, count: int, start: int):
     prob, alias, accepted, rej = tables
     n = len(accepted).bit_length() - 1
     width = n + 1
-    gen = np.random.Generator(np.random.SFC64(cfg.seed & ((1 << 64) - 1)))
+    gen = np.random.Generator(np.random.SFC64(cfg.seed))
     try:
         mask = np.full(count, int(start), dtype=np.int64)
         r = np.empty(count)

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: output shape, exit codes, manifests, determinism."""
 
+import argparse
 import json
 import math
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from matroid_mcmc.exact import exact_mu, tv_distance
 from matroid_mcmc import Fields, matroid_from_dict
+from matroid_mcmc import cli
 from matroid_mcmc.cli import _build_parser
 
 from conftest import REPO_ROOT, cli_env, masks_of
@@ -233,11 +235,13 @@ def test_steps_sets_the_chain_length(tmp_path, n, path):
     assert "--steps must be >= 1" in r.stderr, r.stderr
 
 
-@pytest.mark.parametrize("c0", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("c0", ["nan", "inf", "0", "-1", "8"])
 def test_exit_2_on_bad_c0(tri_graph, c0):
+    """estimate-reliability has no --c0, whatever its value; the library's
+    rel_estimate(c0=...) keeps its own check (test_estimate_rejects_bad_c0)."""
     r = run_cli("estimate-reliability", "--graph", tri_graph, "--c0", c0)
     assert r.returncode == 2
-    assert "c0" in r.stderr
+    assert "unrecognized arguments: --c0" in r.stderr, r.stderr
 
 
 @pytest.mark.parametrize("eps", ["1e-10", "1e-8"])
@@ -275,6 +279,91 @@ def test_exact_rejects_options_its_target_does_not_take(tri_graph, free2, args, 
     assert r.returncode == 2, r.stdout
     assert r.stdout == ""
     assert f"does not take {flag}" in r.stderr, r.stderr
+
+
+def main_exit(argv, capsys):
+    """cli.main(argv) in-process: (exit code, stdout, stderr)."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's own errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+# each mode, the options it requires, and the further ones it may take
+OPTION_RULES = [
+    (["sample", "--model", "independent"], ["--matroid"], ["--lambda"]),
+    (["sample", "--model", "random-cluster"], ["--matroid", "--q"], ["--lambda"]),
+    (["sample", "--model", "connected-spanning"], ["--graph"], []),
+    (["exact", "mu"], ["--matroid"], ["--lambda"]),
+    (["exact", "pi"], ["--matroid"], ["--lambda"]),
+    (["exact", "rc"], ["--matroid", "--q"], ["--lambda"]),
+    (["exact", "kernel"], ["--matroid"], ["--lambda", "--chain"]),  # polarized
+    (["exact", "kernel", "--chain", "random-cluster"], ["--matroid", "--q"], ["--lambda"]),
+    (["exact", "reliability"], ["--graph"], []),
+]
+
+
+@pytest.mark.parametrize("mode,requires,may_take", OPTION_RULES,
+                         ids=[" ".join(m[0]) for m in OPTION_RULES])
+def test_option_matrix(tri_graph, free2, capsys, mode, requires, may_take):
+    """Each mode runs with the options it requires, and with every one it may
+    take; dropping a required one exits 2 with "requires <flag>", and adding
+    one it does not read exits 2 with "does not take <flag>"."""
+    value = {"--matroid": free2, "--graph": tri_graph, "--lambda": "1", "--q": "0.5",
+             "--chain": "polarized"}
+    if mode[0] == "sample":
+        mode = mode + ["--num-samples", "2", "--steps", "3"]
+
+    def argv(flags):
+        return mode + [w for f in flags for w in (f, value[f])]
+
+    assert main_exit(argv(requires), capsys)[0] == 0
+    assert main_exit(argv(requires + may_take), capsys)[0] == 0
+    for flag in requires:
+        code, out, err = main_exit(argv([f for f in requires if f != flag]), capsys)
+        assert (code, out) == (2, "") and f"requires {flag}" in err, err
+    flags = ["--matroid", "--graph", "--lambda", "--q"] + ["--chain"] * (mode[0] == "exact")
+    for flag in flags:
+        if flag not in requires + may_take and flag not in mode:
+            code, out, err = main_exit(argv(requires + [flag]), capsys)
+            assert (code, out) == (2, "") and f"does not take {flag}" in err, err
+
+
+def test_every_option_is_in_the_option_table():
+    """Each option of `sample` and `exact` is in cli._FLAGS, so the table says
+    which modes read it, or is one that every mode reads; so a new option
+    cannot skip the table.  The table has one entry per mode."""
+    every_mode = {"help", "model", "what", "eps", "num_samples", "seed", "steps", "out",
+                  "stats"}
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for cmd in ("sample", "exact"):
+        for action in sub.choices[cmd]._actions:
+            if action.dest in cli._FLAGS:
+                assert cli._FLAGS[action.dest] in action.option_strings, action.dest
+            else:
+                assert action.dest in every_mode, (cmd, action.option_strings)
+    modes = {f"sample --model {m}" for m in cli._MODELS}
+    modes |= {f"exact {w}" for w in ("mu", "pi", "rc", "reliability")}
+    modes |= {f"exact kernel --chain {c}" for c in ("polarized", "random-cluster")}
+    assert set(cli._READS) == modes
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--model", "independent", "--matroid", "{m}", "--seed", "-1"],
+    ["sample", "--model", "independent", "--matroid", "{m}", "--seed", str(1 << 64)],
+    ["sample", "--model", "independent", "--matroid", "{m}", "--seed", str(3 + (1 << 64))],
+    ["estimate-reliability", "--graph", "{g}", "--seed", str(3 - (1 << 64))],
+    ["estimate-reliability", "--graph", "{g}", "--seed", str(1 << 64)],
+], ids=["sample-negative", "sample-2^64", "sample-3+2^64", "estimate-3-2^64",
+        "estimate-2^64"])
+def test_exit_2_on_seed_outside_64_bits(tri_graph, free2, capsys, argv):
+    """A seed outside [0, 2^64) would key the same streams as one inside it."""
+    code, out, err = main_exit([a.format(g=tri_graph, m=free2) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert "seed must be an integer in [0, 2^64)" in err, err
 
 
 @pytest.mark.parametrize("header,message", [

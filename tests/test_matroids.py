@@ -405,6 +405,24 @@ def test_binary_linear_three_identical_columns():
     assert o.rank() == 1
 
 
+def test_graph_specs_build_their_forest_graph_once():
+    """A graphic spec's forest graph is its edges on dense vertex ids, and a
+    planar cographic spec's is its plane dual; either is built once per spec
+    and shared by every independence oracle on it.  Other specs, and a
+    non-planar cographic one, have none."""
+    g = spec_of({"variant": "graphic", "edges": [[5, 9], [9, 1000], [1000, 5], [9, 9]]})
+    assert g.forest_graph == (3, [0, 1, 1, 2, 2, 0, 1, 1])
+    c = spec_of({"variant": "cographic", "edges": [list(e) for e in TRIANGLE_EDGES]})
+    assert c.forest_graph[0] == 2  # the triangle's two faces
+    for spec in (g, c):
+        a, b = build_oracle(spec), build_oracle(spec)
+        assert isinstance(a, ForestOracle) and a._end is b._end is spec.forest_graph[1]
+    k5 = spec_of({"variant": "cographic",
+                  "edges": [[u, v] for u in range(5) for v in range(u + 1, 5)]})
+    assert k5.forest_graph is None and isinstance(build_oracle(k5), CographicOracle)
+    assert spec_of({"variant": "uniform", "n": 3, "k": 1}).forest_graph is None
+
+
 def test_uniform_partition_counters():
     u = build_oracle(matroid_from_dict({"variant": "uniform", "n": 4, "k": 2}),
                      kind="rank")

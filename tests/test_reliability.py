@@ -1,6 +1,7 @@
 """Network reliability: parsing, exact values, sampling laws, estimator mechanics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from matroid_mcmc import (
     rel_sample,
     tv_distance,
 )
-from matroid_mcmc import reliability, vectorized
+from matroid_mcmc import matroids, reliability, vectorized
+from matroid_mcmc.matroids import CONNECTED_GRAPH_RULE
 from matroid_mcmc.sampling import sample_independent_sets
 from matroid_mcmc.vectorized import SmallTables
 
@@ -231,6 +233,40 @@ def test_estimate_single_edge_exact():
     assert est.z_hat == pytest.approx(0.7, abs=1e-12)
     assert len(est.trace) == 1
     assert est.trace[0]["branch"] == "contract"
+
+
+def test_estimate_checks_connectivity_once(monkeypatch):
+    """The first level's spec is the one connectivity check of an estimate on
+    the lockstep path; later levels take their tables from the first (the
+    debug guard, off here, checks them against fresh builds)."""
+    monkeypatch.delenv("MATROID_MCMC_DEBUG_ASSERTS", raising=False)
+    calls = []
+    check = matroids.edges_connected
+
+    def spy(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(matroids, "edges_connected", spy)
+    monkeypatch.setattr(reliability, "edges_connected", spy)
+    rel_estimate(TRI, 0.5, 0.5, seed=1, c0=0.5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("vertices,edges,z", [
+    (1, [], 1.0), (2, [], None), (1, [(0, 0), (0, 0)], 1.0), (2, [(0, 0), (1, 1)], None),
+], ids=["edgeless", "edgeless-split", "loops", "loops-split"])
+def test_estimate_on_graphs_without_a_proper_edge(vertices, edges, z):
+    """With no edge to sample, the estimate is exact: Z = 1 on one vertex, and
+    more vertices are disconnected."""
+    inst = NetworkInstance(vertices, edges, [0.5] * len(edges))
+    if z is None:
+        with pytest.raises(ValidationError, match=re.escape(CONNECTED_GRAPH_RULE)):
+            rel_estimate(inst, 0.5, 0.5, seed=1)
+        return
+    est = rel_estimate(inst, 0.5, 0.5, seed=1)
+    assert (est.z_hat, est.chain_steps) == (z, 0)
+    assert [t["branch"] for t in est.trace] == ["loop"] * len(edges)
 
 
 @pytest.mark.parametrize("c0", [math.nan, math.inf, 0.0, -1.0])

@@ -1,9 +1,14 @@
 """Seeded stream determinism and per-chain seed derivation."""
 
-import numpy as np
+import dataclasses
 
-from matroid_mcmc import SeedStream, derive_seed
+import numpy as np
+import pytest
+
+from matroid_mcmc import (ChainConfig, Fields, NetworkInstance, SeedStream, ValidationError,
+                          derive_seed, matroid_from_dict, rel_estimate)
 from matroid_mcmc.rng import _BUFFER
+from matroid_mcmc.sampling import sample_independent_sets
 
 
 def test_same_seed_same_stream():
@@ -57,3 +62,28 @@ def test_derive_seed_distinct_and_stable():
 def test_derive_seed_keys_distinct_across_seeds():
     keys = {derive_seed(s, i) for s in range(64) for i in range(64)}
     assert len(keys) == 64 * 64
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, 3 + (1 << 64), 3 - (1 << 64), 3.0, "3"])
+def test_seed_outside_64_bits_is_rejected(seed):
+    """A seed is an integer in [0, 2^64): every stream is keyed by 64 bits, so
+    3 + 2^64 would replay seed 3.  ChainConfig checks it, and so does
+    rel_estimate on the seed it derives its level keys from."""
+    with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        ChainConfig(seed=seed)
+    with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        rel_estimate(NetworkInstance(2, [(0, 1), (0, 1)], 0.5), 0.5, 0.5, seed=seed)
+    with pytest.raises(dataclasses.FrozenInstanceError):  # nor can one be set later
+        ChainConfig().seed = seed
+
+
+@pytest.mark.parametrize("n,pinned", [
+    (5, [[2], [1, 4], [0], [0, 1]]),  # one lockstep batch
+    (20, [[13, 17], [2, 15], [2, 15], [11, 13]]),  # sequential chains
+], ids=["lockstep", "sequential"])
+def test_top_seed_is_pinned(n, pinned):
+    """The largest seed, 2^64 - 1, is accepted on both paths and keys the
+    streams it always did."""
+    spec = matroid_from_dict({"variant": "uniform", "n": n, "k": 2})
+    cfg = ChainConfig(seed=(1 << 64) - 1, step_override=25)
+    assert sample_independent_sets(spec, Fields.constant(n, 1.0), cfg, 4)[0] == pinned
