@@ -29,7 +29,7 @@ from . import __version__
 from .config import ChainConfig
 from .errors import ContractError, SizeLimitError, ValidationError
 from .exact import exact_kernel, exact_mu, exact_pi, exact_rc, stationary_residual
-from .matroids import Fields, load_matroid, read_text, set_bits
+from .matroids import FieldRuleError, Fields, load_matroid, read_text, set_bits
 from .reliability import (
     cographic_spec,
     failure_fields,
@@ -89,16 +89,21 @@ def _load_fields(spec_n: int, lam_arg: str | None) -> tuple[Fields, dict]:
             return Fields.constant(spec_n, const), {"lambda": const}
         except ValidationError as e:
             raise ValidationError(f"--lambda: {e}") from None
-    raw = [ln.strip() for ln in read_text(lam_arg).split("\n") if ln.strip()]
-    vals = []
-    for ln_no, text in enumerate(raw, start=1):
+    vals, line_of = [], []  # line_of[i]: the file line weight i is on
+    for ln_no, text in enumerate(read_text(lam_arg).split("\n"), start=1):
+        text = text.strip()
+        if not text:
+            continue
         try:
             vals.append(float(text))
         except ValueError:
             raise ValidationError(f"{lam_arg}:{ln_no}: not a number: {text!r}") from None
-    fields = Fields(vals)
+        line_of.append(ln_no)
     try:
+        fields = Fields(vals)
         fields.require_size(spec_n)
+    except FieldRuleError as e:
+        raise ValidationError(f"{lam_arg}:{line_of[e.index]}: {e}") from None
     except ValidationError as e:
         raise ValidationError(f"{lam_arg}: {e}") from None
     return fields, {"lambda_file": lam_arg, "lambda_digest": _sha256_file(lam_arg)}

@@ -11,11 +11,18 @@ from .errors import ValidationError
 MIX_CONSTANT = 4.0
 
 
+def check_int(name: str, x, lo: int = 1, hi: int | None = None, span: str = ">= 1") -> None:
+    """The one integer rule for a run's counts and seed: raise ValidationError
+    unless x is an integer (numpy's too; a bool is not one) in [lo, hi)."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Integral) or x < lo
+            or (hi is not None and x >= hi)):
+        raise ValidationError(f"{name} must be an integer {span}, got {x!r}")
+
+
 def check_seed(seed) -> None:
     """Raise ValidationError unless seed is an integer in [0, 2^64), the width of
     every stream key (a seed outside it would replay one inside)."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
-        raise ValidationError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    check_int("seed", seed, 0, 1 << 64, "in [0, 2^64)")
 
 
 @dataclass(frozen=True)  # so its checks hold for its life
@@ -27,8 +34,8 @@ class ChainConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValidationError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if self.step_override is not None and self.step_override < 1:
-            raise ValidationError("step_override must be >= 1")
+        if self.step_override is not None:
+            check_int("step_override", self.step_override)
         check_seed(self.seed)
 
     def steps(self, n: int) -> int:

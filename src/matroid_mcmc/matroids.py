@@ -33,6 +33,15 @@ from .errors import ContractError, UnsupportedOperationError, ValidationError
 EXPLICIT_MAX_N = 24
 _AUTO_NAIVE_MAX_VERTICES = 32
 
+
+class FieldRuleError(ValidationError):
+    """Weight `index` of a Fields vector is not finite and > 0."""
+
+    def __init__(self, index: int, x: float):
+        super().__init__(f"lambda[{index}] must be finite and > 0, got {x}")
+        self.index = index
+
+
 class Fields:
     """External fields: one positive weight per ground-set element."""
 
@@ -44,7 +53,7 @@ class Fields:
             raise ValidationError("fields vector must be nonempty")
         for i, x in enumerate(lam):
             if not (x > 0 and math.isfinite(x)):
-                raise ValidationError(f"lambda[{i}] must be finite and > 0, got {x}")
+                raise FieldRuleError(i, x)
         self.lam = lam
 
     def require_size(self, n: int) -> None:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .config import ChainConfig, StepStats
-from .errors import ValidationError
+from .config import ChainConfig, StepStats, check_int
 from .matroids import Fields, MatroidSpec, set_bits
 from .polarized import PolarizedChain
 from .random_cluster import RandomClusterChain
@@ -40,8 +39,7 @@ def _sample(run_batch, make_chain, spec: MatroidSpec, law: tuple, cfg: ChainConf
     cfg, count), or one sequential make_chain(spec, *law, cfg_i) per sample,
     chain i keyed derive_seed(cfg.seed, i).  Returns (samples, stats), the samples
     as sorted index lists in chain-index order."""
-    if count < 1:
-        raise ValidationError("count must be >= 1")
+    check_int("count", count)
     if execution_path(spec.n) == "vectorized":
         masks, stats = run_batch(spec, *law, cfg, count)
         return _as_lists(masks), stats

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ChainConfig, StepStats, debug_asserts_enabled
+from .config import ChainConfig, StepStats, check_int, debug_asserts_enabled
 from .errors import SizeLimitError, ValidationError
 from .matroids import Fields, MatroidSpec, build_oracle, check_q, greedy_basis
 
@@ -230,6 +230,7 @@ def _run_lockstep(tables, cfg: ChainConfig, count: int, start: int):
     count whose per-chain arrays cannot be allocated is a ValidationError
     naming it.
     """
+    check_int("count", count)
     prob, alias, accepted, rej = tables
     n = len(accepted).bit_length() - 1
     width = n + 1

@@ -2,18 +2,17 @@
 
 An implicit complete binary tree (flat segment-tree layout) keeps per-element
 weights and subtree sums, so setting a weight and drawing an element
-proportional to its weight are both O(log n).  The running total is maintained
-incrementally and therefore subject to floating-point drift; subtree sums are
-rebuilt exactly every REBUILD_EVERY mutations, which keeps the drift far below
-the 1e-9 relative bound the chains rely on.
+proportional to its weight are both O(log n).  `set` recomputes each sum on
+the leaf's path from its two children; float addition is commutative, so the
+tree always equals, bit for bit, a fresh build from the current weights.
+Nothing drifts, a subtree of zero weights sums to exactly 0, and a light
+weight keeps its mass when a heavy one (λ up to 1e300) leaves beside it.
 """
 from __future__ import annotations
 
 import math
 
 from .errors import EmptySelectionError, ValidationError
-
-REBUILD_EVERY = 1 << 20
 
 
 class WeightedIndex:
@@ -23,8 +22,7 @@ class WeightedIndex:
     u in (0, total].
     """
 
-    __slots__ = ("n", "weight", "total", "active_count", "_tree", "_size",
-                 "_updates")
+    __slots__ = ("n", "weight", "total", "active_count", "_tree", "_size")
 
     def __init__(self, weights):
         ws = [float(x) for x in weights]
@@ -40,14 +38,9 @@ class WeightedIndex:
         self._size = size
         self.weight = ws
         self.active_count = sum(1 for x in ws if x != 0.0)
-        self._updates = 0
-        self._build()
-
-    def _build(self) -> None:
         # tree[1] is the root holding the full sum; children of k are 2k, 2k+1
-        size = self._size
         tree = [0.0] * (2 * size)
-        tree[size:size + self.n] = self.weight
+        tree[size:size + self.n] = ws
         for k in range(size - 1, 0, -1):
             tree[k] = tree[2 * k] + tree[2 * k + 1]
         self._tree = tree
@@ -66,58 +59,40 @@ class WeightedIndex:
         elif old != 0.0 and x == 0.0:
             self.active_count -= 1
         self.weight[i] = x
-        delta = x - old
         tree = self._tree
         k = self._size + i
-        while k:
-            tree[k] += delta
+        tree[k] = x
+        # each ancestor is the sum of its children; x carries the running sum
+        while k > 1:
+            x += tree[k ^ 1]
             k >>= 1
-        self.total = tree[1]
-        self._updates += 1
-        if self._updates >= REBUILD_EVERY:
-            self.rebuild()
+            tree[k] = x
+        self.total = x
 
     def sample(self, u: float) -> int:
         """Element whose cumulative-weight interval contains u ∈ (0, total].
 
         Returns the smallest i with weight_{0..i} summing to >= u, so
         boundary ties resolve to the lower-indexed element and the draw is a
-        deterministic function of (weights, u).
+        deterministic function of (weights, u); u <= 0 counts as 5e-324.
         """
         tree = self._tree
         if tree[1] <= 0.0:
             raise EmptySelectionError("all weights are zero")
+        if u <= 0.0:
+            u = 5e-324
         k = 1
         size = self._size
-        x = u
         while k < size:
             k *= 2
             left = tree[k]
-            if x > left:
-                x -= left
+            if u > left:
+                u -= left
                 k += 1
-        i = k - size
-        if i >= self.n:  # u beyond the last cumulative sum: clamp
-            i = self.n - 1
-        if self.weight[i] == 0.0:  # float residue in a subtree of zero weights
-            return self._sample_exact(u)
-        return i
-
-    def _sample_exact(self, u: float) -> int:
-        """sample(u) by one pass over the weights, after an exact rebuild."""
-        self.rebuild()
-        if self.total <= 0.0:
-            raise EmptySelectionError("all weights are zero")
-        for i, w in enumerate(self.weight):
-            u -= w
-            if w and u <= 0.0:
-                return i
-        return max(i for i, w in enumerate(self.weight) if w)
-
-    def rebuild(self) -> None:
-        """Recompute all partial sums exactly from the stored weights."""
-        self._updates = 0
-        self._build()
+        # rounding can carry u past the last positive leaf: step back to it
+        while tree[k] == 0.0:
+            k -= 1
+        return k - size
 
 
 def _check_weight(i: int, x: float) -> None:

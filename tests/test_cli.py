@@ -477,6 +477,24 @@ def test_exit_2_on_short_lambda_file(tmp_path):
     assert f"{lam}: the fields vector has 2 weights; the ground set has 3 elements" \
         in r.stderr, r.stderr
 
+@pytest.mark.parametrize("text, message", [
+    ("1\n\n\nabc\n1\n1\n", ":4: not a number: 'abc'"),
+    ("1\n\n-1\n1\n", ":3: lambda[1] must be finite and > 0, got -1.0"),
+    ("\n \n\n", ": fields vector must be nonempty"),
+], ids=["not-a-number", "refused-by-fields", "all-blank"])
+def test_exit_2_names_the_lambda_file_and_its_physical_line(tmp_path, text, message):
+    """Every --lambda file error names the file, and a weight's error the
+    line it is on, counting blank lines too."""
+    spec = tmp_path / "u3.json"
+    spec.write_text(json.dumps({"variant": "uniform", "n": 3, "k": 1}))
+    lam = tmp_path / "gap.txt"
+    lam.write_text(text)
+    r = run_cli("sample", "--model", "independent", "--matroid", str(spec),
+                "--lambda", str(lam), "--num-samples", "4")
+    assert r.returncode == 2 and r.stdout == ""
+    assert f"{lam}{message}" in r.stderr, r.stderr
+
+
 @pytest.mark.parametrize("what,lam", [("mu", "1e308"), ("pi", "1e200")])
 def test_exit_2_on_overflowing_exact_total(tmp_path, what, lam):
     """The weights' total overflows a float: exit 2 naming it, not NaN or 0.0

@@ -38,6 +38,43 @@ def grid_with_diagonals(k, seed):
     return k * k, edges
 
 
+def thinned_triangulation(rnd):
+    """A k x k grid (2 <= k <= 6) with one random diagonal per square, cut to
+    a random spanning tree plus each other edge kept with one random
+    probability, its vertices relabelled by a random permutation."""
+    k = rnd.randint(2, 6)
+    edges = []
+    for r in range(k):
+        for c in range(k):
+            v = r * k + c
+            if c + 1 < k:
+                edges.append((v, v + 1))
+            if r + 1 < k:
+                edges.append((v, v + k))
+            if c + 1 < k and r + 1 < k:
+                edges.append((v, v + k + 1) if rnd.random() < 0.5 else (v + 1, v + k))
+    rnd.shuffle(edges)
+    parent = list(range(k * k))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    keep = rnd.random()
+    kept = []
+    for u, v in edges:  # Kruskal in a random order: a random spanning tree
+        a, b = find(u), find(v)
+        if a != b:
+            parent[a] = b
+            kept.append((u, v))
+        elif rnd.random() < keep:
+            kept.append((u, v))
+    label = list(range(k * k))
+    rnd.shuffle(label)
+    return k * k, [(label[u], label[v]) for u, v in kept]
+
+
 def wheel(k):
     """A hub (vertex k) joined to every vertex of the cycle 0..k-1."""
     return k + 1, [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)]
@@ -355,6 +392,29 @@ def test_dual_oracle_matches_brute_force(variant, name, monkeypatch):
         assert oracle.is_independent() == ref.is_independent(cur), (name, step)
         most_extras = max(most_extras, len(oracle._extras))
     assert most_extras >= 2
+
+
+def test_dual_oracle_on_thinned_triangulations():
+    """Thinned, relabelled triangulated grids drive the LR test's back-edge
+    removal through branches the fixed graphs above do not: a conflict pair
+    with only a left interval, and a right interval emptied by the removal.
+    Each graph's dual forest oracle follows a random walk of inserts and
+    deletes in step with the brute-force rank."""
+    graphs, walk = random.Random(0), random.Random(1)
+    for g in range(30):
+        _, edges = thinned_triangulation(graphs)
+        spec = matroid_from_dict({"variant": "cographic", "edges": [list(e) for e in edges]})
+        oracle = ForestOracle(spec.n, spec.forest_graph)
+        ref = BruteMatroid(spec)
+        cur = 0
+        for step in range(300):
+            i = walk.randrange(spec.n)
+            if cur >> i & 1:
+                oracle.delete(i)
+            else:
+                oracle.insert(i)
+            cur ^= 1 << i
+            assert oracle.is_independent() == ref.is_independent(cur), (g, step)
 
 
 def test_dual_oracle_is_independence_only():

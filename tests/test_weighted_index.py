@@ -1,4 +1,4 @@
-"""WeightedIndex: exact totals, selection law, drift, and error contracts."""
+"""WeightedIndex: exact totals, selection law, no drift, and error contracts."""
 
 import math
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import matroid_mcmc.weighted_index as wi_mod
 from matroid_mcmc import EmptySelectionError, ValidationError, WeightedIndex
 
 
@@ -48,7 +47,7 @@ def test_sample_on_zero_total_raises():
 
 
 def test_residue_in_zeroed_subtree_never_selected():
-    # zeroing 0.1 and 0.2 by deltas leaves about 2.8e-17 in their subtree
+    # zeroing 0.1 and 0.2 by deltas would leave about 2.8e-17 in their subtree
     w = WeightedIndex([0.1, 0.2, 0.5])
     w.set(0, 0.0)
     w.set(1, 0.0)
@@ -56,15 +55,21 @@ def test_residue_in_zeroed_subtree_never_selected():
     w = WeightedIndex([0.1, 0.2])
     w.set(0, 0.0)
     w.set(1, 0.0)
-    assert w.total > 0.0  # the residue
+    assert w.total == 0.0  # no residue
     with pytest.raises(EmptySelectionError):
         w.sample(1e-18)
-    # at u = total the descent ends on the zeroed element 3; the retry must
-    # start from the caller's u, not from what the descent left of it
+    # u = total lands on element 2, the last positive one, not on the zeroed 3
     w = WeightedIndex([0.001, 0.1, 0.3, 0.1])
     w.set(1, 0.0)
     w.set(3, 0.0)
     assert w.sample(w.total) == 2
+
+
+def test_u_at_zero_takes_the_first_positive_weight():
+    # frac * total is 0.0 for a small enough frac and a subnormal total
+    w = WeightedIndex([0.0, 5e-324, 0.0, 1e-323])
+    assert 1e-9 * w.total == 0.0
+    assert w.sample(1e-9 * w.total) == 1 and w.sample(0.0) == 1
 
 
 def test_bad_weights_rejected():
@@ -162,18 +167,33 @@ def test_drift_after_1e6_updates():
         ref[int(i)] = x
     fresh = math.fsum(ref)
     assert abs(w.total - fresh) / fresh <= 1e-9
-    w.rebuild()
-    assert abs(w.total - math.fsum(ref)) / fresh <= 1e-12
+    assert w._tree == WeightedIndex(w.weight)._tree  # no drift at all
 
 
-def test_periodic_rebuild_triggers(monkeypatch):
-    monkeypatch.setattr(wi_mod, "REBUILD_EVERY", 64)
-    w = WeightedIndex([1.0] * 8)
-    for k in range(300):
-        w.set(k % 8, 1.0 + (k % 5) * 0.25)
-    total = w.total
-    w.rebuild()
-    assert w.total == total  # drift already cancelled by periodic rebuilds
+_WEIGHTS = st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_WEIGHTS, min_size=1, max_size=20),
+       st.lists(st.tuples(st.integers(min_value=0), _WEIGHTS), max_size=60))
+def test_sets_leave_the_tree_of_a_fresh_build(start, sets):
+    """After any sets, every subtree sum is bit for bit that of a fresh
+    build from the current weights: heavy weights leaving take nothing of
+    the light ones with them, and zeroed subtrees sum to exactly 0."""
+    w = WeightedIndex(start)
+    for i, x in sets:
+        w.set(i % w.n, x)
+    fresh = WeightedIndex(w.weight)
+    assert w._tree == fresh._tree
+    assert w.total == fresh.total == w._tree[1]
+    assert w.active_count == fresh.active_count
+
+
+def test_light_weight_survives_a_heavy_one_leaving():
+    w = WeightedIndex([1.0, 1e300])
+    w.set(1, 0.0)
+    assert w.total == 1.0
+    assert w.sample(0.5) == 0 and w.sample(1.0) == 0
 
 
 def test_determinism_same_u_same_element():
