@@ -11,10 +11,11 @@ non-negative ints not live already (`insert_edge(key, u, v)`, `delete_edge(key)`
   one int and ORs them over its subtree next to a vertex count; a splay step
   refreshes only the nodes it moves down.  The tours are cut as
   matroids.ForestOracle cuts its own: one split takes an arc out of its
-  tour, so a cut is two splits and a join.  Deleting a tree edge searches
-  the smaller half for a replacement, promoting inspected edges one level up so
-  each edge is inspected O(log n) times; insert/delete/query are O(log^2 n)
-  amortized; only a tree `skip` is cut, and relinked, to answer a query.
+  tour, so a cut is two splits and a join; a link still reroots both tours.
+  Deleting a tree edge searches the smaller half for a replacement, promoting
+  inspected edges one level up so each edge is inspected O(log n) times;
+  insert/delete/query are O(log^2 n) amortized; only a tree `skip` is cut,
+  and relinked, to answer a query.
 * ``naive`` — stores the edge multiset as per-vertex neighbour counts, so a
   mutation is O(1); `connected` grows a search from each endpoint, one
   vertex of each side in turn, and stops when the sides meet (joined) or

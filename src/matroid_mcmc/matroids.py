@@ -472,7 +472,9 @@ class CographicOracle(GraphicOracle):
 
 
 # ---------------------------------------------------------------------------
-# Euler-tour forest for ForestOracle: splay trees with no aggregates
+# Euler-tour forest for ForestOracle: splay trees with no aggregates.  A link
+# splices one rotated tour in at the other end; a cut joins the two parts
+# outside its arcs.  Each splays at most three times.
 # ---------------------------------------------------------------------------
 
 class _TourNode:
@@ -585,17 +587,8 @@ def _join(a: _TourNode | None, b: _TourNode | None) -> _TourNode | None:
     return a
 
 
-def _reroot(x: _TourNode) -> _TourNode:
-    """Rotate x's circular tour so it starts at x; returns the new root."""
-    _splay(x)
-    l = x.left
-    if l is None:
-        return x
-    l.parent = x.left = None
-    return _join(x, l)
-
-
 def _same_tree(a: _TourNode, b: _TourNode) -> bool:
+    """Whether a and b share a tour; if not, each is left at its splay root."""
     if a is b:
         return True
     _splay(a)
@@ -604,42 +597,24 @@ def _same_tree(a: _TourNode, b: _TourNode) -> bool:
     return a.parent is not None
 
 
-def _tour_link(u: _TourNode, v: _TourNode, arc: _TourNode, twin: _TourNode) -> None:
-    """Join the tours of u and v as  tour(u) + arc + tour(v) + twin."""
-    tu = _reroot(u)
-    tv = _reroot(v)
-    arc.left = tu
-    tu.parent = arc
-    arc.right = tv
-    tv.parent = arc
+def _link(a: _TourNode, b: _TourNode) -> tuple[_TourNode, _TourNode]:
+    """Join the tours of a and b, both splay roots (as _same_tree leaves
+    them), by a new edge; returns its two arcs.  One splay at most."""
+    l = b.left
+    if l is not None:
+        l.parent = b.left = None
+        b = _join(b, l)
+    arc, twin = _TourNode(), _TourNode()
+    arc.right = b
+    b.parent = arc
+    r = twin.right = a.right
+    if r is not None:
+        r.parent = twin
     twin.left = arc
     arc.parent = twin
-
-
-def _split(x: _TourNode) -> tuple[_TourNode | None, _TourNode | None]:
-    """Take x out of its tour; returns the roots of the parts before and after it."""
-    _splay(x)
-    l, r = x.left, x.right
-    x.left = x.right = None
-    if l is not None:
-        l.parent = None
-    if r is not None:
-        r.parent = None
-    return l, r
-
-
-def _tour_cut(arc: _TourNode, twin: _TourNode) -> None:
-    """Remove both arcs of a tree edge, splitting its tour in two: the part
-    strictly between the arcs (in circular order) and the rest."""
-    before, after = _split(arc)
-    r = twin  # is twin after arc?  Walk up: twin is splayed next anyway
-    while r.parent is not None:
-        r = r.parent
-    mid_l, mid_r = _split(twin)
-    if r is after:  # [before] arc [mid_l] twin [mid_r]: mid_l is one tree
-        _join(before, mid_r)
-    else:  # [mid_l] twin [mid_r] arc [after]: mid_r is one tree
-        _join(mid_l, after)
+    a.right = twin
+    twin.parent = a
+    return arc, twin
 
 
 def _tour_root(x: _TourNode) -> _TourNode:
@@ -678,7 +653,11 @@ class ForestOracle(_BaseOracle):
     delete cuts the tree edge, then relinks the first extra that now joins
     two trees, so the trees always span the components of S, with no
     replacement search.  The walk holds at most one extra, and only between
-    its insert and its delete.
+    its insert and its delete.  Linking nodes a and b rotates b's tour to
+    start at b and splices it in after a (L a R  becomes  L a arc tour(b)
+    twin R), so one side of an edge lies between its arcs.  A cut splays
+    arc, then twin in its part, and joins the two outer parts.  Each takes
+    at most three splays, the same-tree question's two included.
     """
 
     def __init__(self, n: int, ends: tuple[int, list[int]]):
@@ -692,16 +671,12 @@ class ForestOracle(_BaseOracle):
     def _ends(self, i: int) -> tuple[_TourNode, _TourNode]:
         return self._nodes[self._end[2 * i]], self._nodes[self._end[2 * i + 1]]
 
-    def _link(self, i: int, a: _TourNode, b: _TourNode) -> None:
-        arcs = self._arcs[i] = (_TourNode(), _TourNode())
-        _tour_link(a, b, *arcs)
-
     def _add(self, i: int) -> None:
         a, b = self._ends(i)
         if _same_tree(a, b):
             self._extras[i] = None
         else:
-            self._link(i, a, b)
+            self._arcs[i] = _link(a, b)
         if self._debug:
             self._check_invariants()
 
@@ -710,12 +685,32 @@ class ForestOracle(_BaseOracle):
         if arcs is None:
             del self._extras[i]
         else:
-            _tour_cut(*arcs)
+            # the tour is  l arc [p twin q]  or  [p twin q] arc r: the part
+            # between the arcs is one tree, the two outer parts the other
+            arc, twin = arcs
+            _splay(arc)
+            l, r = arc.left, arc.right
+            if l is not None:
+                l.parent = None
+            if r is not None:
+                r.parent = None
+            _splay(twin)
+            # twin was in l's part iff l is twin or now hangs below it
+            before = l is twin or l is not None and l.parent is not None
+            p, q = twin.left, twin.right
+            if p is not None:
+                p.parent = None
+            if q is not None:
+                q.parent = None
+            if before:
+                _join(p, r)
+            else:
+                _join(l, q)
             for j in self._extras:
                 a, b = self._ends(j)
                 if not _same_tree(a, b):
                     del self._extras[j]
-                    self._link(j, a, b)
+                    self._arcs[j] = _link(a, b)
                     break
         if self._debug:
             self._check_invariants()

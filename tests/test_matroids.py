@@ -18,10 +18,11 @@ from matroid_mcmc import (
     build_oracle,
     load_matroid,
     matroid_from_dict,
+    matroids,
 )
 from matroid_mcmc.exact import BruteMatroid, independent_masks
 from matroid_mcmc.matroids import (CONNECTED_GRAPH_RULE, CographicOracle, ForestOracle,
-                                   GraphicOracle, _same_tree)
+                                   GraphicOracle, _same_tree, _tour_root)
 
 from conftest import K4_EDGES, REPO_ROOT, TRIANGLE_EDGES, imported_names, spec_of
 from reference import is_matroid_family
@@ -551,43 +552,65 @@ def test_connectivity_wording_is_defined_once():
     assert raised == []
 
 
-def test_tour_forest_matches_union_find(monkeypatch):
-    """Mixed links, cuts and same-tree queries on 200 nodes, each checked
-    against a union-find of the live edges, with the structural check after
-    every operation.  An element is a path edge or a random chord, and only
-    one that joins two trees is inserted, so each insert is a link and each
-    delete a cut.  The path is linked first, in random order, into one tour
-    of 200 nodes and 398 arcs, so reroots start deep in long tours."""
-    monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
-    nodes = 200
-    rng = random.Random(41)
-    pairs = [(v, v + 1) for v in range(nodes - 1)]
-    pairs += [tuple(rng.sample(range(nodes), 2)) for _ in range(400)]
-    oracle = ForestOracle(len(pairs), (nodes, [x for e in pairs for x in e]))
-    assert oracle._debug
+def _union_find_roots(nodes, edges):
+    """Each node's union-find root over `edges` (pairs of nodes)."""
+    up = list(range(nodes))
 
-    def components():
-        """Each node's union-find root over the live edges, recomputed."""
-        up = list(range(nodes))
+    def find(x):
+        while up[x] != x:
+            up[x] = up[up[x]]
+            x = up[x]
+        return x
 
-        def find(x):
-            while up[x] != x:
-                up[x] = up[up[x]]
-                x = up[x]
-            return x
+    for a, b in edges:
+        up[find(a)] = find(b)
+    return [find(x) for x in range(nodes)]
 
-        for i in oracle.current:
-            a, b = pairs[i]
-            up[find(a)] = find(b)
-        return [find(x) for x in range(nodes)]
 
+def _in_order(root):
+    """The tour a splay tree holds: its in-order node sequence."""
+    seq, stack, x = [], [], root
+    while stack or x is not None:
+        while x is not None:
+            stack.append(x)
+            x = x.left
+        x = stack.pop()
+        seq.append(x)
+        x = x.right
+    return seq
+
+
+def _check_tour_order(oracle, pairs):
+    """Assert that between the two arcs of each tree edge, in its tour's
+    order, lie exactly the nodes of one side of that edge: one endpoint's
+    component over the other tree edges."""
+    number = {id(x): v for v, x in enumerate(oracle._nodes)}
+    tours = {id(r): _in_order(r) for r in map(_tour_root, oracle._nodes)}
+    where = {id(x): (t, k) for t, seq in tours.items() for k, x in enumerate(seq)}
+    for i, (arc, twin) in oracle._arcs.items():
+        (t, j), (t2, k) = where[id(arc)], where[id(twin)]
+        assert t == t2, i
+        j, k = sorted((j, k))
+        between = {number[id(x)] for x in tours[t][j + 1:k] if id(x) in number}
+        roots = _union_find_roots(len(oracle._nodes),
+                                  [pairs[e] for e in oracle._arcs if e != i])
+        sides = [{v for v, r in enumerate(roots) if r == roots[end]} for end in pairs[i]]
+        assert between in sides, i
+
+
+def _random_forest_walk(oracle, pairs, nodes, rng, steps, each=None):
+    """Link the path 0-1-...-(nodes-1) in random order, then run `steps`
+    random links, cuts and same-tree queries, each checked against a
+    union-find of the live edges; only an element that joins two trees is
+    inserted, so each insert is a link and each delete a cut.  Calls
+    each(step) after every operation; returns the count of each kind."""
     path = list(range(nodes - 1))
     rng.shuffle(path)
     for i in path:
         oracle.insert(i)
     done = {"link": 0, "cut": 0, "query": 0}
-    comp = components()
-    for step in range(4000):
+    comp = _union_find_roots(nodes, [pairs[i] for i in oracle.current])
+    for step in range(steps):
         op = rng.choice(["link", "cut", "query", "query"])
         if op == "link":
             joins = [i for i, (a, b) in enumerate(pairs)
@@ -605,10 +628,64 @@ def test_tour_forest_matches_union_find(monkeypatch):
             for a, b in ((rng.randrange(nodes), rng.randrange(nodes)), (v, v + nodes // 2)):
                 assert _same_tree(oracle._nodes[a], oracle._nodes[b]) == (comp[a] == comp[b]), \
                     (step, a, b)
-                oracle._check_invariants()
         done[op] += 1
-        # the structural check counts nodes - arcs trees; they are the components
-        comp = components()
+        comp = _union_find_roots(nodes, [pairs[i] for i in oracle.current])
         assert oracle.is_independent()
+        # the trees number nodes - arcs; they are the components
         assert len(oracle._arcs) == nodes - len(set(comp)), step
+        if each is not None:
+            each(step)
+    return done
+
+
+def _path_and_chords(nodes, rng):
+    pairs = [(v, v + 1) for v in range(nodes - 1)]
+    pairs += [tuple(rng.sample(range(nodes), 2)) for _ in range(2 * nodes)]
+    return pairs, ForestOracle(len(pairs), (nodes, [x for e in pairs for x in e]))
+
+
+def test_tour_forest_matches_union_find(monkeypatch):
+    """Mixed links, cuts and same-tree queries on 200 nodes, with the
+    structural check after every operation and the tour order checked every
+    100.  An element is a path edge or a random chord.  The path is linked
+    first, in random order, into one tour of 200 nodes and 398 arcs, so links
+    and cuts start deep in long tours."""
+    monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
+    rng = random.Random(41)
+    pairs, oracle = _path_and_chords(200, rng)
+    assert oracle._debug
+    _check_tour_order(oracle, pairs)
+
+    def each(step):
+        oracle._check_invariants()
+        if step % 100 == 0:
+            _check_tour_order(oracle, pairs)
+
+    done = _random_forest_walk(oracle, pairs, 200, rng, 4000, each)
     assert min(done.values()) >= 800, done
+    _check_tour_order(oracle, pairs)
+
+
+def test_links_and_cuts_splay_at_most_three_times(monkeypatch):
+    """A link splays both ends to their roots (the same-tree question) and
+    joins once; a cut splays its two arcs and joins the outer parts.  Counted
+    on every insert and delete of a random forest walk on 300 nodes."""
+    rng = random.Random(43)
+    pairs, oracle = _path_and_chords(300, rng)
+    splays = [0]
+    splay = matroids._splay
+
+    def counted(x):
+        splays[0] += 1
+        splay(x)
+
+    monkeypatch.setattr(matroids, "_splay", counted)
+    most = {"insert": 0, "delete": 0}
+    for name in most:
+        def measured(i, run=getattr(oracle, name), name=name):
+            before = splays[0]
+            run(i)
+            most[name] = max(most[name], splays[0] - before)
+        monkeypatch.setattr(oracle, name, measured)
+    _random_forest_walk(oracle, pairs, 300, rng, 3000)
+    assert 0 < most["insert"] <= 3 and 0 < most["delete"] <= 3, most
