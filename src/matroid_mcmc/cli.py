@@ -36,6 +36,7 @@ from .reliability import (
     log_rel_exact,
     parse_graph_file,
     rel_estimate,
+    surviving_edges,
 )
 from .sampling import execution_path, sample_independent_sets, sample_random_cluster
 
@@ -178,7 +179,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
 
     if args.model == "connected-spanning":  # the samples are failed edges: keep the rest
-        samples = [sorted(set(range(spec.n)) - set(s)) for s in samples]
+        samples = [surviving_edges(spec.n, s) for s in samples]
 
     out, close = _open_out(args.out)
     try:

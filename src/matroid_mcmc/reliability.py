@@ -111,11 +111,8 @@ def parse_graph_file(path: str) -> NetworkInstance:
     lines = read_text(path).splitlines()
     if not lines:
         raise ValidationError(f"{path}:1: empty file, expected 'n m' header")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValidationError(f"{path}:1: header must be two integers 'n m'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = map(int, lines[0].split())  # a wrong count fails to unpack
     except ValueError:
         raise ValidationError(f"{path}:1: header must be two integers 'n m'") from None
     try:
@@ -129,12 +126,9 @@ def parse_graph_file(path: str) -> NetworkInstance:
     for ln in range(1, 1 + m):
         if ln >= len(lines):
             raise ValidationError(f"{path}:{ln + 1}: expected {m} edge lines, file ended early")
-        parts = lines[ln].split()
-        if len(parts) != 3:
-            raise ValidationError(f"{path}:{ln + 1}: edge line must be 'u v p'")
         try:
-            u, v = int(parts[0]), int(parts[1])
-            pe = float(parts[2])
+            a, b, c = lines[ln].split()  # a wrong count fails to unpack
+            u, v, pe = int(a), int(b), float(c)
         except ValueError:
             raise ValidationError(f"{path}:{ln + 1}: edge line must be 'u v p'") from None
         edges.append((u, v))
@@ -176,8 +170,12 @@ def rel_sample(inst: NetworkInstance, eps: float, seed: int) -> list[int]:
 def rel_connected_subgraph(inst: NetworkInstance, eps: float,
                            seed: int) -> list[int]:
     """One approximate connected spanning subgraph (surviving edge indices)."""
-    failed = set(rel_sample(inst, eps, seed))
-    return [i for i in range(inst.m) if i not in failed]
+    return surviving_edges(inst.m, rel_sample(inst, eps, seed))
+
+
+def surviving_edges(m: int, failed) -> list[int]:
+    """The edges of 0..m-1 not in `failed`, ascending."""
+    return sorted(set(range(m)).difference(failed))
 
 
 def rel_exact(inst: NetworkInstance) -> float:

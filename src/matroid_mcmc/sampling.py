@@ -25,12 +25,13 @@ def execution_path(n: int) -> str:
     return "vectorized" if n <= VECTORIZED_MAX_N else "sequential"
 
 
-def _as_lists(masks) -> list[list[int]]:
+def _as_lists(masks: memoryview) -> list[list[int]]:
     """Each mask as a sorted index list; set_bits runs once per distinct mask
-    and every sample gets its own copy.  (np.unique would do the grouping too,
-    but its index arrays raise the batch's peak memory by about 1 MB.)"""
-    distinct = {m: set_bits(m) for m in set(map(int, masks))}
-    return [distinct[m].copy() for m in map(int, masks)]
+    and every sample gets its own copy.  The items of a memoryview are Python
+    ints, not numpy scalars; tolist() or np.unique would hold the batch again
+    and raise its peak memory (by about 0.3 MB and 1 MB at 16k chains)."""
+    distinct = {m: set_bits(m) for m in set(masks)}
+    return [distinct[m].copy() for m in masks]
 
 
 def _sample(run_batch, make_chain, spec: MatroidSpec, law: tuple, cfg: ChainConfig,
@@ -42,7 +43,7 @@ def _sample(run_batch, make_chain, spec: MatroidSpec, law: tuple, cfg: ChainConf
     check_int("count", count)
     if execution_path(spec.n) == "vectorized":
         masks, stats = run_batch(spec, *law, cfg, count)
-        return _as_lists(masks), stats
+        return _as_lists(memoryview(masks)), stats
     stats = StepStats()
     samples: list[list[int]] = []
     for i in range(count):

