@@ -9,9 +9,10 @@ non-negative ints not live already (`insert_edge(key, u, v)`, `delete_edge(key)`
   forest answering queries), and each forest is stored as Euler tours in
   splay trees with parent pointers.  A splay node packs its own flags into
   one int and ORs them over its subtree next to a vertex count; a splay step
-  refreshes only the nodes it moves down.  The tours are cut as
-  matroids.ForestOracle cuts its own: one split takes an arc out of its
-  tour, so a cut is two splits and a join; a link still reroots both tours.
+  refreshes only the nodes it moves down.  The tours are linked and cut as
+  matroids.ForestOracle links and cuts its own: a link rotates one end's
+  tour and splices it in after the other end, and a cut takes both arcs out
+  in place and joins the outer parts, at most three splays a forest each.
   Deleting a tree edge searches the smaller half for a replacement, promoting
   inspected edges one level up so each edge is inspected O(log n) times;
   insert/delete/query are O(log^2 n) amortized; only a tree `skip` is cut,
@@ -176,35 +177,21 @@ def _splay(x: _Node) -> _Node:
 
 
 def _join(a: _Node | None, b: _Node | None) -> _Node | None:
-    """Concatenate two tours (every position of a before b)."""
+    """Concatenate the tours rooted at a and b (a first); returns the new root."""
     if a is None:
         return b
-    if b is None:
-        return a
-    r = a
-    while r.right is not None:
-        r = r.right
-    _splay(r)
-    r.right = b
-    b.parent = r
-    _update(r)
-    return r
-
-
-def _split(x: _Node) -> tuple[_Node | None, _Node | None]:
-    """Take x out of its tour; returns the roots of the parts before and after
-    it.  x keeps its old aggregates: it is an arc, and is dropped."""
-    _splay(x)
-    l, r = x.left, x.right
-    x.left = x.right = None
-    if l is not None:
-        l.parent = None
-    if r is not None:
-        r.parent = None
-    return l, r
+    if b is not None:
+        while a.right is not None:
+            a = a.right
+        _splay(a)
+        a.right = b
+        b.parent = a
+        _update(a)
+    return a
 
 
 def _same_tree(a: _Node, b: _Node) -> bool:
+    """Whether a and b share a tour; if not, each is left at its splay root."""
     if a is b:
         return True
     _splay(a)
@@ -213,45 +200,53 @@ def _same_tree(a: _Node, b: _Node) -> bool:
     return a.parent is not None
 
 
-def _reroot(x: _Node) -> _Node:
-    """Rotate the circular tour so it starts at x; returns the tree root."""
-    _splay(x)
-    l = x.left
-    if l is None:
-        return x
-    l.parent = x.left = None
-    _update(x)
-    return _join(x, l)
+def _ett_link(nu: _Node, nv: _Node, a: _Node, b: _Node) -> None:
+    """Join the tours of nu and nv, both splay roots, by the arcs a and b:
+    v's tour is rotated to start at v (one join at most) and spliced in
+    after u, so  L u R  becomes  L u a tour(v) b R."""
+    l = nv.left
+    if l is not None:
+        l.parent = nv.left = None
+        _update(nv)
+        nv = _join(nv, l)
+    a.right = nv
+    nv.parent = a
+    _update(a)
+    r = b.right = nu.right
+    if r is not None:
+        r.parent = b
+    b.left = a
+    a.parent = b
+    _update(b)
+    nu.right = b
+    b.parent = nu
+    _update(nu)
 
 
-def _ett_link(nu: _Node, nv: _Node, arc_a: _Node, arc_b: _Node) -> None:
-    """Join the tours of nu and nv as  tour(u) + a + tour(v) + b."""
-    tu = _reroot(nu)
-    tv = _reroot(nv)
-    # a over both tours, b above a: the order is already right, no splay needed
-    arc_a.left = tu
-    tu.parent = arc_a
-    arc_a.right = tv
-    tv.parent = arc_a
-    _update(arc_a)
-    arc_b.left = arc_a
-    arc_a.parent = arc_b
-    _update(arc_b)
-
-
-def _ett_cut(arc_a: _Node, arc_b: _Node) -> None:
-    """Remove both arcs of a tree edge, splitting the tour in two: the part
-    strictly between the arcs (in circular order) and the rest.  Neither part
-    is ever empty: each holds at least one endpoint's vertex node."""
-    before, after = _split(arc_a)
-    r = arc_b  # is b after a?  Walk up: b is splayed next anyway
-    while r.parent is not None:
-        r = r.parent
-    mid_l, mid_r = _split(arc_b)
-    if r is after:  # [before] a [mid_l] b [mid_r]: mid_l is one tree
-        _join(before, mid_r)
-    else:  # [mid_l] b [mid_r] a [after]: mid_r is one tree
-        _join(mid_l, after)
+def _ett_cut(a: _Node, b: _Node) -> None:
+    """Remove both arcs of a tree edge in place, splitting the tour in two:
+    the part strictly between the arcs (in circular order) and the rest.
+    Neither part is ever empty: each holds one endpoint's vertex node."""
+    # the tour is  l a [p b q]  or  [p b q] a r: the part between the arcs
+    # is one tree, the two outer parts the other
+    _splay(a)
+    l, r = a.left, a.right
+    if l is not None:
+        l.parent = None
+    if r is not None:
+        r.parent = None
+    _splay(b)
+    # b was in l's part iff l is b or now hangs below it
+    before = l is b or l is not None and l.parent is not None
+    p, q = b.left, b.right
+    if p is not None:
+        p.parent = None
+    if q is not None:
+        q.parent = None
+    if before:
+        _join(p, r)
+    else:
+        _join(l, q)
 
 
 def _find_flagged(x: _Node, flag: int) -> _Node:
@@ -274,7 +269,7 @@ class _Edge:
         self.v = v
         self.level = 0
         self.tree = False
-        self.arcs: dict[int, tuple[_Node, _Node]] = {}
+        self.arcs: list[tuple[_Node, _Node]] = []  # forest j's pair at index j
 
 
 class _HdtBackend:
@@ -325,13 +320,14 @@ class _HdtBackend:
                 self._set_nt_flag(v, i, False)
 
     def _link_at(self, h: int, e: _Edge, j: int) -> None:
-        """Create e's arcs in forest j and link its endpoints there; the arc
-        is flagged TREE in e's own level."""
+        """Create e's arcs in forest j, the next level it has none in, and
+        link its endpoints there, splayed to their roots (free after
+        insert_edge's _same_tree); the arc is flagged TREE in e's own level."""
         self._ensure_level(j)
         a = _Node(edge=h, flags=TREE if j == e.level else 0)
         b = _Node(edge=h)
-        e.arcs[j] = (a, b)
-        _ett_link(self._vnode(e.u, j), self._vnode(e.v, j), a, b)
+        e.arcs.append((a, b))
+        _ett_link(_splay(self._vnode(e.u, j)), _splay(self._vnode(e.v, j)), a, b)
 
     # -- public ops ---------------------------------------------------------
 
@@ -365,8 +361,7 @@ class _HdtBackend:
 
     def _cut_tree_edge(self, e: _Edge) -> None:
         """Cut e from forests e.level..0, then search for a replacement top-down."""
-        for i in range(e.level, -1, -1):
-            a, b = e.arcs[i]
+        for a, b in reversed(e.arcs):
             _ett_cut(a, b)
         e.arcs.clear()
         for i in range(e.level, -1, -1):
@@ -484,8 +479,8 @@ class _HdtBackend:
                 assert not e.arcs and h in self._adj[e.level][e.u] \
                     and h in self._adj[e.level][e.v], h
                 continue
-            assert sorted(e.arcs) == list(range(e.level + 1)), (h, e.level)
-            for j, (a, b) in e.arcs.items():
+            assert len(e.arcs) == e.level + 1, (h, e.level)
+            for j, (a, b) in enumerate(e.arcs):
                 assert a.flags == (TREE if j == e.level else 0) and b.flags == 0, (h, j)
                 r = _root(a)
                 assert r is _root(b) is _root(self._vnodes[j][e.u]) \

@@ -186,12 +186,13 @@ def rel_exact(inst: NetworkInstance) -> float:
 def log_rel_exact(inst: NetworkInstance) -> float:
     """log of the exact reliability, summed in log space (-inf if disconnected).
 
-    Enumerates the failure sets that keep the graph connected, each once, by
-    extending a set only with edges above its largest one and pruning any
-    extension that disconnects (its supersets disconnect too), so no more
-    than 2^m sets are checked.  A set's log weight is Σ log p_e over its
-    edges plus Σ log(1 - p_e) over the rest; the weights are summed as
-    exp(w - top) against the largest w so far, so nothing underflows.
+    Enumerates the failure sets that keep the graph connected, each once, as
+    the table fill walks independent sets: a set tries, largest first, only
+    the edges above its largest one that its parent kept connected (if S + j
+    disconnects, so does every superset), so no more than 2^m sets are
+    checked.  A set's log weight is Σ log p_e over its edges plus
+    Σ log(1 - p_e) over the rest; the weights are summed as exp(w - top)
+    against the largest w so far, so nothing underflows.
     """
     if inst.m > REL_EXACT_MAX_EDGES:
         raise SizeLimitError(f"exact reliability enumerates 2^m subsets; m <= {REL_EXACT_MAX_EDGES}")
@@ -201,18 +202,21 @@ def log_rel_exact(inst: NetworkInstance) -> float:
     log_odds = [math.log(pe) - lk for pe, lk in zip(inst.p, log_keep)]
     top = -math.inf
     acc = 0.0  # Σ exp(w - top) over the sets so far
-    stack = [(0, 0, math.fsum(log_keep))]  # (failure mask, next edge, log weight)
+    # (failure mask, edges it may add, log weight)
+    stack = [(0, range(inst.m - 1, -1, -1), math.fsum(log_keep))]
     while stack:
-        mask, start, w = stack.pop()
+        mask, cands, w = stack.pop()
         if w > top:
             acc = acc * math.exp(top - w) + 1.0
             top = w
         else:
             acc += math.exp(w - top)
-        for i in range(start, inst.m):
+        kept: list[int] = []
+        for i in cands:
             sup = mask | 1 << i
             if inst.is_connected(sup):
-                stack.append((sup, i + 1, w + log_odds[i]))
+                stack.append((sup, tuple(kept), w + log_odds[i]))
+                kept.append(i)
     return top + math.log(acc)
 
 

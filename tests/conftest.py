@@ -34,6 +34,62 @@ def grid_edges(rows, cols):
     return edges
 
 
+def union_find_roots(nodes, edges):
+    """Each node's union-find root over `edges` (pairs of nodes)."""
+    up = list(range(nodes))
+
+    def find(x):
+        while up[x] != x:
+            up[x] = up[up[x]]
+            x = up[x]
+        return x
+
+    for a, b in edges:
+        up[find(a)] = find(b)
+    return [find(x) for x in range(nodes)]
+
+
+def _in_order(root):
+    """The tour a splay tree holds: its in-order node sequence."""
+    seq, stack, x = [], [], root
+    while stack or x is not None:
+        while x is not None:
+            stack.append(x)
+            x = x.left
+        x = stack.pop()
+        seq.append(x)
+        x = x.right
+    return seq
+
+
+def _splay_root(x):
+    while x.parent is not None:
+        x = x.parent
+    return x
+
+
+def check_tour_order(nodes, arcs, ends):
+    """Assert that between the two arcs of each tree edge, in its tour's
+    order, lie exactly the vertex nodes of one side of that edge: one
+    endpoint's component over the other tree edges.
+
+    `nodes` maps each vertex to its tour node, `arcs` each tree edge's key
+    to its two arc nodes, and `ends` the key to the edge's two vertices.
+    """
+    vertex = {id(x): v for v, x in nodes.items()}
+    tours = {id(r): _in_order(r) for r in map(_splay_root, nodes.values())}
+    where = {id(x): (t, k) for t, seq in tours.items() for k, x in enumerate(seq)}
+    size = max(nodes, default=-1) + 1
+    for i, (arc, twin) in arcs.items():
+        (t, j), (t2, k) = where[id(arc)], where[id(twin)]
+        assert t == t2, i
+        j, k = sorted((j, k))
+        between = {vertex[id(x)] for x in tours[t][j + 1:k] if id(x) in vertex}
+        roots = union_find_roots(size, [ends[e] for e in arcs if e != i])
+        sides = [{v for v in nodes if roots[v] == roots[end]} for end in ends[i]]
+        assert between in sides, i
+
+
 def imported_names(path):
     """Every module and name the imports of the source file `path` name; a
     relative one keeps its leading dots (`from .m import f` gives ".m" and

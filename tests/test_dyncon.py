@@ -6,9 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from matroid_mcmc import ContractError, ValidationError, dyn_graph
+from matroid_mcmc import ContractError, ValidationError, dyn_graph, dyncon
 
-from conftest import grid_edges
+from conftest import check_tour_order, grid_edges
 
 HDT_GROWTH_OPS = 40_000
 
@@ -359,46 +359,122 @@ def test_hdt_amortized_growth_bound():
         assert per_op[nv] / per_op[100] <= allowed, (per_op, nv, allowed)
 
 
-def test_differential_hdt_vs_naive_deep_levels(monkeypatch):
-    """Delete-heavy churn on a 16x16 grid with parallel edges and self-loops.
+def _grid_churn(graphs, rng, rows, rounds, each):
+    """Build the rows x rows grid in random order, with 24 parallel copies
+    and 6 self-loops, then tear it down by random deletes (one step in five
+    re-inserts a grid edge) until no edge is live; `rounds` times, on every
+    graph of `graphs`.  Calls each() after every insert and delete.
 
-    Tearing the grid down splits its trees again and again, promoting edges
-    to level 3 and beyond; HDT (with its invariant checker on after every
-    mutation) must answer exactly as the naive backend.
+    Tearing the grid down splits its trees again and again, promoting HDT
+    edges through several levels.
+    """
+    nv = rows * rows
+    base = grid_edges(rows, rows)
+    keys = itertools.count()
+
+    def insert(u, v):
+        h = next(keys)
+        for g in graphs:
+            g.insert_edge(h, u, v)
+        each()
+        return h
+
+    for _ in range(rounds):
+        edges = [base[k] for k in rng.permutation(len(base))]
+        edges += [base[k] for k in rng.integers(len(base), size=24)]  # parallel
+        edges += [(v, v) for v in rng.integers(nv, size=6)]  # self-loops
+        live = [insert(u, v) for u, v in edges]
+        while live:
+            if rng.random() < 0.8:  # delete
+                h = live.pop(int(rng.integers(len(live))))
+                for g in graphs:
+                    g.delete_edge(h)
+                each()
+            else:  # re-insert a grid edge, possibly parallel to a live one
+                live.append(insert(*base[int(rng.integers(len(base)))]))
+
+
+def test_differential_hdt_vs_naive_deep_levels(monkeypatch):
+    """Delete-heavy churn on a 16x16 grid with parallel edges and self-loops,
+    promoting edges to level 3 and beyond; HDT (with its invariant checker
+    on after every mutation) must answer exactly as the naive backend.
     """
     monkeypatch.setenv("MATROID_MCMC_DEBUG_ASSERTS", "1")
     nv = 256
     rng = np.random.default_rng(5)
-    base = grid_edges(16, 16)
     hdt = dyn_graph(nv, backend="hdt")
     naive = dyn_graph(nv, backend="naive")
     assert hdt._debug
-    for rnd in range(2):
-        edges = [base[k] for k in rng.permutation(len(base))]
-        edges += [base[k] for k in rng.integers(len(base), size=24)]  # parallel
-        edges += [(v, v) for v in rng.integers(nv, size=6)]  # self-loops
-        keys = itertools.count()
 
-        def insert(u, v):
-            h = next(keys)
-            hdt.insert_edge(h, u, v)
-            naive.insert_edge(h, u, v)
-            return h, (u, v)
+    def agree():
+        a, b = int(rng.integers(nv)), int(rng.integers(nv))
+        assert hdt.connected(a, b) == naive.connected(a, b), (a, b)
+        assert hdt.component_count() == naive.component_count()
 
-        live = [insert(u, v) for u, v in edges]
-        while live:
-            if rng.random() < 0.8:  # delete
-                h, _ = live.pop(int(rng.integers(len(live))))
-                hdt.delete_edge(h)
-                naive.delete_edge(h)
-            else:  # re-insert a grid edge, possibly parallel to a live one
-                u, v = base[int(rng.integers(len(base)))]
-                live.append(insert(u, v))
-            a, b = int(rng.integers(nv)), int(rng.integers(nv))
-            assert hdt.connected(a, b) == naive.connected(a, b), (rnd, a, b)
-            assert hdt.component_count() == naive.component_count(), rnd
+    _grid_churn((hdt, naive), rng, 16, 2, agree)
     # a forest exists at level i only once some edge was promoted to level i
     assert len(hdt._vnodes) - 1 >= 3
+
+
+def test_hdt_links_and_cuts_splay_at_most_three_times(monkeypatch):
+    """On a seeded 16x16 grid churn: a tree insert splays at most three
+    times, the same-tree question's two included, and so does every link
+    into one forest (an insert's, a promotion's or a replacement's) and
+    every cut out of one.  A splay of a node already at its root rotates
+    nothing and is not counted, so a link's own splays of the ends the
+    same-tree question left at their roots are free."""
+    g = dyn_graph(256, backend="hdt")
+    splays = [0]
+    splay = dyncon._splay
+
+    def counted(x):
+        if x.parent is not None:
+            splays[0] += 1
+        return splay(x)
+
+    monkeypatch.setattr(dyncon, "_splay", counted)
+    most = {"tree insert": 0, "link": 0, "cut": 0}
+    calls = dict.fromkeys(most, 0)
+
+    def measured(run, name):
+        def call(*args):
+            before = splays[0]
+            run(*args)
+            if name != "tree insert" or g._edges[args[0]].tree:
+                most[name] = max(most[name], splays[0] - before)
+                calls[name] += 1
+        return call
+
+    monkeypatch.setattr(g, "insert_edge", measured(g.insert_edge, "tree insert"))
+    monkeypatch.setattr(g, "_link_at", measured(g._link_at, "link"))
+    monkeypatch.setattr(dyncon, "_ett_cut", measured(dyncon._ett_cut, "cut"))
+    _grid_churn((g,), np.random.default_rng(11), 16, 1, lambda: None)
+    assert len(g._vnodes) - 1 >= 3
+    # promotions and replacements link beyond the inserts' own links
+    assert calls["link"] > calls["tree insert"] > 0 and calls["cut"] > 0, calls
+    assert all(0 < k <= 3 for k in most.values()), most
+
+
+def test_hdt_tour_order_at_every_level():
+    """Every 100 operations of a seeded 12x12 grid churn, in every forest F_j:
+    between a tree edge's two arcs lie exactly the vertex nodes of one side
+    of that edge in F_j."""
+    g = dyn_graph(144, backend="hdt")
+    steps = itertools.count(1)
+    checked = set()
+
+    def each():
+        if next(steps) % 100:
+            return
+        for j, nodes in enumerate(g._vnodes):
+            forest = {h: e for h, e in g._edges.items() if e.tree and e.level >= j}
+            check_tour_order(nodes, {h: e.arcs[j] for h, e in forest.items()},
+                             {h: (e.u, e.v) for h, e in forest.items()})
+            if forest:
+                checked.add(j)
+
+    _grid_churn((g,), np.random.default_rng(13), 12, 2, each)
+    assert len(checked) >= 3, checked
 
 
 def test_invariant_checker_catches_corrupt_aggregate(monkeypatch):

@@ -22,9 +22,10 @@ from matroid_mcmc import (
 )
 from matroid_mcmc.exact import BruteMatroid, independent_masks
 from matroid_mcmc.matroids import (CONNECTED_GRAPH_RULE, CographicOracle, ForestOracle,
-                                   GraphicOracle, _same_tree, _tour_root)
+                                   GraphicOracle, _same_tree)
 
-from conftest import K4_EDGES, REPO_ROOT, TRIANGLE_EDGES, imported_names, spec_of
+from conftest import (K4_EDGES, REPO_ROOT, TRIANGLE_EDGES, check_tour_order, imported_names,
+                      spec_of, union_find_roots)
 from reference import is_matroid_family
 
 
@@ -552,50 +553,8 @@ def test_connectivity_wording_is_defined_once():
     assert raised == []
 
 
-def _union_find_roots(nodes, edges):
-    """Each node's union-find root over `edges` (pairs of nodes)."""
-    up = list(range(nodes))
-
-    def find(x):
-        while up[x] != x:
-            up[x] = up[up[x]]
-            x = up[x]
-        return x
-
-    for a, b in edges:
-        up[find(a)] = find(b)
-    return [find(x) for x in range(nodes)]
-
-
-def _in_order(root):
-    """The tour a splay tree holds: its in-order node sequence."""
-    seq, stack, x = [], [], root
-    while stack or x is not None:
-        while x is not None:
-            stack.append(x)
-            x = x.left
-        x = stack.pop()
-        seq.append(x)
-        x = x.right
-    return seq
-
-
 def _check_tour_order(oracle, pairs):
-    """Assert that between the two arcs of each tree edge, in its tour's
-    order, lie exactly the nodes of one side of that edge: one endpoint's
-    component over the other tree edges."""
-    number = {id(x): v for v, x in enumerate(oracle._nodes)}
-    tours = {id(r): _in_order(r) for r in map(_tour_root, oracle._nodes)}
-    where = {id(x): (t, k) for t, seq in tours.items() for k, x in enumerate(seq)}
-    for i, (arc, twin) in oracle._arcs.items():
-        (t, j), (t2, k) = where[id(arc)], where[id(twin)]
-        assert t == t2, i
-        j, k = sorted((j, k))
-        between = {number[id(x)] for x in tours[t][j + 1:k] if id(x) in number}
-        roots = _union_find_roots(len(oracle._nodes),
-                                  [pairs[e] for e in oracle._arcs if e != i])
-        sides = [{v for v, r in enumerate(roots) if r == roots[end]} for end in pairs[i]]
-        assert between in sides, i
+    check_tour_order(dict(enumerate(oracle._nodes)), oracle._arcs, pairs)
 
 
 def _random_forest_walk(oracle, pairs, nodes, rng, steps, each=None):
@@ -609,7 +568,7 @@ def _random_forest_walk(oracle, pairs, nodes, rng, steps, each=None):
     for i in path:
         oracle.insert(i)
     done = {"link": 0, "cut": 0, "query": 0}
-    comp = _union_find_roots(nodes, [pairs[i] for i in oracle.current])
+    comp = union_find_roots(nodes, [pairs[i] for i in oracle.current])
     for step in range(steps):
         op = rng.choice(["link", "cut", "query", "query"])
         if op == "link":
@@ -629,7 +588,7 @@ def _random_forest_walk(oracle, pairs, nodes, rng, steps, each=None):
                 assert _same_tree(oracle._nodes[a], oracle._nodes[b]) == (comp[a] == comp[b]), \
                     (step, a, b)
         done[op] += 1
-        comp = _union_find_roots(nodes, [pairs[i] for i in oracle.current])
+        comp = union_find_roots(nodes, [pairs[i] for i in oracle.current])
         assert oracle.is_independent()
         # the trees number nodes - arcs; they are the components
         assert len(oracle._arcs) == nodes - len(set(comp)), step

@@ -27,7 +27,7 @@ from matroid_mcmc.matroids import CONNECTED_GRAPH_RULE
 from matroid_mcmc.sampling import sample_independent_sets
 from matroid_mcmc.vectorized import SmallTables
 
-from conftest import K4_EDGES, TRIANGLE_EDGES, masks_of
+from conftest import K4_EDGES, TRIANGLE_EDGES, grid_edges, masks_of
 from reference import empirical_distribution
 
 TRI = NetworkInstance(3, list(TRIANGLE_EDGES), 0.5)
@@ -176,6 +176,29 @@ def test_rel_exact_size_guard():
     edges = [(0, 1)] * 25
     with pytest.raises(SizeLimitError):
         rel_exact(NetworkInstance(2, edges, [0.5] * 25))
+
+
+def test_rel_exact_checks_only_what_subsets_kept_connected(monkeypatch):
+    """On the 2x5 grid (13 edges) the exact walk asks 798 connectivity
+    checks: one of the whole graph, and the table fill's 797 (one per
+    connected failure set but the empty one, and one per rejected edge).
+    The value matches a plain sum over all 2^13 failure sets."""
+    calls = [0]
+    check = NetworkInstance.is_connected
+
+    def counted(inst, failed_mask=0):
+        calls[0] += 1
+        return check(inst, failed_mask)
+
+    monkeypatch.setattr(NetworkInstance, "is_connected", counted)
+    p = [0.1 + 0.06 * i for i in range(13)]
+    inst = NetworkInstance(10, [tuple(e) for e in grid_edges(2, 5)], p)
+    z = rel_exact(inst)
+    assert calls[0] == 798
+    want = math.fsum(
+        math.prod(p[i] if mask >> i & 1 else 1 - p[i] for i in range(13))
+        for mask in range(1 << 13) if check(inst, mask))
+    assert z == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
