@@ -9,14 +9,15 @@ non-negative ints not live already (`insert_edge(key, u, v)`, `delete_edge(key)`
   forest answering queries), and each forest is stored as Euler tours in
   splay trees with parent pointers.  A splay node packs its own flags into
   one int and ORs them over its subtree next to a vertex count; a splay step
-  refreshes only the nodes it moves down.  The tours are linked and cut as
-  matroids.ForestOracle links and cuts its own: a link rotates one end's
-  tour and splices it in after the other end, and a cut takes both arcs out
-  in place and joins the outer parts, at most three splays a forest each.
-  Deleting a tree edge searches the smaller half for a replacement, promoting
-  inspected edges one level up so each edge is inspected O(log n) times;
-  insert/delete/query are O(log^2 n) amortized; only a tree `skip` is cut,
-  and relinked, to answer a query.
+  refreshes only the nodes it moves down.  The tours are the ones
+  matroids.ForestOracle keeps (tours.py): HDT passes its aggregate-refreshing
+  _splay and _join to the shared same-tree test and in-place cut, and its
+  own _ett_link splices as tours.link does; at most three splays a forest
+  each.  Deleting a tree edge searches the smaller half for a replacement,
+  promoting inspected edges one level up so each edge is inspected
+  O(log n) times; insert/delete/query are O(log^2 n) amortized.  Only a
+  tree `skip` is cut to answer a query: the replacement search's result is
+  the answer, and `skip` is relinked.
 * ``naive`` — stores the edge multiset as per-vertex neighbour counts, so a
   mutation is O(1); `connected` grows a search from each endpoint, one
   vertex of each side in turn, and stops when the sides meet (joined) or
@@ -24,19 +25,23 @@ non-negative ints not live already (`insert_edge(key, u, v)`, `delete_edge(key)`
   smaller side whatever the graph's size (Even & Shiloach's search, "An
   on-line edge-deletion problem", J. ACM 1981), and O(n + m) at worst; a
   parallel copy of `skip` answers at once, and `skip` itself is never
-  crossed.  `component_count` traverses the whole graph.  Used as the
-  differential-testing oracle and the scaling baseline.
+  crossed.  `component_count` traverses the whole graph.  Besides serving
+  as the differential-testing oracle and the scaling baseline, it is what
+  matroids.build_oracle's `auto` picks for a rank oracle, and for a
+  non-planar cographic spec, on up to 32 vertices (so the random-cluster
+  walk on a small graph runs on it).
 
 Both accept multigraphs; self-loops are stored but never affect connectivity.
 """
 from __future__ import annotations
 
+from . import tours
 from .config import debug_asserts_enabled
 from .errors import ContractError, ValidationError
 
 
 # ---------------------------------------------------------------------------
-# Splay-tree Euler tour machinery (hdt backend internals)
+# HDT's aggregated Euler-tour nodes (the tour steps they share are tours.py's)
 # ---------------------------------------------------------------------------
 
 NT = 1    # vertex node: the vertex has non-tree edges at this forest's level
@@ -190,16 +195,6 @@ def _join(a: _Node | None, b: _Node | None) -> _Node | None:
     return a
 
 
-def _same_tree(a: _Node, b: _Node) -> bool:
-    """Whether a and b share a tour; if not, each is left at its splay root."""
-    if a is b:
-        return True
-    _splay(a)
-    _splay(b)
-    # after splaying b, a can only have a parent if both live in one tree
-    return a.parent is not None
-
-
 def _ett_link(nu: _Node, nv: _Node, a: _Node, b: _Node) -> None:
     """Join the tours of nu and nv, both splay roots, by the arcs a and b:
     v's tour is rotated to start at v (one join at most) and spliced in
@@ -221,32 +216,6 @@ def _ett_link(nu: _Node, nv: _Node, a: _Node, b: _Node) -> None:
     nu.right = b
     b.parent = nu
     _update(nu)
-
-
-def _ett_cut(a: _Node, b: _Node) -> None:
-    """Remove both arcs of a tree edge in place, splitting the tour in two:
-    the part strictly between the arcs (in circular order) and the rest.
-    Neither part is ever empty: each holds one endpoint's vertex node."""
-    # the tour is  l a [p b q]  or  [p b q] a r: the part between the arcs
-    # is one tree, the two outer parts the other
-    _splay(a)
-    l, r = a.left, a.right
-    if l is not None:
-        l.parent = None
-    if r is not None:
-        r.parent = None
-    _splay(b)
-    # b was in l's part iff l is b or now hangs below it
-    before = l is b or l is not None and l.parent is not None
-    p, q = b.left, b.right
-    if p is not None:
-        p.parent = None
-    if q is not None:
-        q.parent = None
-    if before:
-        _join(p, r)
-    else:
-        _join(l, q)
 
 
 def _find_flagged(x: _Node, flag: int) -> _Node:
@@ -322,7 +291,7 @@ class _HdtBackend:
     def _link_at(self, h: int, e: _Edge, j: int) -> None:
         """Create e's arcs in forest j, the next level it has none in, and
         link its endpoints there, splayed to their roots (free after
-        insert_edge's _same_tree); the arc is flagged TREE in e's own level."""
+        insert_edge's same-tree test); the arc is flagged TREE in e's own level."""
         self._ensure_level(j)
         a = _Node(edge=h, flags=TREE if j == e.level else 0)
         b = _Node(edge=h)
@@ -338,7 +307,7 @@ class _HdtBackend:
         if self._edges.setdefault(key, e) is not e:
             raise ContractError(f"edge key {key} is already live")
         if u != v:  # a self-loop joins no forest and no adjacency set
-            if _same_tree(self._vnode(u, 0), self._vnode(v, 0)):
+            if tours.same_tree(self._vnode(u, 0), self._vnode(v, 0), _splay):
                 self._adj_add(key, e, 0)
             else:
                 e.tree = True
@@ -359,15 +328,17 @@ class _HdtBackend:
         if self._debug:
             self._check_invariants()
 
-    def _cut_tree_edge(self, e: _Edge) -> None:
-        """Cut e from forests e.level..0, then search for a replacement top-down."""
+    def _cut_tree_edge(self, e: _Edge) -> bool:
+        """Cut e from forests e.level..0, then search for a replacement
+        top-down; returns whether one was found: whether e's ends stay joined."""
         for a, b in reversed(e.arcs):
-            _ett_cut(a, b)
+            tours.cut(a, b, _splay, _join)
         e.arcs.clear()
         for i in range(e.level, -1, -1):
             if self._replace(e.u, e.v, i):
-                return
+                return True
         self._components += 1
+        return False
 
     def connected(self, u: int, v: int, skip: int | None = None) -> bool:
         _check_vertex(u, self.vertex_count)
@@ -376,12 +347,12 @@ class _HdtBackend:
             e = self._edges.get(skip)
             if e is None or (e.u, e.v) not in ((u, v), (v, u)):
                 raise ContractError(f"skip {skip} is not a live edge joining {u} and {v}")
-            if e.tree:
-                self.delete_edge(skip)
-                joined = self.connected(u, v)
+            if e.tree:  # the replacement search answers; then skip goes back
+                del self._edges[skip]
+                joined = self._cut_tree_edge(e)
                 self.insert_edge(skip, e.u, e.v)
                 return joined
-        return _same_tree(self._vnode(u, 0), self._vnode(v, 0))
+        return tours.same_tree(self._vnode(u, 0), self._vnode(v, 0), _splay)
 
     def component_count(self) -> int:
         return self._components
@@ -432,7 +403,7 @@ class _HdtBackend:
                 h2 = next(iter(s))
                 e2 = self._edges[h2]
                 y = e2.v if e2.u == x else e2.u
-                if _same_tree(self._vnode(y, i), anchor):
+                if tours.same_tree(self._vnode(y, i), anchor, _splay):
                     # both endpoints inside the half: promote one level up
                     self._adj_remove(h2, e2, i)
                     e2.level = i + 1
@@ -451,27 +422,24 @@ class _HdtBackend:
     def _check_invariants(self) -> None:
         """Assert the HDT invariants; O(splay nodes), run after each mutation.
 
-        Every splay node's aggregates match its children; a level-i tree has
-        at most n/2^i vertices; F_{i+1} ⊆ F_i (a level-l tree edge has arcs in
-        forests 0..l, in its endpoints' trees, and only the level-l arc is
-        flagged TREE); NT flags match the non-tree adjacency.
+        Each forest is a forest of tours (tours.check) whose splay nodes'
+        aggregates match their children; a level-i tree has at most n/2^i
+        vertices; F_{i+1} ⊆ F_i (a level-l tree edge has arcs in forests
+        0..l, in its endpoints' trees, and only the level-l arc is flagged
+        TREE); NT flags match the non-tree adjacency.
         """
         n = self.vertex_count
-        tree_edges = [e for e in self._edges.values() if e.tree]
+        tree_edges = {h: e for h, e in self._edges.items() if e.tree}
         assert self._components == n - len(tree_edges)
         for i, vnodes in enumerate(self._vnodes):
             adj = self._adj[i]
-            roots = {}
             for v, nd in vnodes.items():
                 assert nd.vertex == v and nd.flags == (NT if adj.get(v) else 0), (i, v)
-                r = _root(nd)
-                roots[id(r)] = r
-            nodes = 0
-            for r in roots.values():
+            forest = {h: (*e.arcs[i], vnodes[e.u], vnodes[e.v])
+                      for h, e in tree_edges.items() if e.level >= i}
+            for r in tours.check(vnodes.values(), forest):
                 assert r.cnt_v << i <= n, (i, r.cnt_v, n)
-                nodes += _check_subtree(r)
-            arcs = sum(2 for e in tree_edges if e.level >= i)
-            assert nodes == len(vnodes) + arcs, (i, nodes, len(vnodes), arcs)
+                _check_aggregates(r)
         for h, e in self._edges.items():
             if e.u == e.v:
                 continue
@@ -482,35 +450,22 @@ class _HdtBackend:
             assert len(e.arcs) == e.level + 1, (h, e.level)
             for j, (a, b) in enumerate(e.arcs):
                 assert a.flags == (TREE if j == e.level else 0) and b.flags == 0, (h, j)
-                r = _root(a)
-                assert r is _root(b) is _root(self._vnodes[j][e.u]) \
-                    is _root(self._vnodes[j][e.v]), (h, j)
 
 
-def _root(x: _Node) -> _Node:
-    while x.parent is not None:
-        x = x.parent
-    return x
-
-
-def _check_subtree(root: _Node) -> int:
-    """Assert child links and aggregates under `root`; returns its node count."""
-    count = 0
+def _check_aggregates(root: _Node) -> None:
+    """Assert every node's own count and aggregates under `root`."""
     stack = [root]
     while stack:
         x = stack.pop()
-        count += 1
         c = 1 if x.vertex >= 0 else 0
         assert x.own == c and (x.vertex >= 0) != (x.edge >= 0)
         a = x.flags
         for ch in (x.left, x.right):
             if ch is not None:
-                assert ch.parent is x
                 c += ch.cnt_v
                 a |= ch.agg
                 stack.append(ch)
         assert x.cnt_v == c and x.agg == a, (x.vertex, x.edge, x.cnt_v, c, x.agg, a)
-    return count
 
 
 class _NaiveBackend:

@@ -11,8 +11,9 @@ keeps S in a naive or HDT dynamic graph, each edge (self-loops too) keyed by
 its element; CographicOracle swaps its hooks, so that graph holds E \\ S.
 ForestOracle answers independence only: it keeps S as a spanning forest of
 its edges, or of their plane dual for cographic independence on a planar
-graph, in Euler-tour splay trees of its own: they keep no aggregates, so its
-debug check is structural.  A spec builds that forest's graph at most once
+graph, in the plain Euler-tour forest of tours.py, which keeps no
+aggregates, so its debug check is structural; this module holds specs and
+oracles only.  A spec builds that forest's graph at most once
 (MatroidSpec.forest_graph).  build_oracle says which oracle answers which
 question.  The others use counters, table lookup, or GF(2) elimination at
 desk scale.  greedy_basis is the one index-order greedy basis, found with
@@ -22,10 +23,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import planar
+from . import planar, tours
 from .config import debug_asserts_enabled
 from .dyncon import dyn_graph
 from .errors import ContractError, UnsupportedOperationError, ValidationError
@@ -306,7 +308,8 @@ class _BaseOracle:
     """The oracle contract, shared by every variant.
 
     insert(i) adds an element of [0, n) that is not in `current`; delete(i)
-    removes one that is.  Called on any other element, either raises
+    removes one that is.  An element is an integer (numpy's too; a bool or
+    a float is none).  Called on any other element, either raises
     ContractError and changes nothing.  Each then calls its hook, _add(i) or
     _remove(i) (no-ops here), for the variant's own state.  Queries leave
     `current` as it was; is_independent defaults to rank() == |current|,
@@ -319,6 +322,8 @@ class _BaseOracle:
         self.current: set[int] = set()
 
     def insert(self, i: int) -> None:
+        if type(i) is not int and (isinstance(i, bool) or not isinstance(i, numbers.Integral)):
+            raise ContractError(f"element {i!r} is not an integer")
         if not 0 <= i < self.n:
             raise ContractError(f"element {i} outside ground set [0, {self.n})")
         if i in self.current:
@@ -471,173 +476,6 @@ class CographicOracle(GraphicOracle):
         return u == v or self._g.connected(u, v)
 
 
-# ---------------------------------------------------------------------------
-# Euler-tour forest for ForestOracle: splay trees with no aggregates.  A link
-# splices one rotated tour in at the other end; a cut joins the two parts
-# outside its arcs.  Each splays at most three times.
-# ---------------------------------------------------------------------------
-
-class _TourNode:
-    """One Euler-tour position: a vertex, or one of the two arcs of a tree edge.
-
-    A tour is the in-order sequence of a splay tree.  Nothing is summed over
-    a subtree, so a node is only its links.
-    """
-
-    __slots__ = ("parent", "left", "right")
-
-    def __init__(self):
-        self.parent = self.left = self.right = None
-
-
-def _splay(x: _TourNode) -> None:
-    """Move x to the root of its splay tree (Sleator & Tarjan), relinking each
-    zig, zig-zig or zig-zag step in place."""
-    p = x.parent
-    while p is not None:
-        g = p.parent
-        if g is None:  # zig
-            if p.left is x:
-                b = x.right
-                p.left = b
-                x.right = p
-            else:
-                b = x.left
-                p.right = b
-                x.left = p
-            if b is not None:
-                b.parent = p
-            p.parent = x
-            x.parent = None
-            return
-        gg = g.parent
-        if g.left is p:
-            if p.left is x:  # zig-zig: x(A, p(B, g(C, D)))
-                c = p.right
-                g.left = c
-                if c is not None:
-                    c.parent = g
-                b = x.right
-                p.left = b
-                if b is not None:
-                    b.parent = p
-                p.right = g
-                g.parent = p
-                x.right = p
-                p.parent = x
-            else:  # zig-zag: x(p(A, B), g(C, D))
-                b = x.left
-                c = x.right
-                p.right = b
-                if b is not None:
-                    b.parent = p
-                g.left = c
-                if c is not None:
-                    c.parent = g
-                x.left = p
-                p.parent = x
-                x.right = g
-                g.parent = x
-        else:
-            if p.right is x:  # zig-zig, mirrored
-                c = p.left
-                g.right = c
-                if c is not None:
-                    c.parent = g
-                b = x.left
-                p.right = b
-                if b is not None:
-                    b.parent = p
-                p.left = g
-                g.parent = p
-                x.left = p
-                p.parent = x
-            else:  # zig-zag, mirrored
-                b = x.right
-                c = x.left
-                p.left = b
-                if b is not None:
-                    b.parent = p
-                g.right = c
-                if c is not None:
-                    c.parent = g
-                x.right = p
-                p.parent = x
-                x.left = g
-                g.parent = x
-        x.parent = gg
-        if gg is not None:
-            if gg.left is g:
-                gg.left = x
-            else:
-                gg.right = x
-        p = gg
-
-
-def _join(a: _TourNode | None, b: _TourNode | None) -> _TourNode | None:
-    """Concatenate the tours rooted at a and b (a first); returns the new root."""
-    if a is None:
-        return b
-    if b is not None:
-        while a.right is not None:
-            a = a.right
-        _splay(a)
-        a.right = b
-        b.parent = a
-    return a
-
-
-def _same_tree(a: _TourNode, b: _TourNode) -> bool:
-    """Whether a and b share a tour; if not, each is left at its splay root."""
-    if a is b:
-        return True
-    _splay(a)
-    _splay(b)
-    # after splaying b, a can only have a parent if both live in one tree
-    return a.parent is not None
-
-
-def _link(a: _TourNode, b: _TourNode) -> tuple[_TourNode, _TourNode]:
-    """Join the tours of a and b, both splay roots (as _same_tree leaves
-    them), by a new edge; returns its two arcs.  One splay at most."""
-    l = b.left
-    if l is not None:
-        l.parent = b.left = None
-        b = _join(b, l)
-    arc, twin = _TourNode(), _TourNode()
-    arc.right = b
-    b.parent = arc
-    r = twin.right = a.right
-    if r is not None:
-        r.parent = twin
-    twin.left = arc
-    arc.parent = twin
-    a.right = twin
-    twin.parent = a
-    return arc, twin
-
-
-def _tour_root(x: _TourNode) -> _TourNode:
-    while x.parent is not None:
-        x = x.parent
-    return x
-
-
-def _tour_size(root: _TourNode) -> int:
-    """Assert that every child under `root` links back to its parent; returns
-    the node count."""
-    count = 0
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        count += 1
-        for ch in (x.left, x.right):
-            if ch is not None:
-                assert ch.parent is x
-                stack.append(ch)
-    return count
-
-
 class ForestOracle(_BaseOracle):
     """Independence oracle: a spanning forest over `ends`, with no levels.
 
@@ -646,37 +484,33 @@ class ForestOracle(_BaseOracle):
     For a graphic spec the ends are the primal graph's; for a cographic spec
     on a connected plane graph they are the plane dual's (spec.forest_graph),
     since by Whitney duality M*(G) = M(G*).  Each node is a vertex of a
-    forest of Euler tours (the splay trees above, which keep no aggregates).
-    Its tree edges are the elements of S except the "extras": elements whose
-    two nodes were already joined when they came in (a self-loop, or a copy
-    of a tree edge, is always one).  S is independent iff there is no extra.
-    delete cuts the tree edge, then relinks the first extra that now joins
-    two trees, so the trees always span the components of S, with no
-    replacement search.  The walk holds at most one extra, and only between
-    its insert and its delete.  Linking nodes a and b rotates b's tour to
-    start at b and splices it in after a (L a R  becomes  L a arc tour(b)
-    twin R), so one side of an edge lies between its arcs.  A cut splays
-    arc, then twin in its part, and joins the two outer parts.  Each takes
-    at most three splays, the same-tree question's two included.
+    forest of Euler tours (tours.py, whose plain splay trees keep no
+    aggregates).  Its tree edges are the elements of S except the "extras":
+    elements whose two nodes were already joined when they came in (a
+    self-loop, or a copy of a tree edge, is always one).  S is independent
+    iff there is no extra.  delete cuts the tree edge, then relinks the first
+    extra that now joins two trees, so the trees always span the components
+    of S, with no replacement search.  The walk holds at most one extra, and
+    only between its insert and its delete.
     """
 
     def __init__(self, n: int, ends: tuple[int, list[int]]):
         super().__init__(n)
         nodes, self._end = ends
-        self._nodes = [_TourNode() for _ in range(nodes)]
-        self._arcs: dict[int, tuple[_TourNode, _TourNode]] = {}
+        self._nodes = [tours.Node() for _ in range(nodes)]
+        self._arcs: dict[int, tuple[tours.Node, tours.Node]] = {}
         self._extras: dict[int, None] = {}  # an insertion-ordered set
         self._debug = debug_asserts_enabled()
 
-    def _ends(self, i: int) -> tuple[_TourNode, _TourNode]:
+    def _ends(self, i: int) -> tuple[tours.Node, tours.Node]:
         return self._nodes[self._end[2 * i]], self._nodes[self._end[2 * i + 1]]
 
     def _add(self, i: int) -> None:
         a, b = self._ends(i)
-        if _same_tree(a, b):
+        if tours.same_tree(a, b, tours.splay):
             self._extras[i] = None
         else:
-            self._arcs[i] = _link(a, b)
+            self._arcs[i] = tours.link(a, b)
         if self._debug:
             self._check_invariants()
 
@@ -685,32 +519,13 @@ class ForestOracle(_BaseOracle):
         if arcs is None:
             del self._extras[i]
         else:
-            # the tour is  l arc [p twin q]  or  [p twin q] arc r: the part
-            # between the arcs is one tree, the two outer parts the other
             arc, twin = arcs
-            _splay(arc)
-            l, r = arc.left, arc.right
-            if l is not None:
-                l.parent = None
-            if r is not None:
-                r.parent = None
-            _splay(twin)
-            # twin was in l's part iff l is twin or now hangs below it
-            before = l is twin or l is not None and l.parent is not None
-            p, q = twin.left, twin.right
-            if p is not None:
-                p.parent = None
-            if q is not None:
-                q.parent = None
-            if before:
-                _join(p, r)
-            else:
-                _join(l, q)
+            tours.cut(arc, twin, tours.splay, tours.join)
             for j in self._extras:
                 a, b = self._ends(j)
-                if not _same_tree(a, b):
+                if not tours.same_tree(a, b, tours.splay):
                     del self._extras[j]
-                    self._arcs[j] = _link(a, b)
+                    self._arcs[j] = tours.link(a, b)
                     break
         if self._debug:
             self._check_invariants()
@@ -722,23 +537,17 @@ class ForestOracle(_BaseOracle):
         """Assert the forest's structure (MATROID_MCMC_DEBUG_ASSERTS=1); O(nodes
         + |S|), run after each mutation.
 
-        Every child links back to its parent; the tree arcs are exactly the
-        non-extra elements of S, each pair in the tree of its two nodes; the
-        trees number nodes - arcs and hold nodes + 2 arcs positions; each
-        extra's two nodes lie in one tree.
+        The tree arcs are exactly the non-extra elements of S and form a
+        forest of tours over the nodes (tours.check); each extra's two nodes
+        lie in one tree.
         """
-        arcs, extras, nodes = self._arcs, self._extras, self._nodes
+        arcs, extras = self._arcs, self._extras
         assert arcs.keys() | extras.keys() == self.current \
             and not arcs.keys() & extras.keys()
-        roots = {id(r): r for r in map(_tour_root, nodes)}
-        assert len(roots) == len(nodes) - len(arcs), (len(roots), len(nodes), len(arcs))
-        assert sum(map(_tour_size, roots.values())) == len(nodes) + 2 * len(arcs)
-        for i, (p, q) in arcs.items():
-            a, b = self._ends(i)
-            assert _tour_root(p) is _tour_root(q) is _tour_root(a) is _tour_root(b), i
+        tours.check(self._nodes, {i: (*p, *self._ends(i)) for i, p in arcs.items()})
         for j in extras:
             a, b = self._ends(j)
-            assert _tour_root(a) is _tour_root(b), j
+            assert tours.root(a) is tours.root(b), j
 
 
 class BinaryLinearOracle(_BaseOracle):

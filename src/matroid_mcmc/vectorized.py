@@ -287,10 +287,8 @@ def _run_lockstep(tables, cfg: ChainConfig, count: int, start: int):
 
 
 def _check_start(mask: int, n: int) -> int:
-    mask = int(mask)
-    if not 0 <= mask < 1 << n:
-        raise ValidationError(f"initial mask must lie in [0, 2^{n}), got {mask}")
-    return mask
+    check_int("initial mask", mask, 0, 1 << n, f"in [0, 2^{n})")
+    return int(mask)
 
 
 def run_polarized_batch(spec: MatroidSpec, fields: Fields, cfg: ChainConfig,

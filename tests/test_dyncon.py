@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from matroid_mcmc import ContractError, ValidationError, dyn_graph, dyncon
+from matroid_mcmc import ContractError, ValidationError, dyn_graph, dyncon, tours
 
 from conftest import check_tour_order, grid_edges
 
@@ -140,6 +140,29 @@ def test_skip_contract(backend):
     with pytest.raises(ContractError):
         g.connected(0, 1, 5)  # never inserted
     assert not g.connected(1, 0, 0)  # either orientation of the ends
+
+
+def test_hdt_tree_skip_asks_connected_once(monkeypatch):
+    """A bridge question on an HDT tree edge is answered by the replacement
+    search its cut runs: no second `connected` query, on a bridge or on an
+    edge with a replacement, and the tree edge is back afterwards."""
+    g = dyn_graph(4, backend="hdt")
+    for key, (u, v) in enumerate([(0, 1), (1, 2), (2, 0), (2, 3)]):
+        g.insert_edge(key, u, v)
+    asked = []
+    connected = g.connected
+
+    def counted(*args):
+        asked.append(args)
+        return connected(*args)
+
+    monkeypatch.setattr(g, "connected", counted)
+    for key, (u, v), joined in [(3, (2, 3), False), (0, (0, 1), True)]:
+        assert g._edges[key].tree
+        asked.clear()
+        assert g.connected(u, v, key) is joined
+        assert asked == [(u, v, key)]
+        assert g.component_count() == 1 and g.connected(u, v)
 
 
 def test_skip_differential_hdt_vs_naive(monkeypatch):
@@ -447,7 +470,7 @@ def test_hdt_links_and_cuts_splay_at_most_three_times(monkeypatch):
 
     monkeypatch.setattr(g, "insert_edge", measured(g.insert_edge, "tree insert"))
     monkeypatch.setattr(g, "_link_at", measured(g._link_at, "link"))
-    monkeypatch.setattr(dyncon, "_ett_cut", measured(dyncon._ett_cut, "cut"))
+    monkeypatch.setattr(tours, "cut", measured(tours.cut, "cut"))
     _grid_churn((g,), np.random.default_rng(11), 16, 1, lambda: None)
     assert len(g._vnodes) - 1 >= 3
     # promotions and replacements link beyond the inserts' own links

@@ -18,11 +18,11 @@ from matroid_mcmc import (
     build_oracle,
     load_matroid,
     matroid_from_dict,
-    matroids,
+    tours,
 )
 from matroid_mcmc.exact import BruteMatroid, independent_masks
 from matroid_mcmc.matroids import (CONNECTED_GRAPH_RULE, CographicOracle, ForestOracle,
-                                   GraphicOracle, _same_tree)
+                                   GraphicOracle)
 
 from conftest import (K4_EDGES, REPO_ROOT, TRIANGLE_EDGES, check_tour_order, imported_names,
                       spec_of, union_find_roots)
@@ -362,6 +362,7 @@ def test_duplicate_insert_and_absent_delete(name):
     indep = o.is_independent()
     assert indep == ref.is_independent(0b011)
     bad = [lambda: o.insert(-1), lambda: o.insert(spec.n), lambda: o.insert(1),
+           lambda: o.insert(2.0), lambda: o.insert("2"), lambda: o.insert(True),
            lambda: o.delete(2), lambda: o.rank_drops_on_delete(2)]
     for call in bad:
         with pytest.raises(ContractError):
@@ -373,6 +374,21 @@ def test_duplicate_insert_and_absent_delete(name):
     o.insert(2)
     assert o.is_independent() == ref.is_independent(0b101)
     assert o.rank() == ref.rank(0b101)
+
+
+@pytest.mark.parametrize("name", ["graphic", "uniform", "binary-linear"])
+def test_insert_rejects_a_non_integer_element(name):
+    """1.0 and "1" are no elements: the independence oracles' insert raises
+    ContractError before any state changes (a graphic one used to hold 1.0,
+    then fail in its hook; a uniform one took it).  A numpy integer is an
+    element."""
+    o = build_oracle(matroid_from_dict(CONTRACT_SPECS[name]))  # independence
+    for bad in (1.0, "1"):
+        with pytest.raises(ContractError, match="not an integer"):
+            o.insert(bad)
+        assert o.current == set()
+    o.insert(np.int64(1))
+    assert o.current == {1} and o.is_independent()
 
 
 @pytest.mark.parametrize("name", list(CONTRACT_SPECS))
@@ -585,8 +601,8 @@ def _random_forest_walk(oracle, pairs, nodes, rng, steps, each=None):
             # one random pair, and a pair far apart on the path
             v = rng.randrange(nodes // 2)
             for a, b in ((rng.randrange(nodes), rng.randrange(nodes)), (v, v + nodes // 2)):
-                assert _same_tree(oracle._nodes[a], oracle._nodes[b]) == (comp[a] == comp[b]), \
-                    (step, a, b)
+                same = tours.same_tree(oracle._nodes[a], oracle._nodes[b], tours.splay)
+                assert same == (comp[a] == comp[b]), (step, a, b)
         done[op] += 1
         comp = union_find_roots(nodes, [pairs[i] for i in oracle.current])
         assert oracle.is_independent()
@@ -632,13 +648,13 @@ def test_links_and_cuts_splay_at_most_three_times(monkeypatch):
     rng = random.Random(43)
     pairs, oracle = _path_and_chords(300, rng)
     splays = [0]
-    splay = matroids._splay
+    splay = tours.splay
 
     def counted(x):
         splays[0] += 1
         splay(x)
 
-    monkeypatch.setattr(matroids, "_splay", counted)
+    monkeypatch.setattr(tours, "splay", counted)
     most = {"insert": 0, "delete": 0}
     for name in most:
         def measured(i, run=getattr(oracle, name), name=name):

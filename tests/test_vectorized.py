@@ -336,7 +336,7 @@ def test_size_cap_enforced():
         run_polarized_batch(spec, ones(spec.n), ChainConfig(seed=0), count=4)
 
 
-@pytest.mark.parametrize("mask", [-1, 1 << 4])
+@pytest.mark.parametrize("mask", [-1, 1 << 4, 1.7, True, "3"])
 @pytest.mark.parametrize("runner", ["polarized", "rc"])
 def test_out_of_range_initial_mask_rejected(runner, mask):
     spec = spec_of({"variant": "uniform", "n": 4, "k": 4})
